@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -60,6 +61,10 @@ Vec3 = tuple[float, float, float]
 class Hand(Enum):
     LEFT = "left"
     RIGHT = "right"
+
+
+# Slot order of per-hand state: left first, as jabs are reported.
+_HANDS = (Hand.LEFT, Hand.RIGHT)
 
 
 # Red viruses answer to the right hand, blue to the left.
@@ -180,6 +185,14 @@ class JabDetector:
 
     Feed pose samples in time order; each call returns the jabs that fire
     on that frame (left hand reported before right).
+
+    Both hands share one window of ``(time, left, right)`` samples, and
+    per-hand state sits in ``[left, right]`` slots.  Speed is the
+    backward difference between the oldest and newest sample in the
+    window, as in :func:`hand_velocity`.  A hand whose newest position is
+    the very object it held at the start of the window has not moved, so
+    its speed is 0 without any arithmetic: the synthetic player hands
+    back the same guard tuple every tick while a hand rests.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,
@@ -188,37 +201,52 @@ class JabDetector:
         self.window = window
         self.threshold = threshold
         self.refractory = refractory
-        self._history: dict[Hand, list[tuple[float, Vec3]]] = {
-            Hand.LEFT: [],
-            Hand.RIGHT: [],
-        }
-        self._prev_speed = {Hand.LEFT: 0.0, Hand.RIGHT: 0.0}
-        self._last_fire = {Hand.LEFT: -math.inf, Hand.RIGHT: -math.inf}
+        self._history: deque[tuple[float, Vec3, Vec3]] = deque()
+        self._prev_speed = [0.0, 0.0]
+        self._last_fire = [-math.inf, -math.inf]
 
     def update(self, sample: PoseSample) -> list[JabEvent]:
         events: list[JabEvent] = []
         now = sample.time
+        newest = (now, sample.left_hand, sample.right_hand)
+        history = self._history
+        history.append(newest)
         horizon = now - self.window - 1e-9
-        for hand in (Hand.LEFT, Hand.RIGHT):
-            history = self._history[hand]
-            history.append((now, sample.hand(hand)))
-            while history and history[0][0] < horizon:
-                history.pop(0)
-            speed, direction = hand_velocity(history)
-            rising = speed >= self.threshold and self._prev_speed[hand] < self.threshold
-            clear = now - self._last_fire[hand] >= self.refractory - 1e-9
-            if rising and clear:
-                self._last_fire[hand] = now
-                events.append(
-                    JabEvent(
-                        time=now,
-                        hand=hand,
-                        hand_speed=speed,
-                        hand_pos=sample.hand(hand),
-                        direction=direction,
-                    )
-                )
-            self._prev_speed[hand] = speed
+        while history[0] is not newest and history[0][0] < horizon:
+            history.popleft()
+        oldest = history[0]
+        elapsed = now - oldest[0]
+        prev_speed = self._prev_speed
+        if elapsed <= 0.0 or (oldest[1] is newest[1] and oldest[2] is newest[2]):
+            # An under-filled window, or both hands at rest (the common
+            # tick): speed 0, which never crosses a threshold from below.
+            prev_speed[0] = prev_speed[1] = 0.0
+            return events
+        for i in (0, 1):
+            p0 = oldest[i + 1]
+            p1 = newest[i + 1]
+            if p0 is p1:
+                prev_speed[i] = 0.0
+                continue
+            dx = p1[0] - p0[0]
+            dy = p1[1] - p0[1]
+            dz = p1[2] - p0[2]
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist == 0.0:
+                prev_speed[i] = 0.0
+                continue
+            speed = dist / elapsed
+            if (speed >= self.threshold and prev_speed[i] < self.threshold
+                    and now - self._last_fire[i] >= self.refractory - 1e-9):
+                self._last_fire[i] = now
+                events.append(JabEvent(
+                    time=now,
+                    hand=_HANDS[i],
+                    hand_speed=speed,
+                    hand_pos=p1,
+                    direction=(dx / dist, dy / dist, dz / dist),
+                ))
+            prev_speed[i] = speed
         return events
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "modulated_intensity",
     "hr_step",
     "kcal_step",
+    "modulation_scale",
     "apply_modulation",
 ]
 
@@ -120,6 +121,12 @@ class PidController:
         return min(hi, max(lo, u))
 
 
+def modulation_scale(u: float) -> float:
+    """Spawn speed and cadence scale for a control signal: ``2 ** u``,
+    with ``u`` clamped to [-1, 1], so always inside [0.5, 2]."""
+    return 2.0 ** min(1.0, max(-1.0, u))
+
+
 def apply_modulation(u: float) -> SpawnModulation:
     """Map a control signal to spawn scaling.
 
@@ -127,5 +134,5 @@ def apply_modulation(u: float) -> SpawnModulation:
     u >= +1 and at half for u <= -1, so the closed loop stays bounded
     whatever the gains.
     """
-    scale = 2.0 ** min(1.0, max(-1.0, u))
+    scale = modulation_scale(u)
     return SpawnModulation(interval_scale=scale, speed_scale=scale)

@@ -278,8 +278,12 @@ class _HandTrack:
         self.knots: list[tuple[float, Vec3]] = [(0.0, guard)]
         self.plans: list[JabPlan] = []
         self._ptr = 0
+        # From the last knot on the hand holds still.
+        self._rest_t, self._rest_pos = self.knots[-1]
 
     def position_at(self, t: float) -> Vec3:
+        if t >= self._rest_t:
+            return self._rest_pos
         knots = self.knots
         i = self._ptr
         last = len(knots) - 1
@@ -382,6 +386,7 @@ class _HandTrack:
             self._append(knots, t_free + back / RETRACT_SPEED, self.guard)
         self.knots = knots
         self._ptr = 0
+        self._rest_t, self._rest_pos = knots[-1]
 
 
 @dataclass(slots=True)
@@ -411,10 +416,9 @@ class SyntheticPlayer:
         self.dt = dt
         self.policy = policy
         self._seq = 0
-        self._hands = {
-            Hand.LEFT: _HandTrack(GUARD_LEFT, dt),
-            Hand.RIGHT: _HandTrack(GUARD_RIGHT, dt),
-        }
+        self._left = _HandTrack(GUARD_LEFT, dt)
+        self._right = _HandTrack(GUARD_RIGHT, dt)
+        self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
         lean_x = calibration.lean_threshold + LEAN_MARGIN
@@ -424,6 +428,7 @@ class SyntheticPlayer:
             PoseClass.SQUAT_LEAN_LEFT: (-lean_x, squat_y, 0.0),
             PoseClass.SQUAT_LEAN_RIGHT: (lean_x, squat_y, 0.0),
         }
+        self._standing = self._head_for[PoseClass.STANDING]
         self._weaves: list[_WeaveWindow] = []
         self._active: list[_WeaveWindow] = []
         self._wptr = 0
@@ -464,11 +469,13 @@ class SyntheticPlayer:
 
     def _pose_requirement(self, tick: int) -> PoseClass:
         weaves = self._weaves
+        if not self._active and (self._wptr == len(weaves)
+                                 or weaves[self._wptr].start > tick):
+            # No weave window is active or due: the common tick.
+            return PoseClass.STANDING
         while self._wptr < len(weaves) and weaves[self._wptr].start <= tick:
             self._active.append(weaves[self._wptr])
             self._wptr += 1
-        if not self._active:
-            return PoseClass.STANDING
         self._active = [w for w in self._active if w.end >= tick]
         best: _WeaveWindow | None = None
         best_key = None
@@ -484,9 +491,11 @@ class SyntheticPlayer:
 
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
-        head = self._head_for[self._pose_requirement(tick)]
-        left = self._hands[Hand.LEFT].position_at(t)
-        right = self._hands[Hand.RIGHT].position_at(t)
+        pose = self._pose_requirement(tick)
+        # Enum members hash in Python; skip the lookup on the common tick.
+        head = self._standing if pose is PoseClass.STANDING else self._head_for[pose]
+        left = self._left.position_at(t)
+        right = self._right.position_at(t)
         policy = self.profile.empower_policy
         if policy is EmpowerPolicy.NEVER:
             buttons = _NO_BUTTONS

@@ -7,6 +7,7 @@ right-open, so a boundary instant already belongs to the next phase.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,7 @@ __all__ = [
     "LANE_HALF_WIDTH",
     "SpawnEvent",
     "phase_at",
+    "phase_boundary_ticks",
     "sprint_windows",
     "spawn_params",
     "sample_kind",
@@ -82,6 +84,29 @@ def phase_at(t: float) -> ProtocolPhase:
         if start <= t < end:
             return ProtocolPhase(kind, index, t - start)
     return ProtocolPhase(PhaseKind.ENDED, 0, t - SESSION_DURATION)
+
+
+def phase_boundary_ticks(dt: float) -> tuple[int, ...]:
+    """Ticks ``k`` at which ``phase_at(k * dt)`` can differ from tick ``k - 1``.
+
+    For every phase start, and for the end of the session, this is the
+    first ``k`` with ``k * dt >= start``: the comparison ``phase_at``
+    makes, so a boundary that falls between ticks resolves exactly as
+    a per-tick lookup would.  Between two listed ticks the phase is
+    constant.  Ascending, without repeats, and starting with 0.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    ticks = []
+    for start in [row[0] for row in _TIMELINE] + [SESSION_DURATION]:
+        k = math.ceil(start / dt)
+        while k > 0 and (k - 1) * dt >= start:
+            k -= 1
+        while k * dt < start:
+            k += 1
+        if not ticks or k > ticks[-1]:
+            ticks.append(k)
+    return tuple(ticks)
 
 
 @dataclass(frozen=True, slots=True)

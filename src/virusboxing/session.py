@@ -1,11 +1,17 @@
 """Deterministic session loop, replay logs, and batch execution.
 
 One session is 420 s at 50 Hz.  Every tick runs the same stage order:
-phase lookup, controller update, spawning, player sampling, empowerment
-bookkeeping, jab resolution, world advance with crossing resolution, then
-physiology integration.  All randomness flows through one seeded
-generator shared by the spawner and the synthetic player, so a seed plus
-a config fully determines the log, byte for byte.
+phase lookup, controller update, spawning, player sampling, jab
+resolution, world advance with crossing resolution, empowerment
+bookkeeping, then physiology integration.  All randomness flows through
+one seeded generator shared by the spawner and the synthetic player, so a
+seed plus a config fully determines the log, byte for byte.
+
+The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
+the loop looks the phase up on those ticks alone and keeps everything
+that depends on the phase alone (the sprint flag and the unmodulated
+intensity) until the next one.  The spawn modulation is built only on
+ticks that spawn; physiology reads just its speed scale.
 
 After the protocol ends the loop keeps resolving whatever is still in
 flight (no spawns, no physiology, no activations) so that every spawned
@@ -14,8 +20,10 @@ summary hold exactly.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -43,6 +51,7 @@ from .physiology import (
     hr_step,
     kcal_step,
     modulated_intensity,
+    modulation_scale,
 )
 from .playersim import PlayerProfile, SyntheticPlayer
 from .progression import (
@@ -60,13 +69,16 @@ from .progression import (
 )
 from .protocol import (
     IDENTITY_MODULATION,
+    LOW_INTENSITY_SPAWN,
+    MODULATION_MIN,
     PhaseKind,
     SESSION_DURATION,
     next_spawn,
     phase_at,
+    phase_boundary_ticks,
     spawn_params,
 )
-from .world import EntityStatus, WorldState, advance
+from .world import CREATOR_DISTANCE, EntityStatus, WorldState, advance
 
 __all__ = [
     "LOG_VERSION",
@@ -86,10 +98,19 @@ LOG_VERSION = "1"
 
 DEFAULT_SETPOINT = 150.0
 
-# Upper bound on post-protocol ticks needed to flush the world: the
-# slowest possible entity (5.7 m/s halved by modulation) covers the full
-# corridor in well under this.
-_DRAIN_TICK_CAP = 2000
+# Longest flight of any entity: the slowest base speed (5.7 m/s) halved
+# by the strongest slow-down modulation, over the full corridor.
+_MAX_FLIGHT_SECONDS = CREATOR_DISTANCE / (
+    LOW_INTENSITY_SPAWN.speed * MODULATION_MIN
+)
+# Ticks past the longest flight that absorb rounding in the stepped
+# positions.
+_DRAIN_MARGIN_TICKS = 2
+
+
+def _drain_tick_cap(dt: float) -> int:
+    """Upper bound on post-protocol ticks needed to flush the world."""
+    return math.ceil(_MAX_FLIGHT_SECONDS / dt) + _DRAIN_MARGIN_TICKS
 
 
 @dataclass(frozen=True)
@@ -109,18 +130,38 @@ class SessionConfig:
         self.profile.validate()
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration <= SESSION_DURATION:
+            # The protocol has no phase after its end to spawn from.
+            raise ValueError(
+                f"duration must lie in (0, {SESSION_DURATION}], got {self.duration}"
+            )
         ticks = self.duration / self.dt
         if abs(ticks - round(ticks)) > 1e-9:
             raise ValueError(
                 f"duration {self.duration} is not a whole number of "
                 f"{self.dt} s steps"
             )
-        if self.hr_setpoint <= 0.0:
-            raise ValueError(f"hr_setpoint must be positive, got {self.hr_setpoint}")
-        if self.heart.hr_rest >= self.heart.hr_max:
+        heart = self.heart
+        for label, value in (("hr_rest", heart.hr_rest), ("hr_max", heart.hr_max),
+                             ("tau_rise", heart.tau_rise),
+                             ("tau_decay", heart.tau_decay)):
+            if not math.isfinite(value):
+                raise ValueError(f"heart {label} must be finite, got {value}")
+        if heart.tau_rise <= 0.0 or heart.tau_decay <= 0.0:
+            raise ValueError(
+                f"heart time constants must be positive, got tau_rise "
+                f"{heart.tau_rise} and tau_decay {heart.tau_decay}"
+            )
+        if heart.hr_rest >= heart.hr_max:
             raise ValueError("hr_rest must be below hr_max")
+        if not math.isfinite(self.hr_setpoint) or self.hr_setpoint <= 0.0:
+            raise ValueError(
+                f"hr_setpoint must be positive and finite, got {self.hr_setpoint}"
+            )
+        if self.hr_setpoint > heart.hr_max:
+            raise ValueError(
+                f"hr_setpoint {self.hr_setpoint} is above hr_max {heart.hr_max}"
+            )
 
 
 def config_digest(config: SessionConfig) -> str:
@@ -155,22 +196,29 @@ def config_digest(config: SessionConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# JSON form of the log's keys and enum values: a few dozen strings, each
+# encoded once rather than once per line.
+_quoted = functools.lru_cache(maxsize=256)(json.dumps)
+
+
 def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.6f}"
     # bool is an int subclass: test it first.
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6f}"
     if isinstance(value, int):
         return str(value)
     if value is None:
         return "null"
+    if isinstance(value, str):
+        return _quoted(value)
     return json.dumps(value)
 
 
 def _row(*pairs: tuple[str, object]) -> str:
     """One log line with a fixed key order, floats at six decimals."""
-    body = ",".join(f"{json.dumps(key)}:{_fmt(val)}" for key, val in pairs)
+    body = ",".join(f"{_quoted(key)}:{_fmt(val)}" for key, val in pairs)
     return "{" + body + "}"
 
 
@@ -243,7 +291,7 @@ def run_session(config: SessionConfig,
                           ("phase", kind.value), ("index", index)))
 
     def resolve_crossings(crossings, sample, t: float) -> None:
-        nonlocal pose_cache
+        pose = None  # classified once, at the first cell of the tick
         for entity in crossings:
             if entity.is_virus:
                 world.retire(entity, EntityStatus.MISSED)
@@ -253,9 +301,9 @@ def run_session(config: SessionConfig,
                     ("status", "missed"),
                 ))
                 continue
-            if pose_cache is None:
-                pose_cache = classify_weave_pose(sample, config.calibration)
-            outcome = resolve_cell_pass(entity, pose_cache)
+            if pose is None:
+                pose = classify_weave_pose(sample, config.calibration)
+            outcome = resolve_cell_pass(entity, pose)
             if outcome is CellOutcome.AVOIDED:
                 world.retire(entity, EntityStatus.PASSED)
                 on_cell_avoided(prog)
@@ -264,11 +312,11 @@ def run_session(config: SessionConfig,
                 on_cell_collided(prog)
             lines.append(_row(
                 ("type", "cross"), ("t", t), ("id", entity.id),
-                ("status", outcome.value), ("pose", pose_cache.value),
+                ("status", outcome.value), ("pose", pose.value),
             ))
 
-    def resolve_jabs(sample, t: float) -> None:
-        for jab in detector.update(sample):
+    def resolve_jabs(jabs, t: float) -> None:
+        for jab in jabs:
             empowered = is_empowered(prog, t)
             result = resolve_jab(jab, world, config.targeting, empowered)
             if result.kind is HitKind.DESTROYED:
@@ -283,48 +331,68 @@ def run_session(config: SessionConfig,
                 ("speed", jab.hand_speed),
             ))
 
+    def interact(sample, t: float) -> None:
+        """Jab resolution, then world advance with crossing resolution."""
+        jabs = detector.update(sample)
+        if jabs:
+            resolve_jabs(jabs, t)
+        crossings = advance(world, dt)
+        if crossings:
+            resolve_crossings(crossings, sample, t)
+
+    effort = config.profile.effort
+    heart = config.heart
+    setpoint = config.hr_setpoint
     phase = phase_at(0.0)
-    prev_phase = (phase.kind, phase.index)
     log_phase(0.0, phase.kind, phase.index)
     pending = next_spawn(rng, 0.0, spawn_params(phase, modulation))
+    boundaries = iter(phase_boundary_ticks(dt))
+    next_boundary = next(boundaries)
 
     for k in range(gameplay_ticks):
         t = k * dt
-        phase = phase_at(t)
-        if (phase.kind, phase.index) != prev_phase:
-            prev_phase = (phase.kind, phase.index)
-            log_phase(t, phase.kind, phase.index)
+        if k == next_boundary:
+            # The phase can change only on these ticks, and everything
+            # below that depends on the phase alone is fixed until the next.
+            current = phase_at(t)
+            if (current.kind, current.index) != (phase.kind, phase.index):
+                log_phase(t, current.kind, current.index)
+            phase = current
+            kind = phase.kind
+            controlled = pid is not None and kind is PhaseKind.SPRINT
+            intensity = modulated_intensity(kind, effort, IDENTITY_MODULATION)
+            next_boundary = next(boundaries, -1)
         if k % ticks_per_second == 0:
-            log_hr(t, phase.kind)
+            log_hr(t, kind)
 
-        if pid is not None and phase.kind is PhaseKind.SPRINT:
-            modulation = apply_modulation(
-                pid.step(config.hr_setpoint, physio.hr, dt)
-            )
+        if controlled:
+            control = pid.step(setpoint, physio.hr, dt)
+            speed_scale = modulation_scale(control)
         else:
-            modulation = IDENTITY_MODULATION
+            speed_scale = 1.0
 
-        while pending.time <= t + 1e-9:
-            entity = world.spawn(pending.kind, pending.time,
-                                 pending.lane_offset, pending.speed)
-            if entity.is_virus:
-                viruses_spawned += 1
-            else:
-                cells_spawned += 1
-            lines.append(_row(
-                ("type", "spawn"), ("t", pending.time), ("id", entity.id),
-                ("kind", entity.kind.value), ("lane", entity.lane_offset),
-                ("speed", entity.speed),
-            ))
-            player.observe_spawn(entity, k, prog.empowered_until)
-            pending = next_spawn(rng, pending.time,
-                                 spawn_params(phase, modulation))
+        if pending.time <= t + 1e-9:
+            # Only spawns read the whole modulation; build it for them.
+            modulation = (apply_modulation(control) if controlled
+                          else IDENTITY_MODULATION)
+            while pending.time <= t + 1e-9:
+                entity = world.spawn(pending.kind, pending.time,
+                                     pending.lane_offset, pending.speed)
+                if entity.is_virus:
+                    viruses_spawned += 1
+                else:
+                    cells_spawned += 1
+                lines.append(_row(
+                    ("type", "spawn"), ("t", pending.time), ("id", entity.id),
+                    ("kind", entity.kind.value), ("lane", entity.lane_offset),
+                    ("speed", entity.speed),
+                ))
+                player.observe_spawn(entity, k, prog.empowered_until)
+                pending = next_spawn(rng, pending.time,
+                                     spawn_params(phase, modulation))
 
-        sample = player.sample(k, phase.kind)
-        pose_cache = None
-
-        resolve_jabs(sample, t)
-        resolve_crossings(advance(world, dt), sample, t)
+        sample = player.sample(k, kind)
+        interact(sample, t)
 
         if tick_empowerment(prog, t):
             lines.append(_row(("type", "empower"), ("t", t),
@@ -335,11 +403,9 @@ def run_session(config: SessionConfig,
                               ("until", prog.empowered_until)))
 
         kcal_step(physio, dt)
-        hr_step(
-            physio,
-            modulated_intensity(phase.kind, config.profile.effort, modulation),
-            config.heart, dt,
-        )
+        # modulated_intensity(kind, effort, modulation), with the phase
+        # part computed once per phase.
+        hr_step(physio, min(1.0, intensity * speed_scale), heart, dt)
 
     t_end = gameplay_ticks * dt
     phase = phase_at(t_end)
@@ -351,13 +417,11 @@ def run_session(config: SessionConfig,
     # controller are frozen, and no empowerment can start.
     k = gameplay_ticks
     t_final = t_end
-    while world.in_flight and k < gameplay_ticks + _DRAIN_TICK_CAP:
+    drain_end = gameplay_ticks + _drain_tick_cap(dt)
+    while world.in_flight and k < drain_end:
         k += 1
         t_final = k * dt
-        sample = player.sample(k, PhaseKind.ENDED)
-        pose_cache = None
-        resolve_jabs(sample, t_final)
-        resolve_crossings(advance(world, dt), sample, t_final)
+        interact(player.sample(k, PhaseKind.ENDED), t_final)
         if tick_empowerment(prog, t_final):
             lines.append(_row(("type", "empower"), ("t", t_final),
                               ("action", "end"), ("until", None)))

@@ -121,6 +121,21 @@ class TestRunErrors:
     def test_missing_config_file(self, capsys) -> None:
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_nan_setpoint(self, capsys) -> None:
+        assert main(["run", "--seed", "0", "--setpoint", "nan"]) == 2
+        assert "hr_setpoint" in capsys.readouterr().err
+
+    def test_setpoint_above_hr_max(self, capsys) -> None:
+        assert main(["run", "--seed", "0", "--setpoint", "250"]) == 2
+
+    def test_zero_heart_time_constant(self, tmp_path, capsys) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {
+            "hr_rest": 60, "hr_max": 190, "tau_rise": 0, "tau_decay": 60,
+        }}))
+        assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
+        assert "time constants" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fresh_log_passes(self, out_dir, capsys) -> None:

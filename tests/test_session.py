@@ -13,6 +13,7 @@ from virusboxing.interaction import (
 )
 from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import load_profile
+from virusboxing.protocol import LOW_INTENSITY_SPAWN, MODULATION_MIN
 from virusboxing.session import (
     HeaderMismatchError,
     SessionConfig,
@@ -22,7 +23,9 @@ from virusboxing.session import (
     replay_verify,
     run_many,
     run_session,
+    _drain_tick_cap,
 )
+from virusboxing.world import CREATOR_DISTANCE
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +257,48 @@ class TestReplayVerify:
     def test_headerless_log_rejected(self, base_config, result) -> None:
         with pytest.raises(HeaderMismatchError):
             replay_verify(list(result.lines[1:]), base_config)
+
+
+class TestConfigRejection:
+    """Configs that cannot give a meaningful session fail validation."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau_rise", 0.0), ("tau_decay", 0.0), ("tau_rise", -5.0),
+        ("tau_decay", float("nan")), ("hr_max", float("inf")),
+    ])
+    def test_bad_heart(self, base_config, field, value) -> None:
+        heart = dataclasses.replace(base_config.heart, **{field: value})
+        with pytest.raises(ValueError):
+            dataclasses.replace(base_config, heart=heart).validate()
+
+    @pytest.mark.parametrize("setpoint", [
+        float("nan"), float("inf"), -float("inf"), 190.5,
+    ])
+    def test_bad_setpoint(self, base_config, setpoint) -> None:
+        with pytest.raises(ValueError):
+            dataclasses.replace(base_config, hr_setpoint=setpoint).validate()
+
+    def test_duration_past_the_protocol(self, base_config) -> None:
+        # Spawning past 420 s has no phase parameters to draw from.
+        with pytest.raises(ValueError):
+            dataclasses.replace(base_config, duration=430.0).validate()
+
+    def test_setpoint_at_hr_max_is_accepted(self, base_config) -> None:
+        dataclasses.replace(base_config,
+                            hr_setpoint=base_config.heart.hr_max).validate()
+
+
+class TestDrain:
+    @pytest.mark.parametrize("dt", [0.001, 0.02, 0.035, 1.0])
+    def test_cap_outlasts_the_slowest_flight(self, dt) -> None:
+        slowest = LOW_INTENSITY_SPAWN.speed * MODULATION_MIN
+        assert _drain_tick_cap(dt) * dt >= CREATOR_DISTANCE / slowest
+
+    def test_fine_step_drains_every_entity(self) -> None:
+        # A tick-counted drain cap ran out of ticks at dt = 0.001.
+        config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                               dt=0.001, duration=10.0)
+        m = run_session(config).metrics
+        assert m.viruses_spawned > 0 and m.cells_spawned > 0
+        assert m.viruses_destroyed + m.viruses_missed == m.viruses_spawned
+        assert m.cells_avoided + m.cells_collided == m.cells_spawned
