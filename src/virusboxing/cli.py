@@ -47,8 +47,38 @@ SUMMARY_FIELDS = (
 )
 
 
+# Every key a --config file may hold.
+CONFIG_KEYS = ("seed", "profile", "targeting", "range", "heart", "pid",
+               "setpoint", "pid_gains")
+
+
 class ConfigError(Exception):
     """Bad flag combination, config file, or profile reference."""
+
+
+def _session_flags() -> argparse.ArgumentParser:
+    """The flags that choose a session, shared by run and verify."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", metavar="FILE",
+                       help="JSON file with session settings; flags override it")
+    flags.add_argument("--seed", type=int,
+                       help="session seed (default: the config file's; "
+                            "else 0 for run, the log header's for verify)")
+    flags.add_argument("--profile", metavar="NAME",
+                       help="built-in profile name or JSON path "
+                            f"(built-ins: {', '.join(builtin_profiles())})")
+    flags.add_argument("--targeting", choices=sorted(_TARGETING_MODES),
+                       help="empowered targeting mode: pt (precise) or rt (rough)")
+    flags.add_argument("--range", choices=sorted(_RANGES), dest="range_",
+                       metavar="RANGE",
+                       help="empowered targeting range: short, medium, or long")
+    flags.add_argument("--heart", metavar="PRESET",
+                       help=f"heart model preset ({', '.join(sorted(HEART_PRESETS))})")
+    flags.add_argument("--pid", choices=("on", "off"),
+                       help="difficulty controller during sprints")
+    flags.add_argument("--setpoint", type=float,
+                       help="controller heart-rate target in bpm")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,48 +87,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic boxing exergame session simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _session_flags()
 
-    run = sub.add_parser("run", help="simulate one seed or a seed range")
-    run.add_argument("--config", metavar="FILE",
-                     help="JSON file with base settings; flags override it")
-    seeds = run.add_mutually_exclusive_group()
-    seeds.add_argument("--seed", type=int, help="single session seed")
-    seeds.add_argument("--seeds", metavar="A..B",
-                       help="inclusive seed range, e.g. 0..49")
-    run.add_argument("--profile", metavar="NAME",
-                     help="built-in profile name or JSON path "
-                          f"(built-ins: {', '.join(builtin_profiles())})")
-    run.add_argument("--targeting", choices=sorted(_TARGETING_MODES),
-                     help="empowered targeting mode: pt (precise) or rt (rough)")
-    run.add_argument("--range", choices=sorted(_RANGES), dest="range_",
-                     metavar="RANGE",
-                     help="empowered targeting range: short, medium, or long")
-    run.add_argument("--heart", metavar="PRESET",
-                     help=f"heart model preset ({', '.join(sorted(HEART_PRESETS))})")
-    run.add_argument("--pid", choices=("on", "off"),
-                     help="difficulty controller during sprints")
-    run.add_argument("--setpoint", type=float,
-                     help="controller heart-rate target in bpm")
+    run = sub.add_parser("run", parents=[flags],
+                         help="simulate one seed or a seed range")
+    run.add_argument("--seeds", metavar="A..B",
+                     help="inclusive seed range, e.g. 0..49 (not with --seed)")
     run.add_argument("--out", metavar="DIR",
                      help="write summaries, replay logs, and traces here")
     run.add_argument("--format", choices=("json", "csv"), default="json",
                      help="summary file format (default json)")
     run.add_argument("--jobs", type=int,
-                     help="worker processes for seed ranges (default 1)")
+                     help="worker processes for seed ranges "
+                          "(default: $VIRUSBOXING_JOBS, else 1)")
 
-    verify = sub.add_parser("verify", help="check a replay log against a config")
+    verify = sub.add_parser("verify", parents=[flags],
+                            help="check a replay log against a config")
     verify.add_argument("log", metavar="LOG", help="replay log to verify")
-    verify.add_argument("--config", metavar="FILE",
-                        help="JSON file with the settings that produced the log")
-    verify.add_argument("--seed", type=int,
-                        help="seed override (default: taken from the log header)")
-    verify.add_argument("--profile", metavar="NAME")
-    verify.add_argument("--targeting", choices=sorted(_TARGETING_MODES))
-    verify.add_argument("--range", choices=sorted(_RANGES), dest="range_",
-                        metavar="RANGE")
-    verify.add_argument("--heart", metavar="PRESET")
-    verify.add_argument("--pid", choices=("on", "off"))
-    verify.add_argument("--setpoint", type=float)
     return parser
 
 
@@ -113,7 +118,28 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"config file {path}: unknown key "
+            f"{', '.join(repr(key) for key in unknown)} "
+            f"(expected: {', '.join(CONFIG_KEYS)})"
+        )
     return data
+
+
+def _number(key: str, value: object) -> float:
+    """A config-file value that must be a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _file_seed(file_cfg: dict) -> int:
+    seed = file_cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"config key 'seed' must be an integer, got {seed!r}")
+    return seed
 
 
 def _resolve_profile(ref: object) -> PlayerProfile:
@@ -151,6 +177,8 @@ def _resolve_heart(ref: object) -> HeartRateParams:
 
 def _parse_seeds(args: argparse.Namespace, file_cfg: dict) -> list[int]:
     if getattr(args, "seeds", None):
+        if args.seed is not None:
+            raise ConfigError("--seed and --seeds cannot be combined")
         text = args.seeds
         parts = text.split("..")
         if len(parts) != 2:
@@ -165,7 +193,7 @@ def _parse_seeds(args: argparse.Namespace, file_cfg: dict) -> list[int]:
     if args.seed is not None:
         return [args.seed]
     if "seed" in file_cfg:
-        return [int(file_cfg["seed"])]
+        return [_file_seed(file_cfg)]
     return [0]
 
 
@@ -175,10 +203,10 @@ def _build_config(args: argparse.Namespace, file_cfg: dict,
     profile = _resolve_profile(profile_ref)
 
     mode_key = args.targeting or file_cfg.get("targeting", "rt")
-    if mode_key not in _TARGETING_MODES:
+    if not isinstance(mode_key, str) or mode_key not in _TARGETING_MODES:
         raise ConfigError(f"unknown targeting mode {mode_key!r}")
     range_key = args.range_ or file_cfg.get("range", "long")
-    if range_key not in _RANGES:
+    if not isinstance(range_key, str) or range_key not in _RANGES:
         raise ConfigError(f"unknown targeting range {range_key!r}")
     targeting = TargetingPolicy(mode=_TARGETING_MODES[mode_key],
                                 range=_RANGES[range_key])
@@ -188,9 +216,15 @@ def _build_config(args: argparse.Namespace, file_cfg: dict,
     if args.pid is not None:
         pid_enabled = args.pid == "on"
     else:
-        pid_enabled = bool(file_cfg.get("pid", True))
-    setpoint = (args.setpoint if args.setpoint is not None
-                else float(file_cfg.get("setpoint", DEFAULT_SETPOINT)))
+        pid_enabled = file_cfg.get("pid", True)
+        if not isinstance(pid_enabled, bool):
+            raise ConfigError(
+                f"config key 'pid' must be true or false, got {pid_enabled!r}"
+            )
+    setpoint = args.setpoint
+    if setpoint is None:
+        setpoint = _number("setpoint",
+                           file_cfg.get("setpoint", DEFAULT_SETPOINT))
     gains = file_cfg.get("pid_gains", DEFAULT_PID_GAINS)
     if not (isinstance(gains, (list, tuple)) and len(gains) == 3):
         raise ConfigError("pid_gains must be a list of three numbers")
@@ -201,7 +235,7 @@ def _build_config(args: argparse.Namespace, file_cfg: dict,
         targeting=targeting,
         heart=heart,
         pid_enabled=pid_enabled,
-        pid_gains=tuple(float(g) for g in gains),
+        pid_gains=tuple(_number("pid_gains", g) for g in gains),
         hr_setpoint=setpoint,
     )
     try:
@@ -304,7 +338,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"cannot read seed from log header; pass --seed ({exc})"
             ) from exc
     elif seed is None:
-        seed = int(file_cfg["seed"])
+        seed = _file_seed(file_cfg)
     config = _build_config(args, file_cfg, seed)
     try:
         report = replay_verify(log_path, config)

@@ -1,17 +1,23 @@
 """Deterministic session loop, replay logs, and batch execution.
 
 One session is 420 s at 50 Hz.  Every tick runs the same stage order:
-phase lookup, controller update, spawning, player sampling, jab
-resolution, world advance with crossing resolution, empowerment
-bookkeeping, then physiology integration.  All randomness flows through
-one seeded generator shared by the spawner and the synthetic player, so a
-seed plus a config fully determines the log, byte for byte.
+phase lookup, spawning, player sampling, jab resolution, world advance
+with crossing resolution, then empowerment bookkeeping.  All randomness
+flows through one seeded generator shared by the spawner and the
+synthetic player, so a seed plus a config fully determines the log, byte
+for byte.
+
+Heart rate, kcal and the controller output read nothing from gameplay:
+they follow from the effort, the heart, the PID settings, dt and the
+duration alone.  ``_control_schedule`` integrates them once per such
+config and keeps the result in a small cache, so the seeds of a sweep
+share one integration.  The tick loop reads the controller output from
+the schedule on ticks that spawn, to build the spawn modulation, and
+the rounded heart rate and kcal on ticks that log an ``hr`` row.
 
 The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
-the loop looks the phase up on those ticks alone and keeps everything
-that depends on the phase alone (the sprint flag and the unmodulated
-intensity) until the next one.  The spawn modulation is built only on
-ticks that spawn; physiology reads just its speed scale.
+the loop looks the phase up on those ticks alone and keeps the sprint
+flag until the next one.
 
 After the protocol ends the loop keeps resolving whatever is still in
 flight (no spawns, no physiology, no activations) so that every spawned
@@ -26,6 +32,7 @@ import json
 import math
 import os
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -113,6 +120,73 @@ def _drain_tick_cap(dt: float) -> int:
     return math.ceil(_MAX_FLIGHT_SECONDS / dt) + _DRAIN_MARGIN_TICKS
 
 
+# Enough for every config of a 24-cell profile x targeting x PID x heart
+# grid; a PID-on 420 s schedule holds about 110 kB.
+_SCHEDULE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _control_schedule(effort: float, heart: HeartRateParams,
+                      pid_gains: tuple[float, float, float] | None,
+                      setpoint: float, dt: float,
+                      gameplay_ticks: int,
+                      ) -> tuple[array, dict[int, int], array, array]:
+    """Controller output and physiology of one config, for every seed.
+
+    Each tick records the 1 Hz row's values if one is due, steps the
+    controller on the heart rate at the tick's start, then integrates
+    kcal and heart rate at the intensity the controller's speed scale
+    sets.  Returns ``(controls, shifts, hr, kcal)``:
+
+    - ``controls``: the controller output of each controlled tick (a
+      sprint tick with the PID on), in tick order.  ``shifts`` maps each
+      phase boundary tick ``b`` that starts controlled ticks to the
+      shift that finds them: until the next boundary, tick ``k``'s
+      output is ``controls[k + shifts[b]]``.
+    - ``hr``, ``kcal``: the rounded values of each 1 Hz ``hr`` row, then
+      those of the row at the end of the protocol.
+
+    The cache hands the same arrays to every session of the config, so
+    nothing may write to them.
+    """
+    ticks_per_second = max(1, round(1.0 / dt))
+    physio = PhysioState(hr=heart.hr_rest)
+    pid = None
+    if pid_gains is not None:
+        kp, ki, kd = pid_gains
+        pid = PidController(kp=kp, ki=ki, kd=kd)
+    controls = array("d")
+    shifts: dict[int, int] = {}
+    hr = array("d")
+    kcal = array("d")
+    boundaries = iter(phase_boundary_ticks(dt))
+    next_boundary = next(boundaries)
+    for k in range(gameplay_ticks):
+        if k == next_boundary:
+            kind = phase_at(k * dt).kind
+            controlled = pid is not None and kind is PhaseKind.SPRINT
+            if controlled:
+                shifts[k] = len(controls) - k
+            intensity = modulated_intensity(kind, effort, IDENTITY_MODULATION)
+            next_boundary = next(boundaries, -1)
+        if k % ticks_per_second == 0:
+            hr.append(round(physio.hr, 6))
+            kcal.append(round(physio.kcal, 6))
+        if controlled:
+            control = pid.step(setpoint, physio.hr, dt)
+            controls.append(control)
+            speed_scale = modulation_scale(control)
+        else:
+            speed_scale = 1.0
+        kcal_step(physio, dt)
+        # modulated_intensity(kind, effort, apply_modulation(control)),
+        # with the phase part computed once per phase.
+        hr_step(physio, min(1.0, intensity * speed_scale), heart, dt)
+    hr.append(round(physio.hr, 6))
+    kcal.append(round(physio.kcal, 6))
+    return controls, shifts, hr, kcal
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     seed: int
@@ -162,6 +236,9 @@ class SessionConfig:
             raise ValueError(
                 f"hr_setpoint {self.hr_setpoint} is above hr_max {heart.hr_max}"
             )
+        if not all(math.isfinite(gain) for gain in self.pid_gains):
+            # A NaN output clamps to full slow-down without a word.
+            raise ValueError(f"pid_gains must be finite, got {self.pid_gains}")
 
 
 def config_digest(config: SessionConfig) -> str:
@@ -252,17 +329,20 @@ def run_session(config: SessionConfig,
     gameplay_ticks = round(config.duration / dt)
     ticks_per_second = max(1, round(1.0 / dt))
 
+    controls, control_shifts, hr_rows, kcal_rows = _control_schedule(
+        config.profile.effort, config.heart,
+        tuple(config.pid_gains) if config.pid_enabled else None,
+        config.hr_setpoint, dt, gameplay_ticks,
+    )
+
     rng = random.Random(config.seed)
     world = WorldState()
     prog = ProgressionState()
-    physio = PhysioState(hr=config.heart.hr_rest)
     player = SyntheticPlayer(
         config.profile, config.calibration, rng,
         dt=dt, policy=config.targeting,
     )
     detector = JabDetector()
-    kp, ki, kd = config.pid_gains
-    pid = PidController(kp=kp, ki=ki, kd=kd) if config.pid_enabled else None
     modulation = IDENTITY_MODULATION
 
     digest = config_digest(config)
@@ -274,9 +354,10 @@ def run_session(config: SessionConfig,
     viruses_spawned = 0
     cells_spawned = 0
 
-    def log_hr(t: float, phase_kind: PhaseKind) -> None:
-        hr_now = round(physio.hr, 6)
-        kcal_now = round(physio.kcal, 6)
+    def log_hr(t: float, phase_kind: PhaseKind, index: int) -> None:
+        """The ``hr`` row with the schedule's values at row ``index``."""
+        hr_now = hr_rows[index]
+        kcal_now = kcal_rows[index]
         row = TraceRow(t, hr_now, kcal_now, phase_kind.value,
                        prog.energy, is_empowered(prog, t))
         trace.append(row)
@@ -340,9 +421,6 @@ def run_session(config: SessionConfig,
         if crossings:
             resolve_crossings(crossings, sample, t)
 
-    effort = config.profile.effort
-    heart = config.heart
-    setpoint = config.hr_setpoint
     phase = phase_at(0.0)
     log_phase(0.0, phase.kind, phase.index)
     pending = next_spawn(rng, 0.0, spawn_params(phase, modulation))
@@ -359,22 +437,17 @@ def run_session(config: SessionConfig,
                 log_phase(t, current.kind, current.index)
             phase = current
             kind = phase.kind
-            controlled = pid is not None and kind is PhaseKind.SPRINT
-            intensity = modulated_intensity(kind, effort, IDENTITY_MODULATION)
+            # None outside the controller's phases.
+            control_shift = control_shifts.get(k)
             next_boundary = next(boundaries, -1)
         if k % ticks_per_second == 0:
-            log_hr(t, kind)
-
-        if controlled:
-            control = pid.step(setpoint, physio.hr, dt)
-            speed_scale = modulation_scale(control)
-        else:
-            speed_scale = 1.0
+            log_hr(t, kind, k // ticks_per_second)
 
         if pending.time <= t + 1e-9:
-            # Only spawns read the whole modulation; build it for them.
-            modulation = (apply_modulation(control) if controlled
-                          else IDENTITY_MODULATION)
+            # Only spawns read the modulation; build it for them.
+            modulation = IDENTITY_MODULATION
+            if control_shift is not None:
+                modulation = apply_modulation(controls[k + control_shift])
             while pending.time <= t + 1e-9:
                 entity = world.spawn(pending.kind, pending.time,
                                      pending.lane_offset, pending.speed)
@@ -402,15 +475,10 @@ def run_session(config: SessionConfig,
                               ("action", "start"),
                               ("until", prog.empowered_until)))
 
-        kcal_step(physio, dt)
-        # modulated_intensity(kind, effort, modulation), with the phase
-        # part computed once per phase.
-        hr_step(physio, min(1.0, intensity * speed_scale), heart, dt)
-
     t_end = gameplay_ticks * dt
     phase = phase_at(t_end)
     log_phase(t_end, phase.kind, phase.index)
-    log_hr(t_end, phase.kind)
+    log_hr(t_end, phase.kind, -1)
 
     # Flush the remaining traffic so every entity reaches a terminal
     # state.  The protocol is over: nothing spawns, physiology and the

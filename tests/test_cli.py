@@ -178,3 +178,83 @@ class TestVerify:
 
     def test_missing_log_file(self, capsys) -> None:
         assert main(["verify", "/nonexistent/replay.jsonl"]) == 2
+
+
+def _run_with_file(tmp_path, settings: dict) -> int:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    return main(["run", "--config", str(cfg), "--seed", "0"])
+
+
+class TestConfigFileValues:
+    @pytest.mark.parametrize("value", ["off", "on", 0, 1, None, [False]])
+    def test_pid_must_be_a_json_bool(self, tmp_path, capsys, value) -> None:
+        # bool("off") is True, so reading the value loosely would run
+        # "off" with the PID on.
+        assert _run_with_file(tmp_path, {"pid": value}) == 2
+        assert "'pid'" in capsys.readouterr().err
+
+    def test_pid_false_turns_the_controller_off(self, tmp_path,
+                                                capsys) -> None:
+        assert _run_with_file(tmp_path, {"pid": False}) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(RUN_OFF) == 0
+        assert from_file == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("key", ["setpiont", "dt", "duration"])
+    def test_unknown_key_is_named(self, tmp_path, capsys, key) -> None:
+        assert _run_with_file(tmp_path, {key: 120}) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("setpoint", "high"), ("setpoint", True), ("setpoint", None),
+        ("pid_gains", [0.06, "x", 0.0]), ("pid_gains", [0.06, 0.005, None]),
+        ("seed", "zero"), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_numeric_value_is_named(self, tmp_path, capsys, key,
+                                        value) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        # No --seed flag, so the file's seed is read too.
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_nan_gain_is_a_config_error(self, tmp_path, capsys) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pid_gains": [NaN, 0.005, 0.0]}')
+        assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
+        assert "pid_gains" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("targeting", ["pt"]), ("range", {"long": 1}),
+    ])
+    def test_unhashable_choice_is_a_config_error(self, tmp_path, capsys, key,
+                                                 value) -> None:
+        assert _run_with_file(tmp_path, {key: value}) == 2
+        assert key in capsys.readouterr().err
+
+    def test_verify_rejects_a_non_integer_file_seed(self, out_dir, tmp_path,
+                                                    capsys) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "0", "pid": False}))
+        assert main(["verify", str(out_dir / "replay_0.jsonl"),
+                     "--config", str(cfg)]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+
+class TestSharedFlags:
+    SESSION_FLAGS = ("--config", "--seed", "--profile", "--targeting",
+                     "--range", "--heart", "--pid", "--setpoint")
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_help_lists_every_session_flag(self, capsys, command) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for flag in self.SESSION_FLAGS:
+            assert flag in text
+
+    def test_seed_and_seeds_conflict(self, capsys) -> None:
+        assert main(["run", "--seed", "0", "--seeds", "0..1"]) == 2
+        assert "--seeds" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from virusboxing.interaction import (
 )
 from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import load_profile
+from virusboxing.protocol import SESSION_DURATION
 from virusboxing.session import LOG_VERSION, SessionConfig, run_session
 
 SEED = 0
@@ -31,14 +32,16 @@ _RANGES = {"long": TargetingRange.LONG, "short": TargetingRange.SHORT}
 
 
 def _config(profile: str, targeting: str, pid: bool, heart: str, *,
-            range_: str = "long", dt: float = 0.02) -> SessionConfig:
+            range_: str = "long", dt: float = 0.02, seed: int = SEED,
+            duration: float = SESSION_DURATION) -> SessionConfig:
     return SessionConfig(
-        seed=SEED,
+        seed=seed,
         profile=load_profile(profile),
         targeting=TargetingPolicy(_MODES[targeting], _RANGES[range_]),
         heart=HEART_PRESETS[heart],
         pid_enabled=pid,
         dt=dt,
+        duration=duration,
     )
 
 
@@ -63,6 +66,21 @@ def cases() -> dict[str, SessionConfig]:
                                          dt=0.01)
     out["mid_skill-rt-dt0.035"] = _config("mid_skill", "rt", True, "regular",
                                           dt=0.035)
+    # Other seeds on configs pinned above at seed 0.  Heart rate, kcal and
+    # the controller do not depend on the seed, so within one process
+    # these sessions can reuse the seed-0 sessions' control schedule.
+    for seed in (1, 2):
+        for profile, targeting, pid, heart in (
+                ("mid_skill", "pt", True, "regular"),
+                ("mid_skill", "rt", True, "regular"),
+                ("novice", "pt", True, "sedentary"),
+                ("expert", "rt", False, "regular")):
+            label = (f"{profile}-{targeting}-pid_{'on' if pid else 'off'}"
+                     f"-{heart}-seed{seed}")
+            out[label] = _config(profile, targeting, pid, heart, seed=seed)
+    # A session that ends inside the first sprint.
+    out["mid_skill-rt-60s"] = _config("mid_skill", "rt", True, "regular",
+                                      duration=60.0)
     return out
 
 
@@ -130,6 +148,26 @@ GOLDEN = {
         "08f4ed42e6449de0a4fec5e9a18b18aaafaddaaf93e4e49afed378631837eedf",
     "novice-rt-pid_on-sedentary":
         "b358faa79c8ef16bea7b06cf39f3fd400c009a95585367878429e8a0486534d2",
+    # Seeds 1 and 2, and the 60 s session: pinned later than the cases
+    # above, but from the same code, before the control schedule existed.
+    "expert-rt-pid_off-regular-seed1":
+        "daf5361d15632970535f819db6a3aee22fd3d44bdd76c00884a1ee0db4e50f78",
+    "expert-rt-pid_off-regular-seed2":
+        "b8d0ba48852752577299c364f0c2ef1999448bed81c3bed048d748cd421425e9",
+    "mid_skill-pt-pid_on-regular-seed1":
+        "a50b7ce00107dd0142b0c9ac9ad12d328212ed43ed4bcd92913961fd1fa73b09",
+    "mid_skill-pt-pid_on-regular-seed2":
+        "1a6471052711ad4ba1ba7b017f451f21b111449df014381fca6f4015dc854e3c",
+    "mid_skill-rt-60s":
+        "dddc8954bb3fb647609c80eae4a9764386c6e0689aec9a6da029e6c5f63390dd",
+    "mid_skill-rt-pid_on-regular-seed1":
+        "b1788831e15ffe1b10011b837baa75319b2e764540ddfe217ca1d397c1adec03",
+    "mid_skill-rt-pid_on-regular-seed2":
+        "0131b0d0ee2d28c40feceb3a0cc1387bd789b26b0a534f9742750324c0a8c88c",
+    "novice-pt-pid_on-sedentary-seed1":
+        "598603b25b1091997c3c7d0c45f9ccd8531e2d1c297ffa1249adc59acf373629",
+    "novice-pt-pid_on-sedentary-seed2":
+        "18872205e1f73422d54e7d61468cfd53759ca5617d6c1cf1f4a60b1e229da00c",
 }
 
 

@@ -23,6 +23,7 @@ from virusboxing.session import (
     replay_verify,
     run_many,
     run_session,
+    _control_schedule,
     _drain_tick_cap,
 )
 from virusboxing.world import CREATOR_DISTANCE
@@ -278,6 +279,13 @@ class TestConfigRejection:
         with pytest.raises(ValueError):
             dataclasses.replace(base_config, hr_setpoint=setpoint).validate()
 
+    @pytest.mark.parametrize("gains", [
+        (float("nan"), 0.005, 0.0), (0.06, float("inf"), 0.0),
+    ])
+    def test_bad_pid_gains(self, base_config, gains) -> None:
+        with pytest.raises(ValueError):
+            dataclasses.replace(base_config, pid_gains=gains).validate()
+
     def test_duration_past_the_protocol(self, base_config) -> None:
         # Spawning past 420 s has no phase parameters to draw from.
         with pytest.raises(ValueError):
@@ -302,3 +310,62 @@ class TestDrain:
         assert m.viruses_spawned > 0 and m.cells_spawned > 0
         assert m.viruses_destroyed + m.viruses_missed == m.viruses_spawned
         assert m.cells_avoided + m.cells_collided == m.cells_spawned
+
+
+def _physiology(result) -> list[tuple[float, float]]:
+    return [(row.hr, row.kcal) for row in result.trace]
+
+
+class TestControlSchedule:
+    """Heart rate, kcal and the controller come from a per-config cache."""
+
+    @pytest.fixture(scope="class")
+    def pid_config(self) -> SessionConfig:
+        # Ends inside the first sprint, so the controller runs.
+        return SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                             duration=60.0)
+
+    def test_warm_cache_gives_the_cold_log(self, pid_config) -> None:
+        _control_schedule.cache_clear()
+        cold = run_session(pid_config)
+        hits = _control_schedule.cache_info().hits
+        warm = run_session(pid_config)
+        assert _control_schedule.cache_info().hits == hits + 1
+        assert warm.lines == cold.lines
+        assert warm.trace == cold.trace
+
+    def test_physiology_is_shared_across_seeds_and_targeting(
+            self, pid_config) -> None:
+        _control_schedule.cache_clear()
+        reference = _physiology(run_session(pid_config))
+        precise = TargetingPolicy(TargetingMode.PRECISE)
+        for seed in (1, 7):
+            for targeting in (pid_config.targeting, precise):
+                other = dataclasses.replace(pid_config, seed=seed,
+                                            targeting=targeting)
+                assert _physiology(run_session(other)) == reference
+        # One schedule served all five sessions.
+        assert _control_schedule.cache_info().misses == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"profile": dataclasses.replace(load_profile("mid_skill"), effort=0.5)},
+        {"heart": HEART_PRESETS["sedentary"]},
+        {"pid_enabled": False},
+        {"pid_gains": (0.01, 0.0, 0.0)},
+        {"hr_setpoint": 120.0},
+        # The same 3000 ticks as pid_config, so only dt tells them apart.
+        {"dt": 0.01, "duration": 30.0},
+        {"duration": 90.0},
+    ], ids=["effort", "heart", "pid", "gains", "setpoint", "dt", "duration"])
+    def test_every_key_field_gets_its_own_schedule(
+            self, pid_config, changes) -> None:
+        # A key that left the field out would serve the variant the
+        # schedule cached for pid_config.
+        variant = dataclasses.replace(pid_config, **changes)
+        _control_schedule.cache_clear()
+        cold = run_session(variant)
+        _control_schedule.cache_clear()
+        base = run_session(pid_config)
+        after_base = run_session(variant)
+        assert after_base.lines == cold.lines
+        assert _physiology(cold) != _physiology(base)
