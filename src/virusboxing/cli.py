@@ -97,9 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write summaries, replay logs, and traces here")
     run.add_argument("--format", choices=("json", "csv"), default="json",
                      help="summary file format (default json)")
-    run.add_argument("--jobs", type=int,
-                     help="worker processes for seed ranges "
-                          "(default: $VIRUSBOXING_JOBS, else 1)")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for seed ranges (default 1)")
 
     verify = sub.add_parser("verify", parents=[flags],
                             help="check a replay log against a config")
@@ -168,9 +167,10 @@ def _resolve_heart(ref: object) -> HeartRateParams:
                 f"(expected one of: {', '.join(sorted(HEART_PRESETS))})"
             ) from exc
     if isinstance(ref, dict):
+        values = {k: _number(f"heart.{k}", v) for k, v in ref.items()}
         try:
-            return HeartRateParams(**{k: float(v) for k, v in ref.items()})
-        except (TypeError, ValueError) as exc:
+            return HeartRateParams(**values)
+        except TypeError as exc:
             raise ConfigError(f"bad heart parameters: {exc}") from exc
     raise ConfigError("heart must be a preset name or a parameter object")
 

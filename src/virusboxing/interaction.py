@@ -8,12 +8,11 @@ classified from the head position against a per-player calibration.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .world import Entity, EntityKind, VIRUS_KINDS, WorldState
 
@@ -36,12 +35,9 @@ __all__ = [
     "CellOutcome",
     "hand_velocity",
     "JabDetector",
-    "detect_jab",
     "resolve_jab",
     "classify_weave_pose",
     "resolve_cell_pass",
-    "load_pose_trace",
-    "dump_pose_trace",
 ]
 
 # Hand speed at or above this, reached from below, registers a jab.
@@ -149,8 +145,10 @@ class HitKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class HitResult:
+    """What a jab hit; ``target`` is the destroyed virus, else None."""
+
     kind: HitKind
-    entity_id: int | None = None
+    target: Entity | None = None
 
 
 class CellOutcome(Enum):
@@ -250,16 +248,6 @@ class JabDetector:
         return events
 
 
-def detect_jab(stream: Iterable[PoseSample], **kwargs: float) -> JabEvent | None:
-    """First jab found in a pose stream, or None."""
-    detector = JabDetector(**kwargs)
-    for sample in stream:
-        events = detector.update(sample)
-        if events:
-            return events[0]
-    return None
-
-
 def _dist3(a: Vec3, b: Vec3) -> float:
     return math.sqrt(
         (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
@@ -313,7 +301,7 @@ def resolve_jab(jab: JabEvent, world: WorldState, policy: TargetingPolicy,
         bucket.append((distance, entity.id, entity))
     if matching:
         _, _, target = min(matching, key=lambda item: (item[0], item[1]))
-        return HitResult(HitKind.DESTROYED, target.id)
+        return HitResult(HitKind.DESTROYED, target)
     if off_colour:
         return HitResult(HitKind.WRONG_HAND)
     return HitResult(HitKind.NO_TARGET)
@@ -353,36 +341,3 @@ def resolve_cell_pass(cell: Entity, pose: PoseClass) -> CellOutcome:
         raise ValueError(f"entity {cell.id} is not a cell: {cell.kind}") from None
     return CellOutcome.AVOIDED if pose in avoiding else CellOutcome.COLLIDED
 
-
-def dump_pose_trace(samples: Iterable[PoseSample]) -> str:
-    """Serialise samples one JSON object per line, fields in declared order."""
-    lines = []
-    for s in samples:
-        record = {
-            "time": s.time,
-            "head": list(s.head),
-            "left_hand": list(s.left_hand),
-            "right_hand": list(s.right_hand),
-            "buttons": sorted(s.buttons),
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_pose_trace(text: str) -> list[PoseSample]:
-    """Parse a JSON-lines pose trace produced by :func:`dump_pose_trace`."""
-    samples = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        samples.append(
-            PoseSample(
-                time=float(record["time"]),
-                head=tuple(record["head"]),
-                left_hand=tuple(record["left_hand"]),
-                right_hand=tuple(record["right_hand"]),
-                buttons=frozenset(record.get("buttons", ())),
-            )
-        )
-    return samples

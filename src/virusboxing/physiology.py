@@ -2,14 +2,15 @@
 
 Heart rate relaxes toward an intensity-scaled target between resting and
 maximum rate, rising faster than it recovers.  The PID loop closes over
-the spawn modulation: a positive error (heart rate below setpoint) speeds
-the game up, which feeds back into exercise intensity.
+one difficulty scale: a positive error (heart rate below setpoint) raises
+it, which speeds up spawn cadence and entity speed alike and feeds back
+into exercise intensity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import PhaseKind, SpawnModulation
+from .protocol import PhaseKind
 
 __all__ = [
     "LOW_INTENSITY_FACTOR",
@@ -23,7 +24,6 @@ __all__ = [
     "modulated_intensity",
     "hr_step",
     "kcal_step",
-    "modulation_scale",
     "apply_modulation",
 ]
 
@@ -67,13 +67,13 @@ def intensity_of(phase_kind: PhaseKind, effort: float) -> float:
 
 
 def modulated_intensity(phase_kind: PhaseKind, effort: float,
-                        modulation: SpawnModulation) -> float:
+                        scale: float = 1.0) -> float:
     """Intensity after difficulty scaling; a faster game works harder.
 
-    The speed scale is the demand knob: it multiplies intensity, capped at
-    full effort, which is what lets the PID loop actually move heart rate.
+    The scale is the demand knob: it multiplies intensity, capped at full
+    effort, which is what lets the PID loop actually move heart rate.
     """
-    return min(1.0, intensity_of(phase_kind, effort) * modulation.speed_scale)
+    return min(1.0, intensity_of(phase_kind, effort) * scale)
 
 
 def hr_step(state: PhysioState, intensity: float, params: HeartRateParams,
@@ -121,18 +121,12 @@ class PidController:
         return min(hi, max(lo, u))
 
 
-def modulation_scale(u: float) -> float:
-    """Spawn speed and cadence scale for a control signal: ``2 ** u``,
-    with ``u`` clamped to [-1, 1], so always inside [0.5, 2]."""
-    return 2.0 ** min(1.0, max(-1.0, u))
+def apply_modulation(u: float) -> float:
+    """Map a control signal to the difficulty scale: ``2 ** u``, with
+    ``u`` clamped to [-1, 1].
 
-
-def apply_modulation(u: float) -> SpawnModulation:
-    """Map a control signal to spawn scaling.
-
-    Zero is the identity; the map saturates at double speed/cadence for
+    Zero is the identity; the scale saturates at double speed/cadence for
     u >= +1 and at half for u <= -1, so the closed loop stays bounded
     whatever the gains.
     """
-    scale = modulation_scale(u)
-    return SpawnModulation(interval_scale=scale, speed_scale=scale)
+    return 2.0 ** min(1.0, max(-1.0, u))

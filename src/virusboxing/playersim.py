@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
 
 from .interaction import (
     Calibration,
@@ -43,7 +42,6 @@ __all__ = [
     "WeavePlan",
     "SyntheticPlayer",
     "plan_reaction",
-    "generate_stream",
     "load_profile",
     "builtin_profiles",
 ]
@@ -71,8 +69,9 @@ WEAVE_LAG_TICKS = 5
 SQUAT_DEPTH_MARGIN = 0.05
 LEAN_MARGIN = 0.05
 
-# Slowest strike worth scripting: cap the detection-lead tick count.
-_MAX_STRIKE_TICKS = 25
+# Slowest strike worth scripting: cap the detection lead at this many
+# seconds (25 ticks at 50 Hz), so the cap means the same at every dt.
+_MAX_STRIKE_SECONDS = 0.5
 
 
 class EmpowerPolicy(Enum):
@@ -261,7 +260,8 @@ def _strike_ticks(speed: float, dt: float) -> int:
     speed's detection point, assuming a still hand beforehand."""
     if speed <= 0.0:
         return 1
-    return min(_MAX_STRIKE_TICKS, math.ceil(VELOCITY_WINDOW / (dt * speed) - 1e-9))
+    return min(math.ceil(_MAX_STRIKE_SECONDS / dt - 1e-9),
+               math.ceil(VELOCITY_WINDOW / (dt * speed) - 1e-9))
 
 
 class _HandTrack:
@@ -505,18 +505,3 @@ class SyntheticPlayer:
             buttons = _BUTTON_A
         return PoseSample(t, head, left, right, buttons)
 
-
-def generate_stream(profile: PlayerProfile,
-                    plans: Iterable[JabPlan | WeavePlan | None],
-                    ticks: int, *, dt: float = 0.02,
-                    calibration: Calibration | None = None,
-                    policy: TargetingPolicy = TargetingPolicy(),
-                    phase_kind: PhaseKind = PhaseKind.LOW) -> list[PoseSample]:
-    """Realise a fixed set of plans as a standalone 50 Hz pose stream."""
-    player = SyntheticPlayer(
-        profile, calibration or Calibration(), random.Random(0),
-        dt=dt, policy=policy,
-    )
-    for plan in plans:
-        player.inject(plan, 0)
-    return [player.sample(tick, phase_kind) for tick in range(ticks)]

@@ -4,6 +4,9 @@ The seven-minute session alternates 30 s low-intensity and 90 s sprint
 blocks three times, then closes with a 60 s cooldown that reuses the
 low-intensity spawn parameters.  Phase windows are left-closed and
 right-open, so a boundary instant already belongs to the next phase.
+
+Difficulty scaling is one factor in [MODULATION_MIN, MODULATION_MAX]
+that speeds up spawn cadence and entity speed alike.
 """
 from __future__ import annotations
 
@@ -19,8 +22,6 @@ __all__ = [
     "PhaseKind",
     "ProtocolPhase",
     "SpawnParams",
-    "SpawnModulation",
-    "IDENTITY_MODULATION",
     "LOW_INTENSITY_SPAWN",
     "SPRINT_SPAWN",
     "KIND_MIX",
@@ -36,6 +37,7 @@ __all__ = [
 
 SESSION_DURATION = 420.0
 
+# Bounds of the difficulty scale (see physiology.apply_modulation).
 MODULATION_MIN = 0.5
 MODULATION_MAX = 2.0
 
@@ -119,48 +121,17 @@ LOW_INTENSITY_SPAWN = SpawnParams(interval=0.8, speed=5.7)
 SPRINT_SPAWN = SpawnParams(interval=0.5, speed=8.0)
 
 
-@dataclass(frozen=True)
-class SpawnModulation:
-    """Difficulty scaling applied on top of the phase base parameters.
-
-    Both scales are clamped to [0.5, 2.0] so modulated parameters can
-    never leave [base/2, base*2].
-    """
-
-    interval_scale: float = 1.0
-    speed_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "interval_scale",
-            min(MODULATION_MAX, max(MODULATION_MIN, self.interval_scale)),
-        )
-        object.__setattr__(
-            self,
-            "speed_scale",
-            min(MODULATION_MAX, max(MODULATION_MIN, self.speed_scale)),
-        )
-
-
-IDENTITY_MODULATION = SpawnModulation(1.0, 1.0)
-
-
-def spawn_params(phase: ProtocolPhase,
-                 modulation: SpawnModulation = IDENTITY_MODULATION) -> SpawnParams | None:
+def spawn_params(phase: ProtocolPhase, scale: float = 1.0) -> SpawnParams | None:
     """Spawn cadence and speed in force during ``phase``.
 
-    A higher interval_scale spawns more often (the base interval is divided
-    by it); a higher speed_scale moves entities faster.  Returns None once
-    the session has ended: the no-spawn signal.
+    A higher ``scale`` spawns more often (the base interval is divided by
+    it) and moves entities faster (the base speed is multiplied by it).
+    Returns None once the session has ended: the no-spawn signal.
     """
     if phase.kind is PhaseKind.ENDED:
         return None
     base = SPRINT_SPAWN if phase.kind is PhaseKind.SPRINT else LOW_INTENSITY_SPAWN
-    return SpawnParams(
-        interval=base.interval / modulation.interval_scale,
-        speed=base.speed * modulation.speed_scale,
-    )
+    return SpawnParams(interval=base.interval / scale, speed=base.speed * scale)
 
 
 # Cumulative kind mix; sampled with a single uniform draw walked in this order.

@@ -12,7 +12,7 @@ they follow from the effort, the heart, the PID settings, dt and the
 duration alone.  ``_control_schedule`` integrates them once per such
 config and keeps the result in a small cache, so the seeds of a sweep
 share one integration.  The tick loop reads the controller output from
-the schedule on ticks that spawn, to build the spawn modulation, and
+the schedule on ticks that spawn, to build the difficulty scale, and
 the rounded heart rate and kcal on ticks that log an ``hr`` row.
 
 The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
@@ -30,7 +30,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -58,7 +57,6 @@ from .physiology import (
     hr_step,
     kcal_step,
     modulated_intensity,
-    modulation_scale,
 )
 from .playersim import PlayerProfile, SyntheticPlayer
 from .progression import (
@@ -75,7 +73,6 @@ from .progression import (
     tick_empowerment,
 )
 from .protocol import (
-    IDENTITY_MODULATION,
     LOW_INTENSITY_SPAWN,
     MODULATION_MIN,
     PhaseKind,
@@ -135,7 +132,7 @@ def _control_schedule(effort: float, heart: HeartRateParams,
 
     Each tick records the 1 Hz row's values if one is due, steps the
     controller on the heart rate at the tick's start, then integrates
-    kcal and heart rate at the intensity the controller's speed scale
+    kcal and heart rate at the intensity the controller's difficulty scale
     sets.  Returns ``(controls, shifts, hr, kcal)``:
 
     - ``controls``: the controller output of each controlled tick (a
@@ -167,7 +164,7 @@ def _control_schedule(effort: float, heart: HeartRateParams,
             controlled = pid is not None and kind is PhaseKind.SPRINT
             if controlled:
                 shifts[k] = len(controls) - k
-            intensity = modulated_intensity(kind, effort, IDENTITY_MODULATION)
+            intensity = modulated_intensity(kind, effort)
             next_boundary = next(boundaries, -1)
         if k % ticks_per_second == 0:
             hr.append(round(physio.hr, 6))
@@ -175,13 +172,13 @@ def _control_schedule(effort: float, heart: HeartRateParams,
         if controlled:
             control = pid.step(setpoint, physio.hr, dt)
             controls.append(control)
-            speed_scale = modulation_scale(control)
+            scale = apply_modulation(control)
         else:
-            speed_scale = 1.0
+            scale = 1.0
         kcal_step(physio, dt)
-        # modulated_intensity(kind, effort, apply_modulation(control)),
-        # with the phase part computed once per phase.
-        hr_step(physio, min(1.0, intensity * speed_scale), heart, dt)
+        # modulated_intensity(kind, effort, scale), with the phase part
+        # computed once per phase.
+        hr_step(physio, min(1.0, intensity * scale), heart, dt)
     hr.append(round(physio.hr, 6))
     kcal.append(round(physio.kcal, 6))
     return controls, shifts, hr, kcal
@@ -343,7 +340,6 @@ def run_session(config: SessionConfig,
         dt=dt, policy=config.targeting,
     )
     detector = JabDetector()
-    modulation = IDENTITY_MODULATION
 
     digest = config_digest(config)
     lines: list[str] = [
@@ -400,15 +396,16 @@ def run_session(config: SessionConfig,
         for jab in jabs:
             empowered = is_empowered(prog, t)
             result = resolve_jab(jab, world, config.targeting, empowered)
+            target_id = None
             if result.kind is HitKind.DESTROYED:
-                target = world.entities[result.entity_id]
-                world.retire(target, EntityStatus.DESTROYED)
+                target_id = result.target.id
+                world.retire(result.target, EntityStatus.DESTROYED)
                 on_virus_destroyed(prog, t)
             elif result.kind is HitKind.WRONG_HAND:
                 on_wrong_hand(prog)
             lines.append(_row(
                 ("type", "jab"), ("t", t), ("hand", jab.hand.value),
-                ("outcome", result.kind.value), ("entity", result.entity_id),
+                ("outcome", result.kind.value), ("entity", target_id),
                 ("speed", jab.hand_speed),
             ))
 
@@ -423,7 +420,7 @@ def run_session(config: SessionConfig,
 
     phase = phase_at(0.0)
     log_phase(0.0, phase.kind, phase.index)
-    pending = next_spawn(rng, 0.0, spawn_params(phase, modulation))
+    pending = next_spawn(rng, 0.0, spawn_params(phase))
     boundaries = iter(phase_boundary_ticks(dt))
     next_boundary = next(boundaries)
 
@@ -444,10 +441,10 @@ def run_session(config: SessionConfig,
             log_hr(t, kind, k // ticks_per_second)
 
         if pending.time <= t + 1e-9:
-            # Only spawns read the modulation; build it for them.
-            modulation = IDENTITY_MODULATION
+            # Only spawns read the difficulty scale; build it for them.
+            scale = 1.0
             if control_shift is not None:
-                modulation = apply_modulation(controls[k + control_shift])
+                scale = apply_modulation(controls[k + control_shift])
             while pending.time <= t + 1e-9:
                 entity = world.spawn(pending.kind, pending.time,
                                      pending.lane_offset, pending.speed)
@@ -462,7 +459,7 @@ def run_session(config: SessionConfig,
                 ))
                 player.observe_spawn(entity, k, prog.empowered_until)
                 pending = next_spawn(rng, pending.time,
-                                     spawn_params(phase, modulation))
+                                     spawn_params(phase, scale))
 
         sample = player.sample(k, kind)
         interact(sample, t)
@@ -531,10 +528,8 @@ def run_session(config: SessionConfig,
 
 
 def run_many(configs: Sequence[SessionConfig],
-             jobs: int | None = None) -> list[SessionResult]:
-    """Run a batch of sessions, optionally across processes."""
-    if jobs is None:
-        jobs = int(os.environ.get("VIRUSBOXING_JOBS", "1"))
+             jobs: int = 1) -> list[SessionResult]:
+    """Run a batch of sessions, across ``jobs`` processes when above 1."""
     if jobs <= 1 or len(configs) <= 1:
         return [run_session(config) for config in configs]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -99,7 +99,6 @@ def arrival_time(entity: Entity) -> float:
 @dataclass
 class WorldState:
     sim_time: float = 0.0
-    entities: list[Entity] = field(default_factory=list)
     in_flight: list[Entity] = field(default_factory=list)
     _next_id: int = 0
 
@@ -117,7 +116,6 @@ class WorldState:
         # from the closed form so both routes agree at materialisation.
         entity.position = entity.spawn_z - speed * (self.sim_time - spawn_time)
         self._next_id += 1
-        self.entities.append(entity)
         self.in_flight.append(entity)
         return entity
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from virusboxing.cli import main
+from virusboxing.cli import build_parser, main
 
 
 RUN_OFF = ["run", "--seed", "0", "--pid", "off"]
@@ -233,6 +233,22 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {key: value}) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [True, "60", None, [60]])
+    def test_inline_heart_values_must_be_numbers(self, tmp_path, capsys,
+                                                 value) -> None:
+        # float(True) is 1.0: read loosely, it would mean a 1 bpm resting rate.
+        heart = {"hr_rest": value, "hr_max": 190}
+        assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
+        assert "hr_rest" in capsys.readouterr().err
+
+    def test_inline_heart_equal_to_a_preset_runs_as_it(self, tmp_path,
+                                                       capsys) -> None:
+        heart = {"hr_rest": 60, "hr_max": 190.0}
+        assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(RUN_OFF + ["--heart", "regular"]) == 0
+        assert from_file == json.loads(capsys.readouterr().out)
+
     def test_verify_rejects_a_non_integer_file_seed(self, out_dir, tmp_path,
                                                     capsys) -> None:
         cfg = tmp_path / "cfg.json"
@@ -258,3 +274,16 @@ class TestSharedFlags:
     def test_seed_and_seeds_conflict(self, capsys) -> None:
         assert main(["run", "--seed", "0", "--seeds", "0..1"]) == 2
         assert "--seeds" in capsys.readouterr().err
+
+
+class TestJobs:
+    def test_jobs_defaults_to_one(self) -> None:
+        assert build_parser().parse_args(["run"]).jobs == 1
+
+    def test_environment_does_not_set_the_worker_count(self, monkeypatch,
+                                                       capsys) -> None:
+        # --jobs is the only worker-count setting: no environment
+        # variable, however malformed, can end a run.
+        monkeypatch.setenv("VIRUSBOXING_JOBS", "two")
+        assert main(RUN_OFF) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0

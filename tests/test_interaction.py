@@ -18,10 +18,7 @@ from virusboxing.interaction import (
     TargetingPolicy,
     TargetingRange,
     classify_weave_pose,
-    detect_jab,
-    dump_pose_trace,
     hand_velocity,
-    load_pose_trace,
     resolve_cell_pass,
     resolve_jab,
 )
@@ -71,13 +68,15 @@ class TestHandVelocity:
 class TestJabDetection:
     def test_threshold_is_inclusive(self) -> None:
         # displacement 0.1 m over the 0.1 s window: speed exactly 1.0
-        event = detect_jab(_ramp(total=0.1))
-        assert event is not None
-        assert event.hand is Hand.RIGHT
-        assert event.hand_speed >= 1.0
+        detector = JabDetector()
+        events = [e for s in _ramp(total=0.1) for e in detector.update(s)]
+        assert len(events) == 1
+        assert events[0].hand is Hand.RIGHT
+        assert events[0].hand_speed >= 1.0
 
     def test_below_threshold_never_fires(self) -> None:
-        assert detect_jab(_ramp(total=0.09)) is None
+        detector = JabDetector()
+        assert [e for s in _ramp(total=0.09) for e in detector.update(s)] == []
 
     def test_fires_on_rising_edge_only_once(self) -> None:
         # after the ramp the hand keeps gliding fast: stays above the
@@ -146,7 +145,7 @@ class TestMeleeResolution:
         virus = world.spawn(EntityKind.RED_VIRUS, 0.0, 0.0, 8.0)
         result = resolve_jab(_jab(pos=(0.0, 1.4, 0.0)), world, TargetingPolicy())
         assert result.kind is HitKind.DESTROYED
-        assert result.entity_id == virus.id
+        assert result.target is virus
 
     def test_reach_boundary_inclusive(self) -> None:
         world = WorldState()
@@ -164,7 +163,7 @@ class TestMeleeResolution:
         result = resolve_jab(_jab(Hand.RIGHT, pos=(0.0, 1.4, 14.9)), world,
                              TargetingPolicy())
         assert result.kind is HitKind.WRONG_HAND
-        assert result.entity_id is None
+        assert result.target is None
         assert virus in world.in_flight
 
     def test_right_colour_wins_over_closer_wrong_colour(self) -> None:
@@ -175,7 +174,7 @@ class TestMeleeResolution:
         result = resolve_jab(_jab(Hand.RIGHT, pos=(0.0, 1.4, 14.99)), world,
                              TargetingPolicy())
         assert result.kind is HitKind.DESTROYED
-        assert result.entity_id == red.id
+        assert result.target is red
 
     def test_nearest_then_lowest_id_tiebreak(self) -> None:
         world = WorldState()
@@ -183,7 +182,7 @@ class TestMeleeResolution:
         b = world.spawn(EntityKind.RED_VIRUS, 0.0, -0.2, 8.0)
         result = resolve_jab(_jab(Hand.RIGHT, pos=(0.0, 1.4, 14.9)), world,
                              TargetingPolicy())
-        assert result.entity_id == a.id
+        assert result.target is a
         assert b in world.in_flight
 
 
@@ -252,7 +251,7 @@ class TestEmpoweredResolution:
         far.position = 6.0
         near.position = 3.0
         result = resolve_jab(_jab(), world, TargetingPolicy(), empowered=True)
-        assert result.entity_id == near.id
+        assert result.target is near
 
 
 def _pose(x: float, y: float) -> PoseSample:
@@ -312,13 +311,3 @@ class TestCellPass:
             resolve_cell_pass(self._cell(EntityKind.RED_VIRUS),
                               PoseClass.SQUAT)
 
-
-def test_pose_trace_round_trip() -> None:
-    samples = [
-        PoseSample(0.0, (0.0, 1.7, 0.0), (-0.2, 1.35, 0.3), (0.2, 1.35, 0.3)),
-        PoseSample(0.02, (0.1, 1.2, 0.0), (-0.2, 1.35, 0.4), (0.2, 1.35, 0.5),
-                   buttons=frozenset({"A"})),
-    ]
-    text = dump_pose_trace(samples)
-    loaded = load_pose_trace(text)
-    assert loaded == samples

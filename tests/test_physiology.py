@@ -24,7 +24,7 @@ from virusboxing.physiology import (
     kcal_step,
     modulated_intensity,
 )
-from virusboxing.protocol import IDENTITY_MODULATION, PhaseKind
+from virusboxing.protocol import PhaseKind
 
 
 REGULAR = HEART_PRESETS["regular"]
@@ -53,8 +53,7 @@ class TestIntensity:
         assert modulated_intensity(PhaseKind.SPRINT, 0.4, fast) == \
             pytest.approx(0.8)
         assert modulated_intensity(PhaseKind.SPRINT, 0.6, fast) == 1.0
-        assert modulated_intensity(
-            PhaseKind.SPRINT, 0.6, IDENTITY_MODULATION) == 0.6
+        assert modulated_intensity(PhaseKind.SPRINT, 0.6) == 0.6
 
 
 class TestHeartRateStep:
@@ -153,19 +152,14 @@ class TestPidController:
 
     @given(u=st.floats(min_value=-3.0, max_value=3.0))
     def test_modulation_bounds(self, u: float) -> None:
-        mod = apply_modulation(u)
-        assert 0.5 <= mod.interval_scale <= 2.0
-        assert 0.5 <= mod.speed_scale <= 2.0
-        assert mod.interval_scale == mod.speed_scale
+        assert 0.5 <= apply_modulation(u) <= 2.0
 
     def test_zero_output_is_identity(self) -> None:
-        mod = apply_modulation(0.0)
-        assert mod.interval_scale == 1.0
-        assert mod.speed_scale == 1.0
+        assert apply_modulation(0.0) == 1.0
 
     def test_output_maps_exponentially(self) -> None:
-        assert apply_modulation(0.5).speed_scale == pytest.approx(math.sqrt(2.0))
-        assert apply_modulation(-1.0).speed_scale == pytest.approx(0.5)
+        assert apply_modulation(0.5) == pytest.approx(math.sqrt(2.0))
+        assert apply_modulation(-1.0) == pytest.approx(0.5)
 
 
 class TestPresets:

@@ -17,7 +17,6 @@ from virusboxing.interaction import (
     TargetingPolicy,
     TargetingRange,
     classify_weave_pose,
-    detect_jab,
 )
 from virusboxing.playersim import (
     EmpowerPolicy,
@@ -28,7 +27,6 @@ from virusboxing.playersim import (
     SyntheticPlayer,
     WeavePlan,
     builtin_profiles,
-    generate_stream,
     load_profile,
     plan_reaction,
 )
@@ -231,6 +229,20 @@ class TestChoreography:
         assert event.hand is Hand.RIGHT
         assert event.hand_speed >= 1.0
 
+    def test_injected_plan_starts_at_guard_and_fires_on_its_tick(
+            self) -> None:
+        profile = _machine()
+        plan = plan_reaction(profile, _entity(), random.Random(1),
+                             now_tick=0, policy=LONG_RANGE)
+        player = SyntheticPlayer(profile, Calibration(), random.Random(0),
+                                 dt=DT, policy=LONG_RANGE)
+        player.inject(plan, 0)
+        player.inject(None, 0)
+        first = player.sample(0, PhaseKind.LOW)
+        assert (first.left_hand, first.right_hand) == (GUARD_LEFT, GUARD_RIGHT)
+        events = self._events(player, 140)
+        assert [tick for tick, _ in events] == [plan.strike_tick]
+
     def test_no_spurious_detections_from_repositioning(self) -> None:
         player = SyntheticPlayer(_machine(), Calibration(), random.Random(3),
                                  dt=DT, policy=LONG_RANGE)
@@ -345,19 +357,3 @@ class TestButtons:
                                      dt=DT, policy=LONG_RANGE)
             assert set(player.sample(0, phase).buttons) == expected
 
-
-class TestGenerateStream:
-    def test_stream_is_standalone_and_detectable(self) -> None:
-        profile = _machine()
-        plan = plan_reaction(profile, _entity(), random.Random(1),
-                             now_tick=0, policy=LONG_RANGE)
-        stream = generate_stream(profile, [plan, None], 140)
-        assert len(stream) == 140
-        assert stream[0].left_hand == GUARD_LEFT
-        assert stream[0].right_hand == GUARD_RIGHT
-        detector = JabDetector()
-        hits = [
-            (i, e) for i, s in enumerate(stream)
-            for e in detector.update(s)
-        ]
-        assert [i for i, _ in hits] == [plan.strike_tick]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from virusboxing.physiology import apply_modulation
 from virusboxing.protocol import (
-    IDENTITY_MODULATION,
     KIND_MIX,
     LOW_INTENSITY_SPAWN,
     MODULATION_MAX,
@@ -16,7 +16,6 @@ from virusboxing.protocol import (
     PhaseKind,
     SESSION_DURATION,
     SPRINT_SPAWN,
-    SpawnModulation,
     next_spawn,
     phase_at,
     sample_kind,
@@ -94,23 +93,23 @@ class TestSpawnParams:
         assert spawn_params(phase_at(420.0)) is None
 
     def test_modulation_scales_interval_down_and_speed_up(self) -> None:
-        mod = SpawnModulation(interval_scale=1.25, speed_scale=1.25)
-        params = spawn_params(phase_at(40.0), mod)
+        params = spawn_params(phase_at(40.0), 1.25)
         assert params.interval == pytest.approx(0.5 / 1.25)
         assert params.speed == pytest.approx(8.0 * 1.25)
 
     def test_identity_modulation_is_neutral(self) -> None:
         base = spawn_params(phase_at(40.0))
-        modded = spawn_params(phase_at(40.0), IDENTITY_MODULATION)
+        modded = spawn_params(phase_at(40.0), 1.0)
         assert (base.interval, base.speed) == (modded.interval, modded.speed)
 
 
-@given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-       st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-def test_modulation_always_clamped(a: float, b: float) -> None:
-    mod = SpawnModulation(interval_scale=a, speed_scale=b)
-    assert MODULATION_MIN <= mod.interval_scale <= MODULATION_MAX
-    assert MODULATION_MIN <= mod.speed_scale <= MODULATION_MAX
+@given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+def test_modulation_always_clamped(u: float) -> None:
+    scale = apply_modulation(u)
+    assert MODULATION_MIN <= scale <= MODULATION_MAX
+    params = spawn_params(phase_at(40.0), scale)
+    assert SPRINT_SPAWN.interval / 2 <= params.interval <= SPRINT_SPAWN.interval * 2
+    assert SPRINT_SPAWN.speed / 2 <= params.speed <= SPRINT_SPAWN.speed * 2
 
 
 class _FixedRng:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -12,7 +13,7 @@ from virusboxing.interaction import (
     TargetingRange,
 )
 from virusboxing.physiology import HEART_PRESETS
-from virusboxing.playersim import load_profile
+from virusboxing.playersim import _strike_ticks, load_profile
 from virusboxing.protocol import LOW_INTENSITY_SPAWN, MODULATION_MIN
 from virusboxing.session import (
     HeaderMismatchError,
@@ -310,6 +311,31 @@ class TestDrain:
         assert m.viruses_spawned > 0 and m.cells_spawned > 0
         assert m.viruses_destroyed + m.viruses_missed == m.viruses_spawned
         assert m.cells_avoided + m.cells_collided == m.cells_spawned
+
+
+class TestFineSteps:
+    """A strike's scripted length is capped in seconds, so it fits the
+    detector's velocity window at every dt."""
+
+    @pytest.mark.parametrize("dt", [0.001, 0.002, 0.02])
+    def test_slow_strike_cap_is_half_a_second(self, dt) -> None:
+        # The cap binds only for a strike slower than 0.2 m/s.
+        assert _strike_ticks(0.01, dt) == round(0.5 / dt)
+        assert _strike_ticks(2.0, dt) == math.ceil(0.05 / dt - 1e-9)
+
+    def test_miss_rate_does_not_depend_on_dt(self) -> None:
+        # A cap counted in ticks would cut fine-step strikes short of the
+        # detector's 0.1 s window, and most viruses would be missed.
+        def metrics(dt):
+            config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                                   pid_enabled=False, dt=dt, duration=60.0)
+            return run_session(config).metrics
+        reference = metrics(0.02)
+        assert reference.miss_pct < 10.0
+        for dt in (0.001, 0.002, 0.004, 0.01):
+            m = metrics(dt)
+            assert m.viruses_spawned == reference.viruses_spawned
+            assert abs(m.miss_pct - reference.miss_pct) <= 2.0, dt
 
 
 def _physiology(result) -> list[tuple[float, float]]:
