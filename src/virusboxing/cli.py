@@ -7,6 +7,7 @@ re-runs a config against a saved log and reports the first divergence.
 Exit codes: run returns 0 on success, 2 for configuration problems, 3
 for runtime failures.  verify returns 0 on a byte-identical match, 1 on
 divergence, 2 when the log header does not match the configuration.
+Either command prints a runtime failure's traceback to standard error.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -309,6 +311,8 @@ def _write_sweep(results: list[SessionResult], path: Path) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     file_cfg = _load_config_file(args.config)
     seeds = _parse_seeds(args, file_cfg)
     configs = [_build_config(args, file_cfg, seed) for seed in seeds]
@@ -364,8 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

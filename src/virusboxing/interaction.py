@@ -12,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .world import Entity, EntityKind, VIRUS_KINDS, WorldState
 
@@ -70,9 +70,13 @@ HAND_FOR_VIRUS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PoseSample:
-    """One 50 Hz tracker frame: head, both hands, and held buttons."""
+class PoseSample(NamedTuple):
+    """One 50 Hz tracker frame: head, both hands, and held buttons.
+
+    A named tuple, so immutable and cheap to build: the session loop
+    makes one every tick.  Read fields by name, or unpack them in the
+    order ``time, head, left_hand, right_hand, buttons``.
+    """
 
     time: float
     head: Vec3
@@ -190,7 +194,8 @@ class JabDetector:
     window, as in :func:`hand_velocity`.  A hand whose newest position is
     the very object it held at the start of the window has not moved, so
     its speed is 0 without any arithmetic: the synthetic player hands
-    back the same guard tuple every tick while a hand rests.
+    back the same tuple every tick while a hand rests or holds still
+    before a strike.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,

@@ -294,7 +294,17 @@ class _HandTrack:
         if i == last or t <= t0:
             return p0
         t1, p1 = knots[i + 1]
-        return _lerp(p0, p1, (t - t0) / (t1 - t0))
+        if p1 is p0:
+            # Two knots on one point, as in the hold before a strike: hand
+            # back that very tuple, so the jab detector sees a still hand.
+            return p0
+        # _lerp(p0, p1, f), term for term, without the call.
+        f = (t - t0) / (t1 - t0)
+        return (
+            p0[0] + f * (p1[0] - p0[0]),
+            p0[1] + f * (p1[1] - p0[1]),
+            p0[2] + f * (p1[2] - p0[2]),
+        )
 
     def add(self, plan: JabPlan, now_tick: int) -> None:
         self.plans = [p for p in self.plans if p.strike_tick > now_tick]
@@ -401,6 +411,9 @@ class _WeaveWindow:
 
 _BUTTON_A = frozenset({"A"})
 _NO_BUTTONS: frozenset[str] = frozenset()
+# Bound once: reading an enum member off its class is slow in Python 3.11,
+# and sample() tests for a sprint every tick.
+_SPRINT = PhaseKind.SPRINT
 
 
 class SyntheticPlayer:
@@ -429,6 +442,15 @@ class SyntheticPlayer:
             PoseClass.SQUAT_LEAN_RIGHT: (lean_x, squat_y, 0.0),
         }
         self._standing = self._head_for[PoseClass.STANDING]
+        # The buttons held in a sprint and in any other phase, which the
+        # empowerment policy fixes.
+        policy = profile.empower_policy
+        self._sprint_buttons = (_NO_BUTTONS if policy is EmpowerPolicy.NEVER
+                                else _BUTTON_A)
+        self._other_buttons = (
+            _BUTTON_A if policy is EmpowerPolicy.ACTIVATE_IMMEDIATELY
+            else _NO_BUTTONS
+        )
         self._weaves: list[_WeaveWindow] = []
         self._active: list[_WeaveWindow] = []
         self._wptr = 0
@@ -469,10 +491,6 @@ class SyntheticPlayer:
 
     def _pose_requirement(self, tick: int) -> PoseClass:
         weaves = self._weaves
-        if not self._active and (self._wptr == len(weaves)
-                                 or weaves[self._wptr].start > tick):
-            # No weave window is active or due: the common tick.
-            return PoseClass.STANDING
         while self._wptr < len(weaves) and weaves[self._wptr].start <= tick:
             self._active.append(weaves[self._wptr])
             self._wptr += 1
@@ -491,17 +509,22 @@ class SyntheticPlayer:
 
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
-        pose = self._pose_requirement(tick)
-        # Enum members hash in Python; skip the lookup on the common tick.
-        head = self._standing if pose is PoseClass.STANDING else self._head_for[pose]
-        left = self._left.position_at(t)
-        right = self._right.position_at(t)
-        policy = self.profile.empower_policy
-        if policy is EmpowerPolicy.NEVER:
-            buttons = _NO_BUTTONS
-        elif policy is EmpowerPolicy.DURING_SPRINT_ONLY:
-            buttons = _BUTTON_A if phase_kind is PhaseKind.SPRINT else _NO_BUTTONS
+        weaves = self._weaves
+        if not self._active and (self._wptr == len(weaves)
+                                 or weaves[self._wptr].start > tick):
+            # No weave window is active or due: the common tick.
+            head = self._standing
         else:
-            buttons = _BUTTON_A
+            pose = self._pose_requirement(tick)
+            # Enum members hash in Python; skip the lookup when standing.
+            head = (self._standing if pose is PoseClass.STANDING
+                    else self._head_for[pose])
+        # A hand past its last knot rests there: position_at's first test.
+        track = self._left
+        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        track = self._right
+        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        buttons = (self._sprint_buttons if phase_kind is _SPRINT
+                   else self._other_buttons)
         return PoseSample(t, head, left, right, buttons)
 

@@ -19,6 +19,12 @@ The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
 the loop looks the phase up on those ticks alone and keeps the sprint
 flag until the next one.
 
+Most ticks are quiet: no spawn, no jab, no crossing and no empowerment
+change.  So the loop makes a progression call only when it could act:
+the expiry check while an empowerment runs, the activation attempt once
+the energy bar is full.  Each log row is written from one fixed
+``%``-format template per kind of row.
+
 After the protocol ends the loop keeps resolving whatever is still in
 flight (no spawns, no physiology, no activations) so that every spawned
 entity reaches a terminal state and the conservation checks in the
@@ -60,6 +66,7 @@ from .physiology import (
 )
 from .playersim import PlayerProfile, SyntheticPlayer
 from .progression import (
+    ENERGY_CAPACITY,
     ProgressionState,
     SummaryMetrics,
     activate_empowerment,
@@ -270,30 +277,27 @@ def config_digest(config: SessionConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# JSON form of the log's keys and enum values: a few dozen strings, each
-# encoded once rather than once per line.
-_quoted = functools.lru_cache(maxsize=256)(json.dumps)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    # bool is an int subclass: test it first.
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return _quoted(value)
-    return json.dumps(value)
-
-
-def _row(*pairs: tuple[str, object]) -> str:
-    """One log line with a fixed key order, floats at six decimals."""
-    body = ",".join(f"{_quoted(key)}:{_fmt(val)}" for key, val in pairs)
-    return "{" + body + "}"
+# One %-format template per kind of log row, keys in the log's fixed
+# order: floats at six decimals, ints in decimal, enum values quoted (none
+# needs JSON escaping), and true, false and null written out.
+_HEADER_ROW = ('{"type":"header","version":"' + LOG_VERSION
+               + '","seed":%d,"config":"%s"}')
+_PHASE_ROW = '{"type":"phase","t":%.6f,"phase":"%s","index":%d}'
+_HR_ROW = ('{"type":"hr","t":%.6f,"hr":%.6f,"kcal":%.6f,"phase":"%s",'
+           '"energy":%d,"empowered":%s}')
+_SPAWN_ROW = ('{"type":"spawn","t":%.6f,"id":%d,"kind":"%s","lane":%.6f,'
+              '"speed":%.6f}')
+# "entity" is the destroyed virus's id, else null.
+_JAB_ROW = ('{"type":"jab","t":%.6f,"hand":"%s","outcome":"%s","entity":%s,'
+            '"speed":%.6f}')
+_MISSED_ROW = '{"type":"cross","t":%.6f,"id":%d,"status":"missed"}'
+_CELL_ROW = '{"type":"cross","t":%.6f,"id":%d,"status":"%s","pose":"%s"}'
+_EMPOWER_START_ROW = ('{"type":"empower","t":%.6f,"action":"start",'
+                      '"until":%.6f}')
+_EMPOWER_END_ROW = '{"type":"empower","t":%.6f,"action":"end","until":null}'
+_END_ROW = ('{"type":"end","t":%.6f,"viruses_spawned":%d,"cells_spawned":%d,'
+            '"viruses_destroyed":%d,"viruses_missed":%d,"cells_avoided":%d,'
+            '"cells_collided":%d,"wrong_hand_jabs":%d,"activations":%d}')
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,10 +346,7 @@ def run_session(config: SessionConfig,
     detector = JabDetector()
 
     digest = config_digest(config)
-    lines: list[str] = [
-        _row(("type", "header"), ("version", LOG_VERSION),
-             ("seed", config.seed), ("config", digest)),
-    ]
+    lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
     trace: list[TraceRow] = []
     viruses_spawned = 0
     cells_spawned = 0
@@ -357,15 +358,11 @@ def run_session(config: SessionConfig,
         row = TraceRow(t, hr_now, kcal_now, phase_kind.value,
                        prog.energy, is_empowered(prog, t))
         trace.append(row)
-        lines.append(_row(
-            ("type", "hr"), ("t", t), ("hr", hr_now), ("kcal", kcal_now),
-            ("phase", row.phase), ("energy", row.energy),
-            ("empowered", row.empowered),
-        ))
+        lines.append(_HR_ROW % (t, hr_now, kcal_now, row.phase, row.energy,
+                                "true" if row.empowered else "false"))
 
     def log_phase(t: float, kind: PhaseKind, index: int) -> None:
-        lines.append(_row(("type", "phase"), ("t", t),
-                          ("phase", kind.value), ("index", index)))
+        lines.append(_PHASE_ROW % (t, kind.value, index))
 
     def resolve_crossings(crossings, sample, t: float) -> None:
         pose = None  # classified once, at the first cell of the tick
@@ -373,10 +370,7 @@ def run_session(config: SessionConfig,
             if entity.is_virus:
                 world.retire(entity, EntityStatus.MISSED)
                 on_virus_missed(prog)
-                lines.append(_row(
-                    ("type", "cross"), ("t", t), ("id", entity.id),
-                    ("status", "missed"),
-                ))
+                lines.append(_MISSED_ROW % (t, entity.id))
                 continue
             if pose is None:
                 pose = classify_weave_pose(sample, config.calibration)
@@ -387,27 +381,21 @@ def run_session(config: SessionConfig,
             else:
                 world.retire(entity, EntityStatus.COLLIDED)
                 on_cell_collided(prog)
-            lines.append(_row(
-                ("type", "cross"), ("t", t), ("id", entity.id),
-                ("status", outcome.value), ("pose", pose.value),
-            ))
+            lines.append(_CELL_ROW % (t, entity.id, outcome.value, pose.value))
 
     def resolve_jabs(jabs, t: float) -> None:
         for jab in jabs:
             empowered = is_empowered(prog, t)
             result = resolve_jab(jab, world, config.targeting, empowered)
-            target_id = None
+            target_id = "null"
             if result.kind is HitKind.DESTROYED:
                 target_id = result.target.id
                 world.retire(result.target, EntityStatus.DESTROYED)
                 on_virus_destroyed(prog, t)
             elif result.kind is HitKind.WRONG_HAND:
                 on_wrong_hand(prog)
-            lines.append(_row(
-                ("type", "jab"), ("t", t), ("hand", jab.hand.value),
-                ("outcome", result.kind.value), ("entity", target_id),
-                ("speed", jab.hand_speed),
-            ))
+            lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
+                                     target_id, jab.hand_speed))
 
     def interact(sample, t: float) -> None:
         """Jab resolution, then world advance with crossing resolution."""
@@ -452,11 +440,9 @@ def run_session(config: SessionConfig,
                     viruses_spawned += 1
                 else:
                     cells_spawned += 1
-                lines.append(_row(
-                    ("type", "spawn"), ("t", pending.time), ("id", entity.id),
-                    ("kind", entity.kind.value), ("lane", entity.lane_offset),
-                    ("speed", entity.speed),
-                ))
+                lines.append(_SPAWN_ROW % (pending.time, entity.id,
+                                           entity.kind.value,
+                                           entity.lane_offset, entity.speed))
                 player.observe_spawn(entity, k, prog.empowered_until)
                 pending = next_spawn(rng, pending.time,
                                      spawn_params(phase, scale))
@@ -464,13 +450,13 @@ def run_session(config: SessionConfig,
         sample = player.sample(k, kind)
         interact(sample, t)
 
-        if tick_empowerment(prog, t):
-            lines.append(_row(("type", "empower"), ("t", t),
-                              ("action", "end"), ("until", None)))
-        if activate_empowerment(prog, t, "A" in sample.buttons) is None:
-            lines.append(_row(("type", "empower"), ("t", t),
-                              ("action", "start"),
-                              ("until", prog.empowered_until)))
+        # Each call only when it could act: with its guard false, the
+        # callee would change nothing and report no event.
+        if prog.empowered_until is not None and tick_empowerment(prog, t):
+            lines.append(_EMPOWER_END_ROW % t)
+        if (prog.energy >= ENERGY_CAPACITY
+                and activate_empowerment(prog, t, "A" in sample.buttons) is None):
+            lines.append(_EMPOWER_START_ROW % (t, prog.empowered_until))
 
     t_end = gameplay_ticks * dt
     phase = phase_at(t_end)
@@ -487,9 +473,9 @@ def run_session(config: SessionConfig,
         k += 1
         t_final = k * dt
         interact(player.sample(k, PhaseKind.ENDED), t_final)
-        if tick_empowerment(prog, t_final):
-            lines.append(_row(("type", "empower"), ("t", t_final),
-                              ("action", "end"), ("until", None)))
+        if (prog.empowered_until is not None
+                and tick_empowerment(prog, t_final)):
+            lines.append(_EMPOWER_END_ROW % t_final)
     if world.in_flight:
         raise RuntimeError(
             f"{len(world.in_flight)} entities still in flight after drain"
@@ -503,16 +489,10 @@ def run_session(config: SessionConfig,
         max_hr=max(hr_values),
         kcal=trace[-1].kcal,
     )
-    lines.append(_row(
-        ("type", "end"), ("t", t_final),
-        ("viruses_spawned", viruses_spawned),
-        ("cells_spawned", cells_spawned),
-        ("viruses_destroyed", metrics.viruses_destroyed),
-        ("viruses_missed", metrics.viruses_missed),
-        ("cells_avoided", metrics.cells_avoided),
-        ("cells_collided", metrics.cells_collided),
-        ("wrong_hand_jabs", metrics.wrong_hand_jabs),
-        ("activations", metrics.activations),
+    lines.append(_END_ROW % (
+        t_final, viruses_spawned, cells_spawned, metrics.viruses_destroyed,
+        metrics.viruses_missed, metrics.cells_avoided, metrics.cells_collided,
+        metrics.wrong_hand_jabs, metrics.activations,
     ))
 
     result = SessionResult(
@@ -529,10 +509,15 @@ def run_session(config: SessionConfig,
 
 def run_many(configs: Sequence[SessionConfig],
              jobs: int = 1) -> list[SessionResult]:
-    """Run a batch of sessions, across ``jobs`` processes when above 1."""
-    if jobs <= 1 or len(configs) <= 1:
+    """Run a batch of sessions, across up to ``jobs`` processes.
+
+    The pool starts all its workers at once, so it gets no more than
+    there are sessions.
+    """
+    workers = min(jobs, len(configs))
+    if workers <= 1:
         return [run_session(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_session, configs))
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from virusboxing import cli
 from virusboxing.cli import build_parser, main
 
 
@@ -287,3 +288,27 @@ class TestJobs:
         monkeypatch.setenv("VIRUSBOXING_JOBS", "two")
         assert main(RUN_OFF) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_config_error(self, jobs, monkeypatch,
+                                              capsys) -> None:
+        def run_many(configs, jobs):
+            raise AssertionError("no session may run")
+
+        monkeypatch.setattr(cli, "run_many", run_many)
+        assert main(RUN_OFF + ["--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestRuntimeFailure:
+    def test_exit_3_prints_the_failure_and_its_traceback(self, monkeypatch,
+                                                         capsys) -> None:
+        def run_many(configs, jobs):
+            raise RuntimeError("worker exploded")
+
+        monkeypatch.setattr(cli, "run_many", run_many)
+        assert main(RUN_OFF) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: worker exploded" in err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: worker exploded" in err

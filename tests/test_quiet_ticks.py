@@ -1,0 +1,313 @@
+"""The quiet-tick fast paths agree with the general computations.
+
+The session writes each log row from a fixed ``%``-format template,
+``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` decides a
+standing, resting tick without calling out, and a held hand is one
+tuple from tick to tick.  Each is checked here against the computation
+it replaces: the generic row formatter the log used to be written with,
+the dataclass interface, and the player's own ``_pose_requirement`` and
+``position_at`` beside a plain knot scan with ``_lerp``.
+"""
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import random
+
+import pytest
+
+from virusboxing import session
+from virusboxing.interaction import (
+    Calibration,
+    CellOutcome,
+    Hand,
+    HitKind,
+    PoseClass,
+    PoseSample,
+)
+from virusboxing.playersim import (
+    EmpowerPolicy,
+    JabPlan,
+    SyntheticPlayer,
+    _lerp,
+    load_profile,
+)
+from virusboxing.protocol import PhaseKind
+from virusboxing.session import LOG_VERSION, SessionConfig, run_session
+from virusboxing.world import EntityKind
+
+# --- The generic formatter the templates replace, kept as the reference.
+
+_quoted = functools.lru_cache(maxsize=256)(json.dumps)
+
+
+def _fmt(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    # bool is an int subclass: test it first.
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _quoted(value)
+    return json.dumps(value)
+
+
+def _row(*pairs: tuple[str, object]) -> str:
+    """One log line with a fixed key order, floats at six decimals."""
+    body = ",".join(f"{_quoted(key)}:{_fmt(val)}" for key, val in pairs)
+    return "{" + body + "}"
+
+
+# Floats a log can hold, and the awkward ones: negative, -0.0, tiny,
+# large, and values that round up at the sixth decimal.
+FLOATS = (0.0, -0.0, 0.8, -1.25, 1e-7, -4.9999995e-7, 419.98, 123456.5,
+          2.0000005, -0.5000004)
+IDS = (0, 7, 12345)
+
+
+class TestRowTemplates:
+    def test_header(self) -> None:
+        for seed in (0, 1, 2**40, -3):
+            digest = "0f" * 32
+            assert session._HEADER_ROW % (seed, digest) == _row(
+                ("type", "header"), ("version", LOG_VERSION),
+                ("seed", seed), ("config", digest))
+
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    def test_phase(self, kind) -> None:
+        for t in FLOATS:
+            for index in (0, 8):
+                assert session._PHASE_ROW % (t, kind.value, index) == _row(
+                    ("type", "phase"), ("t", t), ("phase", kind.value),
+                    ("index", index))
+
+    @pytest.mark.parametrize("empowered", [False, True])
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    def test_hr(self, kind, empowered) -> None:
+        for t in FLOATS:
+            for hr, kcal in ((60.0, 0.0), (181.234567, 55.5000005)):
+                for energy in (0, 10):
+                    line = session._HR_ROW % (
+                        t, hr, kcal, kind.value, energy,
+                        "true" if empowered else "false")
+                    assert line == _row(
+                        ("type", "hr"), ("t", t), ("hr", hr), ("kcal", kcal),
+                        ("phase", kind.value), ("energy", energy),
+                        ("empowered", empowered))
+
+    @pytest.mark.parametrize("kind", list(EntityKind))
+    def test_spawn(self, kind) -> None:
+        for t in FLOATS:
+            for lane in FLOATS:
+                for speed in (5.7, -8.0, -0.0, 11.400001):
+                    line = session._SPAWN_ROW % (t, 3, kind.value, lane, speed)
+                    assert line == _row(
+                        ("type", "spawn"), ("t", t), ("id", 3),
+                        ("kind", kind.value), ("lane", lane), ("speed", speed))
+
+    @pytest.mark.parametrize("outcome", list(HitKind))
+    @pytest.mark.parametrize("hand", list(Hand))
+    def test_jab(self, hand, outcome) -> None:
+        for t in FLOATS:
+            for entity in (None,) + IDS:
+                for speed in (1.0, 2.345678949, -1.5, -0.0):
+                    line = session._JAB_ROW % (
+                        t, hand.value, outcome.value,
+                        "null" if entity is None else entity, speed)
+                    assert line == _row(
+                        ("type", "jab"), ("t", t), ("hand", hand.value),
+                        ("outcome", outcome.value), ("entity", entity),
+                        ("speed", speed))
+
+    def test_missed_crossing(self) -> None:
+        for t in FLOATS:
+            for entity in IDS:
+                assert session._MISSED_ROW % (t, entity) == _row(
+                    ("type", "cross"), ("t", t), ("id", entity),
+                    ("status", "missed"))
+
+    @pytest.mark.parametrize("pose", list(PoseClass))
+    @pytest.mark.parametrize("outcome", list(CellOutcome))
+    def test_cell_crossing(self, outcome, pose) -> None:
+        for t in FLOATS:
+            for entity in IDS:
+                line = session._CELL_ROW % (t, entity, outcome.value,
+                                            pose.value)
+                assert line == _row(
+                    ("type", "cross"), ("t", t), ("id", entity),
+                    ("status", outcome.value), ("pose", pose.value))
+
+    def test_empower(self) -> None:
+        for t in FLOATS:
+            assert session._EMPOWER_END_ROW % t == _row(
+                ("type", "empower"), ("t", t), ("action", "end"),
+                ("until", None))
+            for until in FLOATS:
+                assert session._EMPOWER_START_ROW % (t, until) == _row(
+                    ("type", "empower"), ("t", t), ("action", "start"),
+                    ("until", until))
+
+    def test_end(self) -> None:
+        keys = ("viruses_spawned", "cells_spawned", "viruses_destroyed",
+                "viruses_missed", "cells_avoided", "cells_collided",
+                "wrong_hand_jabs", "activations")
+        for t in FLOATS:
+            for counts in ((0,) * 8, tuple(range(1, 9)), (534, 186, 480, 54,
+                                                          150, 36, 12, 9)):
+                assert session._END_ROW % ((t,) + counts) == _row(
+                    ("type", "end"), ("t", t), *zip(keys, counts))
+
+    def test_a_whole_log_is_what_the_generic_formatter_writes(self) -> None:
+        # 60 s of mid_skill writes every kind of row and every variant:
+        # hits, misses, wrong hands, empty jabs, avoided and collided
+        # cells, both empowerment actions and empowered hr rows.
+        lines = run_session(SessionConfig(
+            seed=0, profile=load_profile("mid_skill"), duration=60.0)).lines
+        seen = set()
+        for line in lines:
+            row = json.loads(line)
+            assert line == _row(*row.items())
+            seen.add((row["type"], row.get("action"), row.get("outcome"),
+                      row.get("status"), row.get("empowered")))
+        assert {
+            ("empower", "start", None, None, None),
+            ("empower", "end", None, None, None),
+            ("jab", None, "destroyed", None, None),
+            ("jab", None, "wrong_hand", None, None),
+            ("jab", None, "no_target", None, None),
+            ("cross", None, None, "missed", None),
+            ("cross", None, None, "avoided", None),
+            ("cross", None, None, "collided", None),
+            ("hr", None, None, None, True),
+            ("hr", None, None, None, False),
+        } <= seen
+
+
+HEAD = (0.0, 1.7, 0.0)
+LEFT = (-0.18, 1.35, 0.30)
+RIGHT = (0.18, 1.35, 0.30)
+
+
+class TestPoseSample:
+    def test_positional_and_keyword_construction_agree(self) -> None:
+        by_position = PoseSample(0.5, HEAD, LEFT, RIGHT, frozenset({"A"}))
+        by_keyword = PoseSample(time=0.5, head=HEAD, left_hand=LEFT,
+                                right_hand=RIGHT, buttons=frozenset({"A"}))
+        assert by_position == by_keyword
+        assert by_keyword.time == 0.5 and by_keyword.head is HEAD
+        assert by_keyword.left_hand is LEFT and by_keyword.right_hand is RIGHT
+
+    def test_buttons_default_to_none_held(self) -> None:
+        sample = PoseSample(0.0, HEAD, LEFT, RIGHT)
+        assert sample.buttons == frozenset()
+        assert "A" not in sample.buttons
+
+    def test_fields_unpack_in_order(self) -> None:
+        sample = PoseSample(0.5, HEAD, LEFT, RIGHT)
+        assert tuple(sample) == (0.5, HEAD, LEFT, RIGHT, frozenset())
+        assert PoseSample._fields == ("time", "head", "left_hand",
+                                      "right_hand", "buttons")
+
+    def test_immutable(self) -> None:
+        sample = PoseSample(0.0, HEAD, LEFT, RIGHT)
+        for field in PoseSample._fields:
+            with pytest.raises(AttributeError):
+                setattr(sample, field, None)
+        with pytest.raises(AttributeError):
+            sample.extra = 1
+
+    def test_hand(self) -> None:
+        sample = PoseSample(0.0, HEAD, LEFT, RIGHT)
+        assert sample.hand(Hand.LEFT) is LEFT
+        assert sample.hand(Hand.RIGHT) is RIGHT
+
+
+def _reference_position(knots, t: float):
+    """A hand's position on its knot chain, scanned from the start and
+    interpolated with ``_lerp``."""
+    i = 0
+    while i + 1 < len(knots) and knots[i + 1][0] <= t:
+        i += 1
+    t0, p0 = knots[i]
+    if i == len(knots) - 1 or t <= t0:
+        return p0
+    t1, p1 = knots[i + 1]
+    return _lerp(p0, p1, (t - t0) / (t1 - t0))
+
+
+class TestSampleFastPath:
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 0.035])
+    @pytest.mark.parametrize("profile", ["mid_skill", "novice"])
+    def test_sample_equals_the_slow_path_on_every_tick(
+            self, profile, dt, monkeypatch) -> None:
+        fast_sample = SyntheticPlayer.sample
+        standing = PoseClass.STANDING
+        counts = {"ticks": 0, "weaving": 0, "moving": 0}
+
+        def checked(self, tick, phase_kind):
+            # The fast path runs first: if it skipped a window that is
+            # due, the slow path below would then activate it and differ.
+            got = fast_sample(self, tick, phase_kind)
+            t = tick * self.dt
+            pose = self._pose_requirement(tick)
+            head = self._head_for[pose]
+            left = self._left.position_at(t)
+            right = self._right.position_at(t)
+            assert got == PoseSample(t, head, left, right, got.buttons), tick
+            for track, hand in ((self._left, left), (self._right, right)):
+                assert hand == _reference_position(track.knots, t), tick
+            counts["ticks"] += 1
+            counts["weaving"] += pose is not standing
+            counts["moving"] += (t < self._left._rest_t
+                                 or t < self._right._rest_t)
+            return got
+
+        monkeypatch.setattr(SyntheticPlayer, "sample", checked)
+        config = SessionConfig(seed=3, profile=load_profile(profile),
+                               pid_enabled=False, dt=dt, duration=42.0)
+        lines = run_session(config).lines
+        assert counts["ticks"] >= round(42.0 / dt)
+        assert counts["weaving"] > 0
+        assert 0 < counts["moving"] < counts["ticks"]
+        assert any('"type":"jab"' in line for line in lines)
+
+    def test_a_held_hand_is_one_object(self) -> None:
+        # Between two knots on one point the hand is still: every tick
+        # hands back that tuple, so the detector's identity test sees it.
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        knots = player._right.knots
+        holds = [(t0, t1, p0) for (t0, p0), (t1, p1) in zip(knots, knots[1:])
+                 if p0 is p1]
+        assert holds
+        held_ticks = 0
+        for k in range(70):
+            hand = player.sample(k, PhaseKind.LOW).right_hand
+            for t0, t1, point in holds:
+                if t0 < k * player.dt < t1:
+                    assert hand is point, k
+                    held_ticks += 1
+        assert held_ticks >= 3
+
+    def test_sprint_buttons_follow_the_policy(self) -> None:
+        expected = {
+            EmpowerPolicy.ACTIVATE_IMMEDIATELY: (frozenset({"A"}),
+                                                 frozenset({"A"})),
+            EmpowerPolicy.DURING_SPRINT_ONLY: (frozenset({"A"}), frozenset()),
+            EmpowerPolicy.NEVER: (frozenset(), frozenset()),
+        }
+        base = load_profile("mid_skill")
+        for policy, (in_sprint, otherwise) in expected.items():
+            profile = dataclasses.replace(base, empower_policy=policy)
+            player = SyntheticPlayer(profile, Calibration(), random.Random(0))
+            assert player.sample(0, PhaseKind.SPRINT).buttons == in_sprint
+            for kind in PhaseKind:
+                if kind is not PhaseKind.SPRINT:
+                    assert player.sample(0, kind).buttons == otherwise

@@ -14,6 +14,7 @@ from virusboxing.interaction import (
 )
 from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import _strike_ticks, load_profile
+from virusboxing import session
 from virusboxing.protocol import LOW_INTENSITY_SPAWN, MODULATION_MIN
 from virusboxing.session import (
     HeaderMismatchError,
@@ -61,6 +62,52 @@ class TestDeterminism:
         parallel = run_many(configs, jobs=2)
         for a, b in zip(serial, parallel):
             assert a.lines == b.lines
+
+
+class TestRunManyWorkers:
+    @pytest.fixture
+    def requested(self, monkeypatch) -> list[int]:
+        """Worker counts asked of the pool, which maps in this process
+        instead, so no worker is ever started."""
+        requested: list[int] = []
+
+        class RecordingPool:
+            def __init__(self, max_workers: int) -> None:
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc) -> None:
+                return None
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(session, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    @staticmethod
+    def _configs(n: int) -> list[SessionConfig]:
+        profile = load_profile("novice")
+        return [SessionConfig(seed=s, profile=profile, pid_enabled=False,
+                              duration=1.0) for s in range(n)]
+
+    @pytest.mark.parametrize("jobs, sessions, workers", [
+        (500, 2, 2), (4, 3, 3), (2, 5, 2), (3, 3, 3),
+    ])
+    def test_pool_never_outnumbers_the_sessions(self, requested, jobs,
+                                                sessions, workers) -> None:
+        results = run_many(self._configs(sessions), jobs=jobs)
+        assert requested == [workers]
+        assert [r.config.seed for r in results] == list(range(sessions))
+
+    @pytest.mark.parametrize("jobs, sessions", [(1, 3), (8, 1), (8, 0)])
+    def test_one_worker_or_less_runs_in_process(self, requested, jobs,
+                                                sessions) -> None:
+        results = run_many(self._configs(sessions), jobs=jobs)
+        assert requested == []
+        assert len(results) == sessions
 
 
 class TestLogFormat:
