@@ -196,6 +196,13 @@ class JabDetector:
     its speed is 0 without any arithmetic: the synthetic player hands
     back the same tuple every tick while a hand rests or holds still
     before a strike.
+
+    What fires on tick ``k`` depends on the samples of ticks ``k - W``
+    to ``k``, where ``W = ceil(window / dt)``, on the previous tick's
+    speed and on the last fire.  So a caller may skip ticks on which no
+    hand can reach the threshold, provided it feeds every tick from
+    ``k - W`` on before any tick ``k`` that can fire: the detector then
+    fires exactly as it would when fed every tick.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,

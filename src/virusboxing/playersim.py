@@ -27,6 +27,7 @@ from .interaction import (
     HAND_FOR_VIRUS,
     Hand,
     JAB_REFRACTORY,
+    JAB_SPEED_THRESHOLD,
     PoseClass,
     PoseSample,
     TargetingPolicy,
@@ -72,6 +73,11 @@ LEAN_MARGIN = 0.05
 # Slowest strike worth scripting: cap the detection lead at this many
 # seconds (25 ticks at 50 Hz), so the cap means the same at every dt.
 _MAX_STRIKE_SECONDS = 0.5
+
+# A knot segment at least this fast makes the ticks whose velocity window
+# overlaps it hot.  The margin below the jab threshold absorbs rounding;
+# repositioning and retracting stay well below it.
+_HOT_SPEED = JAB_SPEED_THRESHOLD - 0.05
 
 
 class EmpowerPolicy(Enum):
@@ -270,11 +276,24 @@ class _HandTrack:
     Pending jab plans are kept sorted by strike tick and the knot chain is
     rebuilt on every insertion; a new plan whose choreography cannot
     coexist with a pending one preempts it (highest seq wins).
+
+    Each rebuild also marks, in the shared ``hot`` array under this
+    hand's ``bit``, the ticks whose jab detection this chain can change:
+    every tick whose velocity window overlaps a segment at ``_HOT_SPEED``
+    or faster, plus ``lead`` ticks before each such run (see
+    :class:`SyntheticPlayer`).
     """
 
-    def __init__(self, guard: Vec3, dt: float) -> None:
+    def __init__(self, guard: Vec3, dt: float, hot: bytearray,
+                 bit: int) -> None:
         self.guard = guard
         self.dt = dt
+        self.lead = math.ceil(VELOCITY_WINDOW / dt)
+        self.hot = hot
+        self._set_bit = bytes(b | bit for b in range(256))
+        self._clear_bit = bytes(b & ~bit for b in range(256))
+        # One past the last tick this hand has marked.
+        self._marked_to = 0
         self.knots: list[tuple[float, Vec3]] = [(0.0, guard)]
         self.plans: list[JabPlan] = []
         self._ptr = 0
@@ -397,6 +416,49 @@ class _HandTrack:
         self.knots = knots
         self._ptr = 0
         self._rest_t, self._rest_pos = knots[-1]
+        self._mark_hot(now_tick)
+
+    def _mark_hot(self, now_tick: int) -> None:
+        """Move this hand's hot marks from the old chain to the new one.
+
+        The new chain runs from ``now_tick``, but a tick's velocity window
+        looks back ``lead`` ticks, so the old chain's marks stay up to
+        ``now_tick + lead + 1``.  Marks that fall before ``now_tick`` are
+        in the past: the caller has fed those ticks already.
+        """
+        hot, dt, lead = self.hot, self.dt, self.lead
+        keep = now_tick + lead + 2
+        if keep < self._marked_to:
+            hot[keep:self._marked_to] = (
+                hot[keep:self._marked_to].translate(self._clear_bit))
+        knots = self.knots
+        for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
+            if p1 is p0:
+                continue
+            dx = p1[0] - p0[0]
+            dy = p1[1] - p0[1]
+            dz = p1[2] - p0[2]
+            limit = _HOT_SPEED * (t1 - t0)
+            if dx * dx + dy * dy + dz * dz < limit * limit:
+                continue
+            # The first tick past t0, and the last tick whose window
+            # starts before t1, both on the player's own k * dt clock.
+            first = math.floor(t0 / dt) + 1
+            while first > 0 and (first - 1) * dt > t0:
+                first -= 1
+            while first * dt <= t0:
+                first += 1
+            last = math.ceil(t1 / dt) - 1
+            while (last + 1) * dt < t1:
+                last += 1
+            while last >= 0 and last * dt >= t1:
+                last -= 1
+            start = max(0, first - lead)
+            stop = last + lead + 1
+            if stop > len(hot):
+                hot.extend(bytes(stop - len(hot)))
+            hot[start:stop] = hot[start:stop].translate(self._set_bit)
+            self._marked_to = stop
 
 
 @dataclass(slots=True)
@@ -405,6 +467,7 @@ class _WeaveWindow:
     end: int
     cross_tick: int
     pose: PoseClass
+    head: Vec3
     entity_id: int
     tilted: bool
 
@@ -417,11 +480,24 @@ _SPRINT = PhaseKind.SPRINT
 
 
 class SyntheticPlayer:
-    """Streaming pose generator driven by per-spawn plans."""
+    """Streaming pose generator driven by per-spawn plans.
+
+    ``hot`` marks the ticks on which a jab can fire, and the ticks a jab
+    detector must see beforehand to fire exactly as it would when fed
+    every tick: one byte per tick, non-zero where either hand's knot
+    chain marks it (``_HandTrack._mark_hot``).  Only a spawn changes the
+    marks, and only from its own tick on.  ``lead`` is the velocity
+    window in ticks.  ``horizon`` sizes ``hot`` up front; it grows past
+    that when a chain reaches further.
+
+    Ticks may be sampled sparsely, in ascending order: the hands and the
+    weave windows come out as if every tick had been sampled.
+    """
 
     def __init__(self, profile: PlayerProfile, calibration: Calibration,
                  rng: random.Random, *, dt: float = 0.02,
-                 policy: TargetingPolicy = TargetingPolicy()) -> None:
+                 policy: TargetingPolicy = TargetingPolicy(),
+                 horizon: int = 0) -> None:
         profile.validate()
         self.profile = profile
         self.calibration = calibration
@@ -429,8 +505,10 @@ class SyntheticPlayer:
         self.dt = dt
         self.policy = policy
         self._seq = 0
-        self._left = _HandTrack(GUARD_LEFT, dt)
-        self._right = _HandTrack(GUARD_RIGHT, dt)
+        self.hot = bytearray(horizon)
+        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, 1)
+        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, 2)
+        self.lead = self._left.lead
         self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
@@ -455,6 +533,11 @@ class SyntheticPlayer:
         self._active: list[_WeaveWindow] = []
         self._wptr = 0
 
+    def buttons(self, phase_kind: PhaseKind) -> frozenset[str]:
+        """The buttons held in a phase of this kind, on every tick of it."""
+        return (self._sprint_buttons if phase_kind is _SPRINT
+                else self._other_buttons)
+
     def observe_spawn(self, entity: Entity, now_tick: int,
                       empowered_until: float | None) -> None:
         """React to a spawn: draw the plan and schedule its motion."""
@@ -477,35 +560,49 @@ class SyntheticPlayer:
             end=plan.cross_tick + WEAVE_LAG_TICKS,
             cross_tick=plan.cross_tick,
             pose=plan.pose,
+            head=self._head_for[plan.pose],
             entity_id=plan.entity_id,
             tilted=plan.pose is not PoseClass.SQUAT,
         )
-        # Windows always start in the future, so insertion stays in the
-        # unconsumed tail and the activation pointer remains valid.
-        self._weaves.append(window)
-        i = len(self._weaves) - 1
-        while i > 0 and self._weaves[i - 1].start > window.start:
-            self._weaves[i] = self._weaves[i - 1]
-            i -= 1
-        self._weaves[i] = window
-
-    def _pose_requirement(self, tick: int) -> PoseClass:
+        # Consume the windows due by the last tick first, as sampling
+        # every tick up to now would have: where the new window lands
+        # against the activation pointer must not depend on which ticks
+        # were sampled.
         weaves = self._weaves
-        while self._wptr < len(weaves) and weaves[self._wptr].start <= tick:
+        while self._wptr < len(weaves) and weaves[self._wptr].start < now_tick:
             self._active.append(weaves[self._wptr])
             self._wptr += 1
-        self._active = [w for w in self._active if w.end >= tick]
+        # A window starts after every consumed one unless its cell crosses
+        # within WEAVE_LEAD_TICKS of now; then it lands among them.
+        weaves.append(window)
+        i = len(weaves) - 1
+        while i > 0 and weaves[i - 1].start > window.start:
+            weaves[i] = weaves[i - 1]
+            i -= 1
+        weaves[i] = window
+
+    def _weave_head(self, tick: int) -> Vec3:
+        """The head position the weave windows active at ``tick`` ask for."""
+        weaves = self._weaves
+        active = self._active
+        while self._wptr < len(weaves) and weaves[self._wptr].start <= tick:
+            active.append(weaves[self._wptr])
+            self._wptr += 1
         best: _WeaveWindow | None = None
         best_key = None
-        for w in self._active:
+        kept = 0
+        for w in active:
+            if w.end < tick:
+                continue
+            active[kept] = w
+            kept += 1
             key = (not w.tilted, abs(tick - w.cross_tick), w.entity_id)
             if best_key is None or key < best_key:
                 best, best_key = w, key
-        if best is None:
-            return PoseClass.STANDING
+        del active[kept:]
         # A tilted duck also clears flat cells, so it can stand in for a
         # plain squat, never the other way round.
-        return best.pose
+        return self._standing if best is None else best.head
 
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
@@ -515,16 +612,10 @@ class SyntheticPlayer:
             # No weave window is active or due: the common tick.
             head = self._standing
         else:
-            pose = self._pose_requirement(tick)
-            # Enum members hash in Python; skip the lookup when standing.
-            head = (self._standing if pose is PoseClass.STANDING
-                    else self._head_for[pose])
+            head = self._weave_head(tick)
         # A hand past its last knot rests there: position_at's first test.
         track = self._left
         left = track._rest_pos if t >= track._rest_t else track.position_at(t)
         track = self._right
         right = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        buttons = (self._sprint_buttons if phase_kind is _SPRINT
-                   else self._other_buttons)
-        return PoseSample(t, head, left, right, buttons)
-
+        return PoseSample(t, head, left, right, self.buttons(phase_kind))

@@ -22,8 +22,29 @@ flag until the next one.
 Most ticks are quiet: no spawn, no jab, no crossing and no empowerment
 change.  So the loop makes a progression call only when it could act:
 the expiry check while an empowerment runs, the activation attempt once
-the energy bar is full.  Each log row is written from one fixed
-``%``-format template per kind of row.
+the energy bar is full.  The buttons held are fixed per phase kind by
+the profile, so the loop reads them from the player once per phase and
+makes no activation attempt in a phase that holds no button.  Each log
+row is written from one fixed ``%``-format template per kind of row.
+
+A jab fires only when a hand's windowed speed reaches 1 m/s, and a
+windowed finite difference cannot beat the fastest stretch of path it
+spans.  So the loop samples the player and feeds the jab detector only
+on the ticks the player marks hot (``SyntheticPlayer.hot``): each tick
+whose velocity window overlaps a knot-chain segment close to that
+speed, and the ``lead`` ticks (the window, in ticks) before each run of
+them.  The lead lets the detector's window, its previous speed and its
+refractory clock reach the first hot tick exactly as if it had been fed
+every tick; see :class:`~virusboxing.interaction.JabDetector`.  A spawn
+rebuilds a hand's chain from its own tick on, and the new chain's
+marks may open a lead before that tick, so the loop feeds the ticks a
+lead could need off the old chains before a virus's plan is drawn.  A
+tick on which a cell crosses is sampled for its head pose and fed to
+the detector too; nothing fires on it.  Ticks are fed in order only, so
+when a spawn is due within a window of a tick fed after a gap, the
+ticks a window before it are fed first: the spawn's lead may need them.
+Every other tick still steps the world, spawns, logs its rows and
+checks the empowerment.
 
 After the protocol ends the loop keeps resolving whatever is still in
 flight (no spawns, no physiology, no activations) so that every spawned
@@ -49,6 +70,7 @@ from .interaction import (
     HitKind,
     JabDetector,
     TargetingPolicy,
+    VELOCITY_WINDOW,
     classify_weave_pose,
     resolve_cell_pass,
     resolve_jab,
@@ -208,6 +230,13 @@ class SessionConfig:
         self.profile.validate()
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt > VELOCITY_WINDOW + 1e-9:
+            # The jab detector's window would never hold two samples, so
+            # no jab could fire.
+            raise ValueError(
+                f"dt {self.dt} is longer than the {VELOCITY_WINDOW} s jab "
+                f"velocity window"
+            )
         if not 0.0 < self.duration <= SESSION_DURATION:
             # The protocol has no phase after its end to spawn from.
             raise ValueError(
@@ -339,11 +368,17 @@ def run_session(config: SessionConfig,
     rng = random.Random(config.seed)
     world = WorldState()
     prog = ProgressionState()
+    drain_cap = _drain_tick_cap(dt)
     player = SyntheticPlayer(
         config.profile, config.calibration, rng,
         dt=dt, policy=config.targeting,
+        horizon=gameplay_ticks + drain_cap + 1,
     )
+    hot = player.hot
+    lead = player.lead
     detector = JabDetector()
+    # The last tick the detector has been fed.
+    fed_through = -1
 
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
@@ -364,7 +399,39 @@ def run_session(config: SessionConfig,
     def log_phase(t: float, kind: PhaseKind, index: int) -> None:
         lines.append(_PHASE_ROW % (t, kind.value, index))
 
-    def resolve_crossings(crossings, sample, t: float) -> None:
+    def catch_up(k: int) -> None:
+        """Feed the ticks from ``k + 1 - lead`` to ``k - 1`` the detector
+        has not been fed, so that the run of fed ticks ending at ``k - 1``
+        is a window long.  None of them is hot, so no jab can fire."""
+        nonlocal fed_through
+        start = max(fed_through + 1, k + 1 - lead)
+        for j in range(start, k):
+            if detector.update(player.sample(j, kinds[j >= phase_start])):
+                raise RuntimeError(f"a jab fired on tick {j}, not hot")
+        if start < k:
+            fed_through = k - 1
+
+    def open_run(k: int) -> None:
+        """Before tick ``k`` is fed after a gap: a spawn less than
+        ``lead - 1`` ticks on catches up from a tick before ``k``, which
+        cannot be fed once ``k`` has been, so catch up to ``k`` now."""
+        if next_spawn_t <= (k + lead - 2) * dt + 1e-9:
+            catch_up(k)
+
+    def feed_cold(k: int, kind: PhaseKind):
+        """Sample tick ``k``, which is not hot, for a cell's crossing and
+        feed it to the detector in turn."""
+        nonlocal fed_through
+        if k > fed_through + 1:
+            open_run(k)
+        sample = player.sample(k, kind)
+        if detector.update(sample):
+            raise RuntimeError(f"a jab fired on tick {k}, not hot")
+        fed_through = k
+        return sample
+
+    def resolve_crossings(crossings, sample, k: int, t: float,
+                          kind: PhaseKind) -> None:
         pose = None  # classified once, at the first cell of the tick
         for entity in crossings:
             if entity.is_virus:
@@ -373,6 +440,8 @@ def run_session(config: SessionConfig,
                 lines.append(_MISSED_ROW % (t, entity.id))
                 continue
             if pose is None:
+                if sample is None:
+                    sample = feed_cold(k, kind)
                 pose = classify_weave_pose(sample, config.calibration)
             outcome = resolve_cell_pass(entity, pose)
             if outcome is CellOutcome.AVOIDED:
@@ -397,20 +466,31 @@ def run_session(config: SessionConfig,
             lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
                                      target_id, jab.hand_speed))
 
-    def interact(sample, t: float) -> None:
-        """Jab resolution, then world advance with crossing resolution."""
-        jabs = detector.update(sample)
-        if jabs:
-            resolve_jabs(jabs, t)
+    def interact(k: int, t: float, kind: PhaseKind) -> None:
+        """Jab detection and resolution on a hot tick, then world advance
+        with crossing resolution."""
+        nonlocal fed_through
+        sample = None
+        if hot[k]:
+            if k > fed_through + 1:
+                open_run(k)
+            sample = player.sample(k, kind)
+            fed_through = k
+            jabs = detector.update(sample)
+            if jabs:
+                resolve_jabs(jabs, t)
         crossings = advance(world, dt)
         if crossings:
-            resolve_crossings(crossings, sample, t)
+            resolve_crossings(crossings, sample, k, t, kind)
 
     phase = phase_at(0.0)
     log_phase(0.0, phase.kind, phase.index)
     pending = next_spawn(rng, 0.0, spawn_params(phase))
+    # When the next spawn is due, for open_run; nothing spawns in the drain.
+    next_spawn_t = pending.time
     boundaries = iter(phase_boundary_ticks(dt))
     next_boundary = next(boundaries)
+    kind = phase.kind
 
     for k in range(gameplay_ticks):
         t = k * dt
@@ -421,7 +501,11 @@ def run_session(config: SessionConfig,
             if (current.kind, current.index) != (phase.kind, phase.index):
                 log_phase(t, current.kind, current.index)
             phase = current
+            # The kinds before and from this tick on, for catch_up.
+            kinds = (kind, phase.kind)
+            phase_start = k
             kind = phase.kind
+            presses_a = "A" in player.buttons(kind)
             # None outside the controller's phases.
             control_shift = control_shifts.get(k)
             next_boundary = next(boundaries, -1)
@@ -438,6 +522,8 @@ def run_session(config: SessionConfig,
                                      pending.lane_offset, pending.speed)
                 if entity.is_virus:
                     viruses_spawned += 1
+                    # Its jab plan rebuilds a hand's knot chain.
+                    catch_up(k)
                 else:
                     cells_spawned += 1
                 lines.append(_SPAWN_ROW % (pending.time, entity.id,
@@ -446,16 +532,16 @@ def run_session(config: SessionConfig,
                 player.observe_spawn(entity, k, prog.empowered_until)
                 pending = next_spawn(rng, pending.time,
                                      spawn_params(phase, scale))
+            next_spawn_t = pending.time
 
-        sample = player.sample(k, kind)
-        interact(sample, t)
+        interact(k, t, kind)
 
         # Each call only when it could act: with its guard false, the
         # callee would change nothing and report no event.
         if prog.empowered_until is not None and tick_empowerment(prog, t):
             lines.append(_EMPOWER_END_ROW % t)
-        if (prog.energy >= ENERGY_CAPACITY
-                and activate_empowerment(prog, t, "A" in sample.buttons) is None):
+        if (presses_a and prog.energy >= ENERGY_CAPACITY
+                and activate_empowerment(prog, t, presses_a) is None):
             lines.append(_EMPOWER_START_ROW % (t, prog.empowered_until))
 
     t_end = gameplay_ticks * dt
@@ -468,11 +554,12 @@ def run_session(config: SessionConfig,
     # controller are frozen, and no empowerment can start.
     k = gameplay_ticks
     t_final = t_end
-    drain_end = gameplay_ticks + _drain_tick_cap(dt)
+    next_spawn_t = math.inf
+    drain_end = gameplay_ticks + drain_cap
     while world.in_flight and k < drain_end:
         k += 1
         t_final = k * dt
-        interact(player.sample(k, PhaseKind.ENDED), t_final)
+        interact(k, t_final, PhaseKind.ENDED)
         if (prog.empowered_until is not None
                 and tick_empowerment(prog, t_final)):
             lines.append(_EMPOWER_END_ROW % t_final)

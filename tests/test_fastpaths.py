@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from per_tick_oracle import run_session_per_tick
 from virusboxing.interaction import (
     VELOCITY_WINDOW,
     Calibration,
@@ -68,10 +69,19 @@ class TestPhaseBoundaries:
         monkeypatch.setattr(SyntheticPlayer, "sample", sample)
         config = SessionConfig(seed=0, profile=load_profile("novice"),
                                pid_enabled=False, dt=dt)
-        lines = run_session(config).lines
+        # The per-tick loop samples every tick; the gated loop only some,
+        # in order, each with the phase kind of its own tick.
+        lines = run_session_per_tick(config).lines
         gameplay = _ticks(dt)
         assert [tick for tick, _ in seen[:gameplay]] == list(range(gameplay))
         for tick, kind in seen[:gameplay]:
+            assert kind is phase_at(tick * dt).kind, tick
+        seen.clear()
+        assert run_session(config).lines == lines
+        gated = [(tick, kind) for tick, kind in seen if tick < gameplay]
+        assert 0 < len(gated) < gameplay
+        assert [tick for tick, _ in seen] == sorted({tick for tick, _ in seen})
+        for tick, kind in gated:
             assert kind is phase_at(tick * dt).kind, tick
         # One phase row per change of phase_at over the ticks, then the
         # closing row at the session end.

@@ -1,0 +1,366 @@
+"""The gated session loop writes the log the per-tick loop writes.
+
+``run_session`` samples the player and feeds the jab detector only on
+the ticks the hands' knot chains mark hot, plus the lead ticks before
+them and the ticks a cell crosses on.  ``per_tick_oracle`` keeps the loop
+that does both on every tick.  These tests hold the two to the same log,
+line for line, across the valid config space, and check the player's
+side of the bargain: sampled sparsely, it answers as if sampled densely.
+"""
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from per_tick_oracle import run_session_per_tick
+from test_config_properties import session_configs
+from virusboxing.interaction import (
+    VELOCITY_WINDOW,
+    Calibration,
+    Hand,
+    JabDetector,
+    PoseClass,
+    TargetingMode,
+    TargetingPolicy,
+)
+from virusboxing.playersim import (
+    JabPlan,
+    SyntheticPlayer,
+    WeavePlan,
+    load_profile,
+)
+from virusboxing.protocol import PhaseKind, phase_at
+from virusboxing.session import SessionConfig, run_session
+
+# Not a seed the golden logs pin (they use 0, 1 and 2).
+SEED = 5
+PROFILES = ("expert", "mid_skill", "novice")
+TARGETING = {"pt": TargetingMode.PRECISE, "rt": TargetingMode.ROUGH}
+
+
+def _assert_same_log(config: SessionConfig) -> list[str]:
+    want = run_session_per_tick(config).lines
+    got = run_session(config).lines
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert a == b, f"line {i + 1} differs"
+    assert len(got) == len(want)
+    return got
+
+
+@st.composite
+def _session_configs_with_quick_reactions(draw) -> SessionConfig:
+    """``session_configs``, half of them with a reaction time cut to at
+    most 0.1 s.  The built-in profiles react in 0.18 s or more; faster, a
+    new plan can strike so soon that the hot span its chain opens reaches
+    back past its own spawn tick."""
+    config = draw(session_configs())
+    if draw(st.booleans()):
+        profile = dataclasses.replace(
+            config.profile,
+            reaction_time=draw(st.floats(min_value=0.0, max_value=0.1)))
+        config = dataclasses.replace(config, profile=profile)
+    return config
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=_session_configs_with_quick_reactions())
+def test_gated_log_equals_the_per_tick_log(config: SessionConfig) -> None:
+    _assert_same_log(config)
+
+
+@pytest.mark.parametrize("targeting", sorted(TARGETING))
+@pytest.mark.parametrize("profile", PROFILES)
+def test_full_session_equals_the_per_tick_log(profile, targeting) -> None:
+    config = SessionConfig(seed=SEED, profile=load_profile(profile),
+                           targeting=TargetingPolicy(TARGETING[targeting]))
+    lines = _assert_same_log(config)
+    assert sum('"type":"jab"' in line for line in lines) > 100
+
+
+@pytest.mark.parametrize("dt", [0.035, 0.07, 0.1])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_coarse_steps_equal_the_per_tick_log(profile, dt) -> None:
+    # At coarse steps the velocity window is one to three ticks, so a
+    # lead that starts a tick late shows at once.
+    _assert_same_log(SessionConfig(seed=SEED, profile=load_profile(profile),
+                                   pid_enabled=False, dt=dt, duration=126.0))
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.035])
+@pytest.mark.parametrize("profile", ["expert", "mid_skill"])
+def test_instant_reactions_equal_the_per_tick_log(profile, dt) -> None:
+    # With no reaction time a new plan can strike at once, so the hot
+    # span its chain opens needs lead ticks from before the spawn.
+    instant = dataclasses.replace(load_profile(profile), reaction_time=0.0)
+    _assert_same_log(SessionConfig(seed=SEED, profile=instant, dt=dt,
+                                   duration=126.0))
+
+
+def test_a_crossing_just_before_an_instant_strike_equals_the_per_tick_log(
+        ) -> None:
+    # At seed 3 a cell crosses on tick 6046 (120.92 s), the detector's
+    # only fed tick for a while, and a red virus spawns on tick 6047 while
+    # the player is empowered.  With no reaction time and rough long-range
+    # targeting its plan strikes at once, so the hot span the new chain
+    # opens reaches back past the crossing: the ticks before it must have
+    # been fed too, or the detector's window starts at the crossing and
+    # reads the one-tick strike as a jab the per-tick loop never fires.
+    instant = dataclasses.replace(load_profile("expert"), reaction_time=0.0)
+    config = SessionConfig(seed=3, profile=instant, dt=0.02, duration=121.0)
+    lines = _assert_same_log(config)
+    rows = [json.loads(line) for line in lines]
+    assert {"type": "cross", "t": 120.92, "id": 287, "status": "avoided",
+            "pose": "squat"} in rows
+    (spawn,) = [row for row in rows if row["type"] == "spawn"
+                and row["kind"].endswith("_virus")
+                and 120.92 < row["t"] <= 120.94]
+    empowered = [row for row in rows if row["type"] == "empower"
+                 and row["t"] <= spawn["t"]][-1]
+    assert empowered["action"] == "start" and empowered["until"] > 121.0
+
+
+def test_a_hot_run_just_before_an_instant_strike_equals_the_per_tick_log(
+        ) -> None:
+    # At seed 2, with no reaction time and a 6 m/s mean punch, the left
+    # hand's hot run for its next jab opens a tick or two before a red
+    # virus spawns on tick 6087 (121.74 s) while the player is empowered.
+    # The right hand's new plan strikes at once, so the ticks before the
+    # left hand's run must have been fed, or the detector's window starts
+    # at that run and reads the strike as faster than it is.
+    quick = dataclasses.replace(load_profile("expert"), reaction_time=0.0,
+                                punch_speed_mean=6.0)
+    config = SessionConfig(seed=2, profile=quick, dt=0.02, duration=122.0)
+    lines = _assert_same_log(config)
+    rows = [json.loads(line) for line in lines]
+    (spawn,) = [row for row in rows if row["type"] == "spawn"
+                and row["kind"].endswith("_virus")
+                and 121.72 < row["t"] <= 121.74]
+    jabs = [(row["t"], row["hand"]) for row in rows
+            if row["type"] == "jab" and 121.74 < row["t"] <= 121.8]
+    assert jabs == [(121.76, "right"), (121.78, "left")]
+    empowered = [row for row in rows if row["type"] == "empower"
+                 and row["t"] <= spawn["t"]][-1]
+    assert empowered["action"] == "start" and empowered["until"] > 122.0
+
+
+class TestSampledTicks:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Each loop's sampled ticks with their phase kinds, and the ticks
+        on which the per-tick loop's detector fired."""
+        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"))
+        dt = config.dt
+        sample, update = SyntheticPlayer.sample, JabDetector.update
+        calls: list[tuple[int, PhaseKind]] = []
+        fired: list[int] = []
+
+        def recording_sample(self, tick, phase_kind):
+            calls.append((tick, phase_kind))
+            return sample(self, tick, phase_kind)
+
+        def recording_update(self, pose):
+            events = update(self, pose)
+            if events:
+                fired.append(round(pose.time / dt))
+            return events
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SyntheticPlayer, "sample", recording_sample)
+            patch.setattr(JabDetector, "update", recording_update)
+            oracle = run_session_per_tick(config)
+            oracle_calls, oracle_fired = calls[:], fired[:]
+            calls.clear()
+            fired.clear()
+            gated = run_session(config)
+        assert gated.lines == oracle.lines
+        return config, oracle, oracle_calls, oracle_fired, calls, fired
+
+    def test_ticks_are_sampled_once_in_order(self, runs) -> None:
+        _, _, _, _, calls, _ = runs
+        ticks = [tick for tick, _ in calls]
+        assert ticks == sorted(set(ticks))
+
+    def test_every_sampled_tick_gets_its_phase_kind(self, runs) -> None:
+        config, _, _, _, calls, _ = runs
+        gameplay = round(config.duration / config.dt)
+        for tick, kind in calls:
+            if tick < gameplay:
+                assert kind is phase_at(tick * config.dt).kind, tick
+            else:
+                assert kind is PhaseKind.ENDED, tick
+
+    def test_fired_and_crossing_ticks_are_sampled(self, runs) -> None:
+        config, oracle, _, oracle_fired, calls, fired = runs
+        sampled = {tick for tick, _ in calls}
+        assert oracle_fired and fired == oracle_fired
+        assert set(oracle_fired) <= sampled
+        rows = [json.loads(line) for line in oracle.lines]
+        cell_ticks = {round(row["t"] / config.dt) for row in rows
+                      if row["type"] == "cross" and "pose" in row}
+        assert cell_ticks and cell_ticks <= sampled
+
+    def test_fewer_than_half_the_ticks_are_sampled(self, runs) -> None:
+        _, _, oracle_calls, _, calls, _ = runs
+        assert len(calls) < len(oracle_calls) / 2
+
+
+def _plans(dt: float) -> list[tuple[int, JabPlan | WeavePlan]]:
+    """Plans injected at their ticks: strikes on both hands, a preempted
+    strike, and weave windows, one of which starts before its own
+    injection tick (a fast cell at a coarse step)."""
+    def ticks(seconds: float) -> int:
+        return round(seconds / dt)
+
+    return [
+        (0, JabPlan(0, Hand.RIGHT, ticks(1.2), 2.5, (0.1, 1.4, 0.45), False, 0)),
+        (0, WeavePlan(1, PoseClass.SQUAT, ticks(1.0))),
+        (ticks(0.5), JabPlan(2, Hand.LEFT, ticks(1.3), 1.4, (-0.1, 1.4, 0.5),
+                             False, 1)),
+        (ticks(0.9), WeavePlan(3, PoseClass.SQUAT_LEAN_LEFT, ticks(1.1))),
+        (ticks(1.15), JabPlan(4, Hand.RIGHT, ticks(1.3), 3.0,
+                              (0.2, 1.3, 0.5), False, 2)),
+        (ticks(1.2), WeavePlan(5, PoseClass.SQUAT_LEAN_RIGHT,
+                               ticks(1.2) + 3)),
+        (ticks(2.0), JabPlan(6, Hand.LEFT, ticks(2.6), 0.8, (0.0, 1.4, 0.6),
+                             True, 3)),
+    ]
+
+
+class TestSparseSampling:
+    @pytest.mark.parametrize("dt", [0.02, 0.1])
+    @pytest.mark.parametrize("stride", [3, 7])
+    def test_sparse_samples_equal_dense_ones(self, dt, stride) -> None:
+        def player() -> SyntheticPlayer:
+            return SyntheticPlayer(load_profile("expert"), Calibration(),
+                                   random.Random(0), dt=dt)
+
+        dense, sparse = player(), player()
+        plans = _plans(dt)
+        end = max(tick for tick, _ in plans) + round(1.0 / dt)
+        for k in range(end):
+            for tick, plan in plans:
+                if tick == k:
+                    dense.inject(plan, k)
+                    sparse.inject(plan, k)
+            want = dense.sample(k, PhaseKind.LOW)
+            if k % stride == 0:
+                assert sparse.sample(k, PhaseKind.LOW) == want, k
+        assert sparse.hot == dense.hot
+
+    def test_a_window_due_before_its_injection_lands_alike(self) -> None:
+        # At dt 0.1 a fast cell's window can start before the cell is
+        # even seen, and before a window already consumed: where it lands
+        # against the activation pointer must not depend on which ticks
+        # were sampled.
+        def player() -> SyntheticPlayer:
+            return SyntheticPlayer(load_profile("expert"), Calibration(),
+                                   random.Random(0), dt=0.1)
+
+        dense, sparse = player(), player()
+        for p in (dense, sparse):
+            p.inject(WeavePlan(1, PoseClass.SQUAT, 20), 0)
+        for k in range(12):
+            dense.sample(k, PhaseKind.LOW)
+        sparse.sample(0, PhaseKind.LOW)
+        for p in (dense, sparse):
+            p.inject(WeavePlan(2, PoseClass.SQUAT_LEAN_LEFT, 16), 12)
+        for k in range(12, 40):
+            assert sparse.sample(k, PhaseKind.LOW) == \
+                dense.sample(k, PhaseKind.LOW), k
+
+    def test_window_keeps_its_head(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        player.inject(WeavePlan(1, PoseClass.SQUAT_LEAN_LEFT, 40), 0)
+        (window,) = player._weaves
+        assert window.head is player._head_for[PoseClass.SQUAT_LEAN_LEFT]
+        assert player.sample(40, PhaseKind.LOW).head is window.head
+
+    def test_expired_windows_are_dropped_in_place(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        player.inject(WeavePlan(1, PoseClass.SQUAT, 40), 0)
+        player.inject(WeavePlan(2, PoseClass.SQUAT, 80), 0)
+        active = player._active
+        player.sample(40, PhaseKind.LOW)
+        assert [w.entity_id for w in active] == [1]
+        player.sample(70, PhaseKind.LOW)
+        assert player._active is active
+        assert [w.entity_id for w in active] == [2]
+        player.sample(200, PhaseKind.LOW)
+        assert player._active is active and not active
+
+
+class TestHotMarks:
+    def test_a_strike_marks_its_window_and_lead(self) -> None:
+        dt = 0.02
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), dt=dt)
+        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        lead = player.lead
+        assert lead == 5
+        knots = player._right.knots
+        (t0, t1), = [(a[0], b[0]) for a, b in zip(knots, knots[1:])
+                     if a[1] is not b[1] and b[0] == 60 * dt]
+        first = next(k for k in range(100) if k * dt > t0)
+        last = max(k for k in range(100) if (k - lead) * dt < t1)
+        marked = [k for k, byte in enumerate(player.hot) if byte]
+        assert marked == list(range(first - lead, last + 1))
+        assert all(byte == 2 for byte in player.hot if byte)
+
+    def test_a_rebuild_drops_the_old_chains_marks_past_its_window(
+            self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        aim = (0.1, 1.4, 0.45)
+        player.inject(JabPlan(0, Hand.RIGHT, 100, 2.5, aim, False, 0), 0)
+        before = bytes(player.hot)
+        # A slow strike one tick later preempts the marked one while its
+        # hand holds: ticks up to now + lead + 1 still look back into the
+        # old chain, and the new one marks nothing.
+        now = 96
+        player.inject(JabPlan(1, Hand.RIGHT, 101, 0.9, aim, False, 1), now)
+        keep = now + player.lead + 2
+        assert any(before[now:keep]) and any(before[keep:])
+        assert bytes(player.hot[:keep]) == before[:keep]
+        assert not any(player.hot[keep:])
+
+    def test_slow_motion_marks_nothing(self) -> None:
+        # A strike below the hot speed: reposition, hold, strike and
+        # retract all stay cold.
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        player.inject(JabPlan(0, Hand.LEFT, 80, 0.9, (0.3, 1.6, 0.8),
+                              False, 0), 0)
+        assert len(player._left.knots) > 3
+        assert not any(player.hot)
+
+    def test_horizon_sizes_the_marks(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), horizon=300)
+        assert len(player.hot) == 300 and not any(player.hot)
+
+
+class TestStepBound:
+    def test_a_step_longer_than_the_velocity_window_is_rejected(self) -> None:
+        config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                               dt=0.12, duration=60.0)
+        with pytest.raises(ValueError, match="velocity window"):
+            config.validate()
+        with pytest.raises(ValueError, match="velocity window"):
+            run_session(config)
+
+    def test_a_step_of_one_window_still_fires(self) -> None:
+        config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                               pid_enabled=False, dt=VELOCITY_WINDOW,
+                               duration=60.0)
+        lines = run_session(config).lines
+        assert sum('"type":"jab"' in line for line in lines) > 10
+        assert lines == run_session_per_tick(config).lines

@@ -5,8 +5,8 @@ The session writes each log row from a fixed ``%``-format template,
 standing, resting tick without calling out, and a held hand is one
 tuple from tick to tick.  Each is checked here against the computation
 it replaces: the generic row formatter the log used to be written with,
-the dataclass interface, and the player's own ``_pose_requirement`` and
-``position_at`` beside a plain knot scan with ``_lerp``.
+the dataclass interface, and a plain scan of the weave windows beside
+the player's own ``position_at`` and a plain knot scan with ``_lerp``.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from per_tick_oracle import run_session_per_tick
 from virusboxing import session
 from virusboxing.interaction import (
     Calibration,
@@ -240,6 +241,17 @@ def _reference_position(knots, t: float):
     return _lerp(p0, p1, (t - t0) / (t1 - t0))
 
 
+def _reference_head(player: SyntheticPlayer, tick: int):
+    """The head a weave window asks for at ``tick``, by a plain scan of
+    every window: tilted ducks first, then the nearest crossing."""
+    due = [w for w in player._weaves if w.start <= tick <= w.end]
+    if not due:
+        return player._head_for[PoseClass.STANDING]
+    best = min(due, key=lambda w: (not w.tilted, abs(tick - w.cross_tick),
+                                   w.entity_id))
+    return player._head_for[best.pose]
+
+
 class TestSampleFastPath:
     @pytest.mark.parametrize("dt", [0.01, 0.02, 0.035])
     @pytest.mark.parametrize("profile", ["mid_skill", "novice"])
@@ -250,19 +262,16 @@ class TestSampleFastPath:
         counts = {"ticks": 0, "weaving": 0, "moving": 0}
 
         def checked(self, tick, phase_kind):
-            # The fast path runs first: if it skipped a window that is
-            # due, the slow path below would then activate it and differ.
             got = fast_sample(self, tick, phase_kind)
             t = tick * self.dt
-            pose = self._pose_requirement(tick)
-            head = self._head_for[pose]
+            head = _reference_head(self, tick)
             left = self._left.position_at(t)
             right = self._right.position_at(t)
             assert got == PoseSample(t, head, left, right, got.buttons), tick
             for track, hand in ((self._left, left), (self._right, right)):
                 assert hand == _reference_position(track.knots, t), tick
             counts["ticks"] += 1
-            counts["weaving"] += pose is not standing
+            counts["weaving"] += head is not self._head_for[standing]
             counts["moving"] += (t < self._left._rest_t
                                  or t < self._right._rest_t)
             return got
@@ -270,11 +279,17 @@ class TestSampleFastPath:
         monkeypatch.setattr(SyntheticPlayer, "sample", checked)
         config = SessionConfig(seed=3, profile=load_profile(profile),
                                pid_enabled=False, dt=dt, duration=42.0)
-        lines = run_session(config).lines
+        # Every tick through the per-tick loop, then the ticks the gated
+        # loop samples, which must give the same log.
+        lines = run_session_per_tick(config).lines
         assert counts["ticks"] >= round(42.0 / dt)
         assert counts["weaving"] > 0
         assert 0 < counts["moving"] < counts["ticks"]
         assert any('"type":"jab"' in line for line in lines)
+        counts.update(ticks=0, weaving=0, moving=0)
+        assert run_session(config).lines == lines
+        assert 0 < counts["ticks"] < round(42.0 / dt)
+        assert counts["weaving"] > 0 and counts["moving"] > 0
 
     def test_a_held_hand_is_one_object(self) -> None:
         # Between two knots on one point the hand is still: every tick
