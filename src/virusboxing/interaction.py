@@ -202,7 +202,9 @@ class JabDetector:
     speed and on the last fire.  So a caller may skip ticks on which no
     hand can reach the threshold, provided it feeds every tick from
     ``k - W`` on before any tick ``k`` that can fire: the detector then
-    fires exactly as it would when fed every tick.
+    fires exactly as it would when fed every tick.  Extra ticks fed
+    before such a run change nothing, as long as they come in order and
+    no hand reaches the threshold on them.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,

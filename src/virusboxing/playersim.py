@@ -34,7 +34,7 @@ from .interaction import (
     VELOCITY_WINDOW,
 )
 from .protocol import PhaseKind
-from .world import Entity, EntityKind, FLIGHT_HEIGHT, arrival_time
+from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, arrival_time
 
 __all__ = [
     "EmpowerPolicy",
@@ -78,6 +78,13 @@ _MAX_STRIKE_SECONDS = 0.5
 # overlaps it hot.  The margin below the jab threshold absorbs rounding;
 # repositioning and retracting stay well below it.
 _HOT_SPEED = JAB_SPEED_THRESHOLD - 0.05
+
+# The bits of SyntheticPlayer.hot: one per hand's knot chain, and one for
+# the lead before a virus spawn.
+_LEFT_MARK = 1
+_RIGHT_MARK = 2
+HAND_MARKS = _LEFT_MARK | _RIGHT_MARK
+SPAWN_LEAD_MARK = 4
 
 
 class EmpowerPolicy(Enum):
@@ -424,7 +431,8 @@ class _HandTrack:
         The new chain runs from ``now_tick``, but a tick's velocity window
         looks back ``lead`` ticks, so the old chain's marks stay up to
         ``now_tick + lead + 1``.  Marks that fall before ``now_tick`` are
-        in the past: the caller has fed those ticks already.
+        in the past: the spawn's lead marked those ticks, and they have
+        been fed already (``SyntheticPlayer.mark_spawn_lead``).
         """
         hot, dt, lead = self.hot, self.dt, self.lead
         keep = now_tick + lead + 2
@@ -484,11 +492,15 @@ class SyntheticPlayer:
 
     ``hot`` marks the ticks on which a jab can fire, and the ticks a jab
     detector must see beforehand to fire exactly as it would when fed
-    every tick: one byte per tick, non-zero where either hand's knot
-    chain marks it (``_HandTrack._mark_hot``).  Only a spawn changes the
-    marks, and only from its own tick on.  ``lead`` is the velocity
-    window in ticks.  ``horizon`` sizes ``hot`` up front; it grows past
-    that when a chain reaches further.
+    every tick: one byte per tick, one bit per source of marks.  Each
+    hand's knot chain marks the ticks its jabs can fire on and the
+    ``lead`` ticks before each run of them (``_HandTrack._mark_hot``), and
+    a virus's plan moves its hand's marks from its spawn tick on.  As the
+    new chain's first run may need lead ticks from before the spawn tick,
+    ``mark_spawn_lead`` marks those under ``SPAWN_LEAD_MARK`` when the
+    virus is drawn, while they are still to come.  ``lead`` is the
+    velocity window in ticks.  ``horizon`` sizes ``hot`` up front; it
+    grows past that when a mark reaches further.
 
     Ticks may be sampled sparsely, in ascending order: the hands and the
     weave windows come out as if every tick had been sampled.
@@ -506,8 +518,8 @@ class SyntheticPlayer:
         self.policy = policy
         self._seq = 0
         self.hot = bytearray(horizon)
-        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, 1)
-        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, 2)
+        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, _LEFT_MARK)
+        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, _RIGHT_MARK)
         self.lead = self._left.lead
         self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
         height = calibration.standing_head_height
@@ -537,6 +549,30 @@ class SyntheticPlayer:
         """The buttons held in a phase of this kind, on every tick of it."""
         return (self._sprint_buttons if phase_kind is _SPRINT
                 else self._other_buttons)
+
+    def mark_spawn_lead(self, kind: EntityKind, spawn_tick: int,
+                        now_tick: int) -> None:
+        """Mark the ``lead - 1`` ticks before a spawn of ``kind`` on
+        ``spawn_tick`` hot, under ``SPAWN_LEAD_MARK``, if it is a virus.
+
+        A virus's plan rebuilds a hand's chain from ``spawn_tick`` on, and
+        the new chain may open a hot run as soon as ``spawn_tick + 1``,
+        whose lead reaches back to ``spawn_tick + 1 - lead``.  Marked now,
+        those ticks are sampled off the chains that still hold on them.
+        Raises RuntimeError unless they all lie after ``now_tick``, the
+        tick being run, so that none of them has been passed already.
+        """
+        if kind not in VIRUS_KINDS:
+            return
+        start = spawn_tick + 1 - self.lead
+        if start <= now_tick:
+            raise RuntimeError(f"the lead of the spawn on tick {spawn_tick} "
+                               f"starts on tick {start}, by tick {now_tick}")
+        hot = self.hot
+        if spawn_tick > len(hot):
+            hot.extend(bytes(spawn_tick - len(hot)))
+        for k in range(start, spawn_tick):
+            hot[k] |= SPAWN_LEAD_MARK
 
     def observe_spawn(self, entity: Entity, now_tick: int,
                       empowered_until: float | None) -> None:

@@ -27,24 +27,15 @@ the profile, so the loop reads them from the player once per phase and
 makes no activation attempt in a phase that holds no button.  Each log
 row is written from one fixed ``%``-format template per kind of row.
 
-A jab fires only when a hand's windowed speed reaches 1 m/s, and a
-windowed finite difference cannot beat the fastest stretch of path it
-spans.  So the loop samples the player and feeds the jab detector only
-on the ticks the player marks hot (``SyntheticPlayer.hot``): each tick
-whose velocity window overlaps a knot-chain segment close to that
-speed, and the ``lead`` ticks (the window, in ticks) before each run of
-them.  The lead lets the detector's window, its previous speed and its
-refractory clock reach the first hot tick exactly as if it had been fed
-every tick; see :class:`~virusboxing.interaction.JabDetector`.  A spawn
-rebuilds a hand's chain from its own tick on, and the new chain's
-marks may open a lead before that tick, so the loop feeds the ticks a
-lead could need off the old chains before a virus's plan is drawn.  A
-tick on which a cell crosses is sampled for its head pose and fed to
-the detector too; nothing fires on it.  Ticks are fed in order only, so
-when a spawn is due within a window of a tick fed after a gap, the
-ticks a window before it are fed first: the spawn's lead may need them.
-Every other tick still steps the world, spawns, logs its rows and
-checks the empowerment.
+A jab fires only when a hand's windowed speed reaches 1 m/s.  So the
+loop samples the player and feeds the jab detector on one rule: on the
+ticks the player marks hot (``SyntheticPlayer.hot``), in order, which
+fires exactly as feeding every tick would.  A virus's spawn lead is
+marked when the virus is drawn, on the previous spawn's tick: the
+shortest spawn interval, 0.25 s, outlasts the 0.1 s window.  A tick on
+which a cell crosses is sampled for its head pose and not fed.  Every
+other tick still steps the world, spawns, logs its rows and checks the
+empowerment.
 
 After the protocol ends the loop keeps resolving whatever is still in
 flight (no spawns, no physiology, no activations) so that every spawned
@@ -86,7 +77,7 @@ from .physiology import (
     kcal_step,
     modulated_intensity,
 )
-from .playersim import PlayerProfile, SyntheticPlayer
+from .playersim import HAND_MARKS, PlayerProfile, SyntheticPlayer
 from .progression import (
     ENERGY_CAPACITY,
     ProgressionState,
@@ -144,6 +135,16 @@ _DRAIN_MARGIN_TICKS = 2
 def _drain_tick_cap(dt: float) -> int:
     """Upper bound on post-protocol ticks needed to flush the world."""
     return math.ceil(_MAX_FLIGHT_SECONDS / dt) + _DRAIN_MARGIN_TICKS
+
+
+def _spawn_tick(time: float, dt: float) -> int:
+    """The tick a spawn due at ``time`` lands on: the first ``k`` with
+    ``time <= k * dt + 1e-9``, in floats as written."""
+    # One below the floor is below that tick whatever the rounding.
+    k = max(0, math.floor((time - 1e-9) / dt) - 1)
+    while time > k * dt + 1e-9:
+        k += 1
+    return k
 
 
 # Enough for every config of a 24-cell profile x targeting x PID x heart
@@ -375,10 +376,7 @@ def run_session(config: SessionConfig,
         horizon=gameplay_ticks + drain_cap + 1,
     )
     hot = player.hot
-    lead = player.lead
     detector = JabDetector()
-    # The last tick the detector has been fed.
-    fed_through = -1
 
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
@@ -399,37 +397,6 @@ def run_session(config: SessionConfig,
     def log_phase(t: float, kind: PhaseKind, index: int) -> None:
         lines.append(_PHASE_ROW % (t, kind.value, index))
 
-    def catch_up(k: int) -> None:
-        """Feed the ticks from ``k + 1 - lead`` to ``k - 1`` the detector
-        has not been fed, so that the run of fed ticks ending at ``k - 1``
-        is a window long.  None of them is hot, so no jab can fire."""
-        nonlocal fed_through
-        start = max(fed_through + 1, k + 1 - lead)
-        for j in range(start, k):
-            if detector.update(player.sample(j, kinds[j >= phase_start])):
-                raise RuntimeError(f"a jab fired on tick {j}, not hot")
-        if start < k:
-            fed_through = k - 1
-
-    def open_run(k: int) -> None:
-        """Before tick ``k`` is fed after a gap: a spawn less than
-        ``lead - 1`` ticks on catches up from a tick before ``k``, which
-        cannot be fed once ``k`` has been, so catch up to ``k`` now."""
-        if next_spawn_t <= (k + lead - 2) * dt + 1e-9:
-            catch_up(k)
-
-    def feed_cold(k: int, kind: PhaseKind):
-        """Sample tick ``k``, which is not hot, for a cell's crossing and
-        feed it to the detector in turn."""
-        nonlocal fed_through
-        if k > fed_through + 1:
-            open_run(k)
-        sample = player.sample(k, kind)
-        if detector.update(sample):
-            raise RuntimeError(f"a jab fired on tick {k}, not hot")
-        fed_through = k
-        return sample
-
     def resolve_crossings(crossings, sample, k: int, t: float,
                           kind: PhaseKind) -> None:
         pose = None  # classified once, at the first cell of the tick
@@ -441,7 +408,7 @@ def run_session(config: SessionConfig,
                 continue
             if pose is None:
                 if sample is None:
-                    sample = feed_cold(k, kind)
+                    sample = player.sample(k, kind)
                 pose = classify_weave_pose(sample, config.calibration)
             outcome = resolve_cell_pass(entity, pose)
             if outcome is CellOutcome.AVOIDED:
@@ -469,15 +436,15 @@ def run_session(config: SessionConfig,
     def interact(k: int, t: float, kind: PhaseKind) -> None:
         """Jab detection and resolution on a hot tick, then world advance
         with crossing resolution."""
-        nonlocal fed_through
         sample = None
-        if hot[k]:
-            if k > fed_through + 1:
-                open_run(k)
+        marks = hot[k]
+        if marks:
             sample = player.sample(k, kind)
-            fed_through = k
             jabs = detector.update(sample)
             if jabs:
+                if not marks & HAND_MARKS:
+                    raise RuntimeError(
+                        f"a jab fired on tick {k}, which no hand marks")
                 resolve_jabs(jabs, t)
         crossings = advance(world, dt)
         if crossings:
@@ -486,8 +453,8 @@ def run_session(config: SessionConfig,
     phase = phase_at(0.0)
     log_phase(0.0, phase.kind, phase.index)
     pending = next_spawn(rng, 0.0, spawn_params(phase))
-    # When the next spawn is due, for open_run; nothing spawns in the drain.
-    next_spawn_t = pending.time
+    due = _spawn_tick(pending.time, dt)
+    player.mark_spawn_lead(pending.kind, due, 0)
     boundaries = iter(phase_boundary_ticks(dt))
     next_boundary = next(boundaries)
     kind = phase.kind
@@ -501,9 +468,6 @@ def run_session(config: SessionConfig,
             if (current.kind, current.index) != (phase.kind, phase.index):
                 log_phase(t, current.kind, current.index)
             phase = current
-            # The kinds before and from this tick on, for catch_up.
-            kinds = (kind, phase.kind)
-            phase_start = k
             kind = phase.kind
             presses_a = "A" in player.buttons(kind)
             # None outside the controller's phases.
@@ -512,18 +476,16 @@ def run_session(config: SessionConfig,
         if k % ticks_per_second == 0:
             log_hr(t, kind, k // ticks_per_second)
 
-        if pending.time <= t + 1e-9:
+        if k == due:
             # Only spawns read the difficulty scale; build it for them.
             scale = 1.0
             if control_shift is not None:
                 scale = apply_modulation(controls[k + control_shift])
-            while pending.time <= t + 1e-9:
+            while due <= k:
                 entity = world.spawn(pending.kind, pending.time,
                                      pending.lane_offset, pending.speed)
                 if entity.is_virus:
                     viruses_spawned += 1
-                    # Its jab plan rebuilds a hand's knot chain.
-                    catch_up(k)
                 else:
                     cells_spawned += 1
                 lines.append(_SPAWN_ROW % (pending.time, entity.id,
@@ -532,7 +494,8 @@ def run_session(config: SessionConfig,
                 player.observe_spawn(entity, k, prog.empowered_until)
                 pending = next_spawn(rng, pending.time,
                                      spawn_params(phase, scale))
-            next_spawn_t = pending.time
+                due = _spawn_tick(pending.time, dt)
+                player.mark_spawn_lead(pending.kind, due, k)
 
         interact(k, t, kind)
 
@@ -554,7 +517,6 @@ def run_session(config: SessionConfig,
     # controller are frozen, and no empowerment can start.
     k = gameplay_ticks
     t_final = t_end
-    next_spawn_t = math.inf
     drain_end = gameplay_ticks + drain_cap
     while world.in_flight and k < drain_end:
         k += 1

@@ -1,15 +1,19 @@
 """The gated session loop writes the log the per-tick loop writes.
 
 ``run_session`` samples the player and feeds the jab detector only on
-the ticks the hands' knot chains mark hot, plus the lead ticks before
-them and the ticks a cell crosses on.  ``per_tick_oracle`` keeps the loop
-that does both on every tick.  These tests hold the two to the same log,
-line for line, across the valid config space, and check the player's
-side of the bargain: sampled sparsely, it answers as if sampled densely.
+the ticks the player marks hot: those the hands' knot chains mark, with
+the lead ticks before them, and the lead ticks before each virus's
+spawn.  It samples a tick a cell crosses on for the head pose alone.
+``per_tick_oracle`` keeps the loop that samples and feeds every tick.
+These tests hold the two to the same log, line for line, across the
+valid config space; check the marks and the loop's guards against a
+wrong mark; and check the player's side of the bargain: sampled
+sparsely, it answers as if sampled densely.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -19,28 +23,34 @@ from hypothesis import strategies as st
 
 from per_tick_oracle import run_session_per_tick
 from test_config_properties import session_configs
+from virusboxing import protocol
 from virusboxing.interaction import (
     VELOCITY_WINDOW,
     Calibration,
     Hand,
     JabDetector,
+    JabEvent,
     PoseClass,
     TargetingMode,
     TargetingPolicy,
 )
 from virusboxing.playersim import (
+    HAND_MARKS,
+    SPAWN_LEAD_MARK,
     JabPlan,
     SyntheticPlayer,
     WeavePlan,
     load_profile,
 )
-from virusboxing.protocol import PhaseKind, phase_at
-from virusboxing.session import SessionConfig, run_session
+from virusboxing.protocol import PhaseKind, SpawnParams, phase_at
+from virusboxing.session import SessionConfig, _spawn_tick, run_session
+from virusboxing.world import EntityKind
 
 # Not a seed the golden logs pin (they use 0, 1 and 2).
 SEED = 5
 PROFILES = ("expert", "mid_skill", "novice")
 TARGETING = {"pt": TargetingMode.PRECISE, "rt": TargetingMode.ROUGH}
+RED = EntityKind.RED_VIRUS
 
 
 def _assert_same_log(config: SessionConfig) -> list[str]:
@@ -153,18 +163,23 @@ class TestSampledTicks:
     @pytest.fixture(scope="class")
     def runs(self):
         """Each loop's sampled ticks with their phase kinds, and the ticks
-        on which the per-tick loop's detector fired."""
+        on which the per-tick loop's detector fired; then the gated loop's
+        fed ticks and its player's final hot marks."""
         config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"))
         dt = config.dt
         sample, update = SyntheticPlayer.sample, JabDetector.update
         calls: list[tuple[int, PhaseKind]] = []
         fired: list[int] = []
+        fed: list[int] = []
+        players: list[SyntheticPlayer] = []
 
         def recording_sample(self, tick, phase_kind):
             calls.append((tick, phase_kind))
+            players.append(self)
             return sample(self, tick, phase_kind)
 
         def recording_update(self, pose):
+            fed.append(round(pose.time / dt))
             events = update(self, pose)
             if events:
                 fired.append(round(pose.time / dt))
@@ -177,17 +192,20 @@ class TestSampledTicks:
             oracle_calls, oracle_fired = calls[:], fired[:]
             calls.clear()
             fired.clear()
+            fed.clear()
             gated = run_session(config)
         assert gated.lines == oracle.lines
-        return config, oracle, oracle_calls, oracle_fired, calls, fired
+        marks = bytes(players[-1].hot)
+        return (config, oracle, oracle_calls, oracle_fired, calls, fired,
+                fed, marks)
 
     def test_ticks_are_sampled_once_in_order(self, runs) -> None:
-        _, _, _, _, calls, _ = runs
+        _, _, _, _, calls, _, _, _ = runs
         ticks = [tick for tick, _ in calls]
         assert ticks == sorted(set(ticks))
 
     def test_every_sampled_tick_gets_its_phase_kind(self, runs) -> None:
-        config, _, _, _, calls, _ = runs
+        config, _, _, _, calls, _, _, _ = runs
         gameplay = round(config.duration / config.dt)
         for tick, kind in calls:
             if tick < gameplay:
@@ -196,7 +214,7 @@ class TestSampledTicks:
                 assert kind is PhaseKind.ENDED, tick
 
     def test_fired_and_crossing_ticks_are_sampled(self, runs) -> None:
-        config, oracle, _, oracle_fired, calls, fired = runs
+        config, oracle, _, oracle_fired, calls, fired, _, _ = runs
         sampled = {tick for tick, _ in calls}
         assert oracle_fired and fired == oracle_fired
         assert set(oracle_fired) <= sampled
@@ -206,8 +224,24 @@ class TestSampledTicks:
         assert cell_ticks and cell_ticks <= sampled
 
     def test_fewer_than_half_the_ticks_are_sampled(self, runs) -> None:
-        _, _, oracle_calls, _, calls, _ = runs
+        _, _, oracle_calls, _, calls, _, _, _ = runs
         assert len(calls) < len(oracle_calls) / 2
+
+    def test_ticks_are_fed_once_in_order(self, runs) -> None:
+        _, _, _, _, _, _, fed, _ = runs
+        assert fed and fed == sorted(set(fed))
+
+    def test_only_cold_crossing_ticks_are_sampled_unfed(self, runs) -> None:
+        # A tick is fed when it is marked hot, and a mark on a tick already
+        # run is never cleared; a cell crossing on an unmarked tick is
+        # sampled for its head pose alone.
+        config, oracle, _, _, calls, _, fed, marks = runs
+        rows = [json.loads(line) for line in oracle.lines]
+        cold_cell_ticks = {round(row["t"] / config.dt) for row in rows
+                           if row["type"] == "cross" and "pose" in row
+                           and not marks[round(row["t"] / config.dt)]}
+        assert cold_cell_ticks
+        assert {tick for tick, _ in calls} - set(fed) == cold_cell_ticks
 
 
 def _plans(dt: float) -> list[tuple[int, JabPlan | WeavePlan]]:
@@ -342,10 +376,103 @@ class TestHotMarks:
         assert len(player._left.knots) > 3
         assert not any(player.hot)
 
+    def test_a_spawn_lead_marks_the_ticks_before_its_spawn(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), dt=0.02)
+        spawn, lead = 40, player.lead
+        player.mark_spawn_lead(RED, spawn, 30)
+        marked = [k for k, byte in enumerate(player.hot) if byte]
+        assert marked == list(range(spawn + 1 - lead, spawn))
+        assert all(byte == SPAWN_LEAD_MARK for byte in player.hot if byte)
+
+    def test_a_spawn_lead_of_one_tick_marks_nothing(self) -> None:
+        # At dt 0.1 the window is one tick: a new chain's run needs no
+        # tick before its spawn.
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), dt=0.1)
+        assert player.lead == 1
+        player.mark_spawn_lead(RED, 40, 30)
+        assert not any(player.hot)
+
+    def test_a_spawn_lead_leaves_the_hand_marks(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), dt=0.02)
+        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        before = bytes(player.hot)
+        first = next(k for k, byte in enumerate(before) if byte)
+        spawn = first + 2
+        player.mark_spawn_lead(RED, spawn, 0)
+        after = bytes(player.hot)
+        assert bytes(byte & HAND_MARKS for byte in after) == before
+        lead_ticks = range(spawn + 1 - player.lead, spawn)
+        assert [k for k, byte in enumerate(after)
+                if byte & SPAWN_LEAD_MARK] == list(lead_ticks)
+
+    def test_a_lead_that_is_not_after_the_current_tick_raises(self) -> None:
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0), dt=0.02)
+        start = 40 + 1 - player.lead
+        with pytest.raises(RuntimeError, match="lead"):
+            player.mark_spawn_lead(RED, 40, start)
+        assert not any(player.hot)
+        player.mark_spawn_lead(RED, 40, start - 1)
+        assert player.hot[start]
+
+    @pytest.mark.parametrize("dt", [0.035, 0.07])
+    def test_the_spawn_tick_is_the_per_tick_loops(self, dt) -> None:
+        # The per-tick loop spawns on the first tick k with
+        # time <= k * dt + 1e-9; rounding decides it near tick boundaries.
+        for k in range(2000):
+            for time in (k * dt - 1e-9, k * dt, k * dt + 1e-9):
+                want = next(j for j in itertools.count()
+                            if time <= j * dt + 1e-9)
+                assert _spawn_tick(time, dt) == want, (k, time)
+
     def test_horizon_sizes_the_marks(self) -> None:
         player = SyntheticPlayer(load_profile("expert"), Calibration(),
                                  random.Random(0), horizon=300)
         assert len(player.hot) == 300 and not any(player.hot)
+
+
+class TestGuards:
+    def test_a_jab_on_a_tick_only_a_spawn_lead_marks_raises(self) -> None:
+        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
+                               duration=30.0)
+        mark, update = SyntheticPlayer.mark_spawn_lead, JabDetector.update
+        players: list[SyntheticPlayer] = []
+
+        def recording_mark(self, kind, spawn_tick, now_tick):
+            players.append(self)
+            mark(self, kind, spawn_tick, now_tick)
+
+        def firing_update(self, pose):
+            events = update(self, pose)
+            tick = round(pose.time / config.dt)
+            if players[-1].hot[tick] == SPAWN_LEAD_MARK:
+                events.append(JabEvent(pose.time, Hand.RIGHT, 2.0,
+                                       pose.right_hand, (0.0, 0.0, 1.0)))
+            return events
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SyntheticPlayer, "mark_spawn_lead", recording_mark)
+            patch.setattr(JabDetector, "update", firing_update)
+            with pytest.raises(RuntimeError, match="no hand marks"):
+                run_session(config)
+
+    def test_spawns_closer_than_the_velocity_window_raise(self) -> None:
+        # A virus drawn less than a window before its spawn tick leaves no
+        # time to feed its lead in order.  The per-tick loop needs no lead
+        # and runs on; the gated loop refuses rather than guess.
+        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
+                               pid_enabled=False, duration=10.0)
+        fast = SpawnParams(interval=0.9 * VELOCITY_WINDOW, speed=5.7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "LOW_INTENSITY_SPAWN", fast)
+            patch.setattr(protocol, "SPRINT_SPAWN", fast)
+            assert run_session_per_tick(config).lines
+            with pytest.raises(RuntimeError, match="lead"):
+                run_session(config)
 
 
 class TestStepBound:
