@@ -18,7 +18,7 @@ import sys
 import traceback
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .interaction import TargetingMode, TargetingPolicy, TargetingRange
 from .physiology import DEFAULT_PID_GAINS, HEART_PRESETS, HeartRateParams
@@ -254,15 +254,12 @@ def _summary_dict(result: SessionResult) -> dict:
     return data
 
 
-def _write_trace(result: SessionResult, path: Path) -> None:
+def _write_csv(path: Path, header: Sequence[str],
+               rows: Iterable[Sequence[object]]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for row in result.trace:
-            writer.writerow([
-                f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}",
-                row.phase, row.energy, str(row.empowered).lower(),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _csv_value(value: object) -> object:
@@ -273,41 +270,40 @@ def _csv_value(value: object) -> object:
     return value
 
 
+def _summary_row(summary: dict) -> list[object]:
+    return [_csv_value(summary[f]) for f in SUMMARY_FIELDS]
+
+
 def _write_outputs(results: list[SessionResult], out_dir: Path,
                    fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:
         seed = result.config.seed
         result.write_log(out_dir / f"replay_{seed}.jsonl")
-        _write_trace(result, out_dir / f"trace_{seed}.csv")
+        _write_csv(out_dir / f"trace_{seed}.csv", TRACE_FIELDS, (
+            (f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}", row.phase,
+             row.energy, str(row.empowered).lower())
+            for row in result.trace))
         summary = _summary_dict(result)
         if fmt == "json":
             (out_dir / f"summary_{seed}.json").write_text(
                 json.dumps(summary, indent=2) + "\n", encoding="utf-8"
             )
         else:
-            with (out_dir / f"summary_{seed}.csv").open(
-                "w", newline="", encoding="utf-8"
-            ) as fh:
-                writer = csv.writer(fh)
-                writer.writerow(SUMMARY_FIELDS)
-                writer.writerow([_csv_value(summary[f]) for f in SUMMARY_FIELDS])
+            _write_csv(out_dir / f"summary_{seed}.csv", SUMMARY_FIELDS,
+                       [_summary_row(summary)])
     if len(results) > 1:
         _write_sweep(results, out_dir / "sweep.csv")
 
 
 def _write_sweep(results: list[SessionResult], path: Path) -> None:
     rows = [_summary_dict(r) for r in results]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for row in rows:
-            writer.writerow([_csv_value(row[f]) for f in SUMMARY_FIELDS])
-        means = ["mean"]
-        for field in SUMMARY_FIELDS[1:]:
-            values = [row[field] for row in rows if row[field] is not None]
-            means.append(f"{sum(values) / len(values):.6f}" if values else "")
-        writer.writerow(means)
+    means = ["mean"]
+    for field in SUMMARY_FIELDS[1:]:
+        values = [row[field] for row in rows if row[field] is not None]
+        means.append(f"{sum(values) / len(values):.6f}" if values else "")
+    _write_csv(path, SUMMARY_FIELDS,
+               [_summary_row(row) for row in rows] + [means])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -85,10 +85,9 @@ def hr_step(state: PhysioState, intensity: float, params: HeartRateParams,
     state.hr = min(params.hr_max, max(params.hr_rest, state.hr))
 
 
-def kcal_step(state: PhysioState, dt: float,
-              coefficient: float = KCAL_PER_BPM_SECOND) -> None:
+def kcal_step(state: PhysioState, dt: float) -> None:
     """Accumulate energy expenditure proportional to heart rate."""
-    state.kcal += coefficient * state.hr * dt
+    state.kcal += KCAL_PER_BPM_SECOND * state.hr * dt
 
 
 # Gains tuned against the default regular-exerciser plant so a 150 bpm
@@ -101,24 +100,24 @@ class PidController:
     kp: float
     ki: float = 0.0
     kd: float = 0.0
-    output_limits: tuple[float, float] = (-1.0, 1.0)
     integral: float = 0.0
     prev_error: float = 0.0
 
     def step(self, setpoint: float, measured: float, dt: float) -> float:
-        """One control update; the integral is clamped so the integral term
-        alone can never push the output past its limits (anti-windup)."""
+        """One control update, clamped to [-1, 1], the range
+        ``apply_modulation`` reads.  The integral is clamped so the
+        integral term alone can never push the output past it
+        (anti-windup)."""
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         error = setpoint - measured
         self.integral += error * dt
-        lo, hi = self.output_limits
         if self.ki > 0.0:
-            self.integral = min(hi / self.ki, max(lo / self.ki, self.integral))
+            self.integral = min(1.0 / self.ki, max(-1.0 / self.ki, self.integral))
         derivative = (error - self.prev_error) / dt
         self.prev_error = error
         u = self.kp * error + self.ki * self.integral + self.kd * derivative
-        return min(hi, max(lo, u))
+        return min(1.0, max(-1.0, u))
 
 
 def apply_modulation(u: float) -> float:

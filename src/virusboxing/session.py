@@ -37,10 +37,13 @@ which a cell crosses is sampled for its head pose and not fed.  Every
 other tick still steps the world, spawns, logs its rows and checks the
 empowerment.
 
-After the protocol ends the loop keeps resolving whatever is still in
-flight (no spawns, no physiology, no activations) so that every spawned
-entity reaches a terminal state and the conservation checks in the
-summary hold exactly.
+One loop runs the whole session.  The end of the protocol, tick G, is
+its last phase boundary: it logs the closing phase and ``hr`` rows and
+turns off spawning, the 1 Hz rows and activation.  The ticks after it
+drain the world through the same tick body until nothing is in flight,
+so every spawned entity reaches a terminal state and the summary's
+conservation checks hold.  Log v1 skips tick G: the drain's first step
+is labelled ``(G + 1) * dt``.
 """
 from __future__ import annotations
 
@@ -394,9 +397,6 @@ def run_session(config: SessionConfig,
         lines.append(_HR_ROW % (t, hr_now, kcal_now, row.phase, row.energy,
                                 "true" if row.empowered else "false"))
 
-    def log_phase(t: float, kind: PhaseKind, index: int) -> None:
-        lines.append(_PHASE_ROW % (t, kind.value, index))
-
     def resolve_crossings(crossings, sample, k: int, t: float,
                           kind: PhaseKind) -> None:
         pose = None  # classified once, at the first cell of the tick
@@ -433,48 +433,49 @@ def run_session(config: SessionConfig,
             lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
                                      target_id, jab.hand_speed))
 
-    def interact(k: int, t: float, kind: PhaseKind) -> None:
-        """Jab detection and resolution on a hot tick, then world advance
-        with crossing resolution."""
-        sample = None
-        marks = hot[k]
-        if marks:
-            sample = player.sample(k, kind)
-            jabs = detector.update(sample)
-            if jabs:
-                if not marks & HAND_MARKS:
-                    raise RuntimeError(
-                        f"a jab fired on tick {k}, which no hand marks")
-                resolve_jabs(jabs, t)
-        crossings = advance(world, dt)
-        if crossings:
-            resolve_crossings(crossings, sample, k, t, kind)
-
     phase = phase_at(0.0)
-    log_phase(0.0, phase.kind, phase.index)
+    lines.append(_PHASE_ROW % (0.0, phase.kind.value, phase.index))
     pending = next_spawn(rng, 0.0, spawn_params(phase))
     due = _spawn_tick(pending.time, dt)
     player.mark_spawn_lead(pending.kind, due, 0)
-    boundaries = iter(phase_boundary_ticks(dt))
+    # The end of the protocol, tick G = gameplay_ticks, is the last
+    # boundary; the ticks after it drain the world.
+    boundaries = iter([b for b in phase_boundary_ticks(dt)
+                       if b < gameplay_ticks] + [gameplay_ticks])
     next_boundary = next(boundaries)
-    kind = phase.kind
+    next_hr = 0
 
-    for k in range(gameplay_ticks):
+    for k in range(gameplay_ticks + drain_cap + 1):
+        if k > gameplay_ticks and not world.in_flight:
+            break
         t = k * dt
         if k == next_boundary:
             # The phase can change only on these ticks, and everything
             # below that depends on the phase alone is fixed until the next.
             current = phase_at(t)
+            if k == gameplay_ticks:
+                # The end of the protocol: the closing rows, then the drain,
+                # in which nothing spawns, no 1 Hz row is due and no
+                # empowerment starts.
+                lines.append(_PHASE_ROW % (t, current.kind.value,
+                                           current.index))
+                log_hr(t, current.kind, -1)
+                kind = PhaseKind.ENDED
+                due = next_hr = -1
+                presses_a = False
+                continue  # v1 skips tick G: the drain starts at (G + 1) * dt
             if (current.kind, current.index) != (phase.kind, phase.index):
-                log_phase(t, current.kind, current.index)
+                lines.append(_PHASE_ROW % (t, current.kind.value,
+                                           current.index))
             phase = current
             kind = phase.kind
             presses_a = "A" in player.buttons(kind)
             # None outside the controller's phases.
             control_shift = control_shifts.get(k)
-            next_boundary = next(boundaries, -1)
-        if k % ticks_per_second == 0:
+            next_boundary = next(boundaries)
+        if k == next_hr:
             log_hr(t, kind, k // ticks_per_second)
+            next_hr += ticks_per_second
 
         if k == due:
             # Only spawns read the difficulty scale; build it for them.
@@ -497,7 +498,21 @@ def run_session(config: SessionConfig,
                 due = _spawn_tick(pending.time, dt)
                 player.mark_spawn_lead(pending.kind, due, k)
 
-        interact(k, t, kind)
+        # Jab detection and resolution on a hot tick, then world advance
+        # with crossing resolution.
+        sample = None
+        marks = hot[k]
+        if marks:
+            sample = player.sample(k, kind)
+            jabs = detector.update(sample)
+            if jabs:
+                if not marks & HAND_MARKS:
+                    raise RuntimeError(
+                        f"a jab fired on tick {k}, which no hand marks")
+                resolve_jabs(jabs, t)
+        crossings = advance(world, dt)
+        if crossings:
+            resolve_crossings(crossings, sample, k, t, kind)
 
         # Each call only when it could act: with its guard false, the
         # callee would change nothing and report no event.
@@ -507,24 +522,6 @@ def run_session(config: SessionConfig,
                 and activate_empowerment(prog, t, presses_a) is None):
             lines.append(_EMPOWER_START_ROW % (t, prog.empowered_until))
 
-    t_end = gameplay_ticks * dt
-    phase = phase_at(t_end)
-    log_phase(t_end, phase.kind, phase.index)
-    log_hr(t_end, phase.kind, -1)
-
-    # Flush the remaining traffic so every entity reaches a terminal
-    # state.  The protocol is over: nothing spawns, physiology and the
-    # controller are frozen, and no empowerment can start.
-    k = gameplay_ticks
-    t_final = t_end
-    drain_end = gameplay_ticks + drain_cap
-    while world.in_flight and k < drain_end:
-        k += 1
-        t_final = k * dt
-        interact(k, t_final, PhaseKind.ENDED)
-        if (prog.empowered_until is not None
-                and tick_empowerment(prog, t_final)):
-            lines.append(_EMPOWER_END_ROW % t_final)
     if world.in_flight:
         raise RuntimeError(
             f"{len(world.in_flight)} entities still in flight after drain"
@@ -538,8 +535,9 @@ def run_session(config: SessionConfig,
         max_hr=max(hr_values),
         kcal=trace[-1].kcal,
     )
+    # t is the last tick run, or G * dt when nothing was left in flight.
     lines.append(_END_ROW % (
-        t_final, viruses_spawned, cells_spawned, metrics.viruses_destroyed,
+        t, viruses_spawned, cells_spawned, metrics.viruses_destroyed,
         metrics.viruses_missed, metrics.cells_avoided, metrics.cells_collided,
         metrics.wrong_hand_jabs, metrics.activations,
     ))

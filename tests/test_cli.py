@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,28 @@ class TestRun:
             pytest.approx(sum(per_seed) / 3, abs=5e-7)
         for seed in (0, 1, 2):
             assert (tmp_path / f"replay_{seed}.jsonl").is_file()
+
+    def test_csv_files_keep_their_bytes(self, tmp_path, capsys) -> None:
+        # Header, "\r\n" line ends, six-decimal floats, empty cells for
+        # None and the mean row, all pinned by digest.
+        pinned = {
+            "trace_0.csv": "852a2905445389d953b51d992c1d921d"
+                           "3be2241aeb3edcfb37cf2382b7211c8a",
+            "trace_1.csv": "5d5ec37277a3a5fd374769a717d80a30"
+                           "52450e6e7407262d27110b147468c8e0",
+            "summary_0.csv": "1c2c70d77347268abf5ee5dd8bf5674c"
+                             "5352fe0734c811f73ed90238b02aeb0a",
+            "summary_1.csv": "d7410d1cc98b6636152e0e21289328eb"
+                             "8d0969987216712ac0e61487802910fb",
+            "sweep.csv": "060bab8d98a6a405eea3541c183fa1e7"
+                         "48fc46a36c28c891e639e3b4779af023",
+        }
+        assert main(["run", "--seeds", "0..1", "--pid", "off", "--out",
+                     str(tmp_path), "--format", "csv"]) == 0
+        capsys.readouterr()
+        for name, digest in pinned.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_config_file_with_flag_override(self, tmp_path, capsys) -> None:
         cfg = tmp_path / "cfg.json"

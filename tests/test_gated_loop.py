@@ -93,13 +93,22 @@ def test_full_session_equals_the_per_tick_log(profile, targeting) -> None:
     assert sum('"type":"jab"' in line for line in lines) > 100
 
 
-@pytest.mark.parametrize("dt", [0.035, 0.07, 0.1])
+# At coarse steps the velocity window is one to three ticks, so a lead
+# that starts a tick late shows at once.  At the finer steps, sessions that
+# end on a phase boundary (30 s, 120 s) or mid-phase (75.5 s): the drain
+# takes over right after the last gameplay tick.
+STEP_CASES = [(0.035, 126.0), (0.07, 126.0), (0.1, 126.0)] + [
+    (dt, duration) for duration in (30.0, 120.0, 75.5) for dt in (0.02, 0.025)]
+
+
+@pytest.mark.parametrize("dt, duration", STEP_CASES, ids=[
+    f"{dt}" if duration == 126.0 else f"{dt}-{duration}s"
+    for dt, duration in STEP_CASES])
 @pytest.mark.parametrize("profile", PROFILES)
-def test_coarse_steps_equal_the_per_tick_log(profile, dt) -> None:
-    # At coarse steps the velocity window is one to three ticks, so a
-    # lead that starts a tick late shows at once.
+def test_coarse_steps_equal_the_per_tick_log(profile, dt, duration) -> None:
     _assert_same_log(SessionConfig(seed=SEED, profile=load_profile(profile),
-                                   pid_enabled=False, dt=dt, duration=126.0))
+                                   pid_enabled=False, dt=dt,
+                                   duration=duration))
 
 
 @pytest.mark.parametrize("dt", [0.02, 0.035])

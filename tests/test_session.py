@@ -359,6 +359,28 @@ class TestDrain:
         assert m.viruses_destroyed + m.viruses_missed == m.viruses_spawned
         assert m.cells_avoided + m.cells_collided == m.cells_spawned
 
+    def test_an_exhausted_cap_raises(self, monkeypatch) -> None:
+        # With no drain ticks, the entities in flight at the end of the
+        # protocol never reach a terminal state.
+        monkeypatch.setattr(session, "_drain_tick_cap", lambda dt: 0)
+        config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                               pid_enabled=False, duration=30.0)
+        with pytest.raises(RuntimeError, match="still in flight after drain"):
+            run_session(config)
+
+    def test_the_cap_counts_every_drain_tick(self, monkeypatch) -> None:
+        config = SessionConfig(seed=0, profile=load_profile("mid_skill"),
+                               pid_enabled=False, duration=30.0)
+        lines = run_session(config).lines
+        end = json.loads(lines[-1])["t"]
+        needed = round(end / config.dt) - round(config.duration / config.dt)
+        assert needed > 0
+        monkeypatch.setattr(session, "_drain_tick_cap", lambda dt: needed)
+        assert run_session(config).lines == lines
+        monkeypatch.setattr(session, "_drain_tick_cap", lambda dt: needed - 1)
+        with pytest.raises(RuntimeError, match="still in flight after drain"):
+            run_session(config)
+
 
 class TestFineSteps:
     """A strike's scripted length is capped in seconds, so it fits the
