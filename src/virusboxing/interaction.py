@@ -203,8 +203,8 @@ class JabDetector:
     hand can reach the threshold, provided it feeds every tick from
     ``k - W`` on before any tick ``k`` that can fire: the detector then
     fires exactly as it would when fed every tick.  Extra ticks fed
-    before such a run change nothing, as long as they come in order and
-    no hand reaches the threshold on them.
+    anywhere change nothing, as long as they come in order and no hand
+    reaches the threshold on them.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,

@@ -79,12 +79,21 @@ _MAX_STRIKE_SECONDS = 0.5
 # repositioning and retracting stay well below it.
 _HOT_SPEED = JAB_SPEED_THRESHOLD - 0.05
 
-# The bits of SyntheticPlayer.hot: one per hand's knot chain, and one for
-# the lead before a virus spawn.
-_LEFT_MARK = 1
-_RIGHT_MARK = 2
-HAND_MARKS = _LEFT_MARK | _RIGHT_MARK
-SPAWN_LEAD_MARK = 4
+# The marks of SyntheticPlayer.hot: one for the hands' knot chains, and
+# one for the lead before a virus spawn.
+HAND_MARKS = 1
+SPAWN_LEAD_MARK = 2
+# For each mark, the table that adds it to a byte through bytes.translate.
+_WITH_MARK = {mark: bytes(byte | mark for byte in range(256))
+              for mark in (HAND_MARKS, SPAWN_LEAD_MARK)}
+
+
+def _mark(hot: bytearray, start: int, stop: int, mark: int) -> None:
+    """Add ``mark`` to the ticks ``start`` to ``stop - 1`` of ``hot``,
+    growing ``hot`` to ``stop`` ticks first if it is shorter."""
+    if stop > len(hot):
+        hot.extend(bytes(stop - len(hot)))
+    hot[start:stop] = hot[start:stop].translate(_WITH_MARK[mark])
 
 
 class EmpowerPolicy(Enum):
@@ -284,23 +293,16 @@ class _HandTrack:
     rebuilt on every insertion; a new plan whose choreography cannot
     coexist with a pending one preempts it (highest seq wins).
 
-    Each rebuild also marks, in the shared ``hot`` array under this
-    hand's ``bit``, the ticks whose jab detection this chain can change:
-    every tick whose velocity window overlaps a segment at ``_HOT_SPEED``
-    or faster, plus ``lead`` ticks before each such run (see
-    :class:`SyntheticPlayer`).
+    Each rebuild also marks, in the shared ``hot`` array under
+    ``HAND_MARKS``, the ticks whose jab detection the new chain can
+    change (see :meth:`_mark_hot` and :class:`SyntheticPlayer`).
     """
 
-    def __init__(self, guard: Vec3, dt: float, hot: bytearray,
-                 bit: int) -> None:
+    def __init__(self, guard: Vec3, dt: float, hot: bytearray) -> None:
         self.guard = guard
         self.dt = dt
         self.lead = math.ceil(VELOCITY_WINDOW / dt)
         self.hot = hot
-        self._set_bit = bytes(b | bit for b in range(256))
-        self._clear_bit = bytes(b & ~bit for b in range(256))
-        # One past the last tick this hand has marked.
-        self._marked_to = 0
         self.knots: list[tuple[float, Vec3]] = [(0.0, guard)]
         self.plans: list[JabPlan] = []
         self._ptr = 0
@@ -423,22 +425,20 @@ class _HandTrack:
         self.knots = knots
         self._ptr = 0
         self._rest_t, self._rest_pos = knots[-1]
-        self._mark_hot(now_tick)
+        self._mark_hot()
 
-    def _mark_hot(self, now_tick: int) -> None:
-        """Move this hand's hot marks from the old chain to the new one.
+    def _mark_hot(self) -> None:
+        """Mark every tick whose velocity window overlaps a segment of the
+        chain at ``_HOT_SPEED`` or faster, plus ``lead`` ticks before each
+        such run.
 
-        The new chain runs from ``now_tick``, but a tick's velocity window
-        looks back ``lead`` ticks, so the old chain's marks stay up to
-        ``now_tick + lead + 1``.  Marks that fall before ``now_tick`` are
-        in the past: the spawn's lead marked those ticks, and they have
-        been fed already (``SyntheticPlayer.mark_spawn_lead``).
+        Marks are only ever added, so those of a chain a rebuild replaced
+        stay.  A tick whose window reaches back before the rebuild may
+        need them.  On a later tick that only they cover, every segment
+        in the window is slower than ``_HOT_SPEED``, so no hand reaches
+        the jab threshold there and feeding the tick changes nothing.
         """
         hot, dt, lead = self.hot, self.dt, self.lead
-        keep = now_tick + lead + 2
-        if keep < self._marked_to:
-            hot[keep:self._marked_to] = (
-                hot[keep:self._marked_to].translate(self._clear_bit))
         knots = self.knots
         for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
             if p1 is p0:
@@ -461,12 +461,7 @@ class _HandTrack:
                 last += 1
             while last >= 0 and last * dt >= t1:
                 last -= 1
-            start = max(0, first - lead)
-            stop = last + lead + 1
-            if stop > len(hot):
-                hot.extend(bytes(stop - len(hot)))
-            hot[start:stop] = hot[start:stop].translate(self._set_bit)
-            self._marked_to = stop
+            _mark(hot, max(0, first - lead), last + lead + 1, HAND_MARKS)
 
 
 @dataclass(slots=True)
@@ -492,11 +487,12 @@ class SyntheticPlayer:
 
     ``hot`` marks the ticks on which a jab can fire, and the ticks a jab
     detector must see beforehand to fire exactly as it would when fed
-    every tick: one byte per tick, one bit per source of marks.  Each
-    hand's knot chain marks the ticks its jabs can fire on and the
-    ``lead`` ticks before each run of them (``_HandTrack._mark_hot``), and
-    a virus's plan moves its hand's marks from its spawn tick on.  As the
-    new chain's first run may need lead ticks from before the spawn tick,
+    every tick: one byte per tick, one bit per kind of mark.  Each knot
+    chain of either hand marks, under ``HAND_MARKS``, the ticks its jabs
+    can fire on and the ``lead`` ticks before each run of them
+    (``_HandTrack._mark_hot``); a virus's plan rebuilds its hand's chain
+    from its spawn tick on, and marks are only ever added.  As the new
+    chain's first run may need lead ticks from before the spawn tick,
     ``mark_spawn_lead`` marks those under ``SPAWN_LEAD_MARK`` when the
     virus is drawn, while they are still to come.  ``lead`` is the
     velocity window in ticks.  ``horizon`` sizes ``hot`` up front; it
@@ -518,8 +514,8 @@ class SyntheticPlayer:
         self.policy = policy
         self._seq = 0
         self.hot = bytearray(horizon)
-        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, _LEFT_MARK)
-        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, _RIGHT_MARK)
+        self._left = _HandTrack(GUARD_LEFT, dt, self.hot)
+        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot)
         self.lead = self._left.lead
         self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
         height = calibration.standing_head_height
@@ -568,11 +564,7 @@ class SyntheticPlayer:
         if start <= now_tick:
             raise RuntimeError(f"the lead of the spawn on tick {spawn_tick} "
                                f"starts on tick {start}, by tick {now_tick}")
-        hot = self.hot
-        if spawn_tick > len(hot):
-            hot.extend(bytes(spawn_tick - len(hot)))
-        for k in range(start, spawn_tick):
-            hot[k] |= SPAWN_LEAD_MARK
+        _mark(self.hot, start, spawn_tick, SPAWN_LEAD_MARK)
 
     def observe_spawn(self, entity: Entity, now_tick: int,
                       empowered_until: float | None) -> None:

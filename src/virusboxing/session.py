@@ -32,10 +32,13 @@ loop samples the player and feeds the jab detector on one rule: on the
 ticks the player marks hot (``SyntheticPlayer.hot``), in order, which
 fires exactly as feeding every tick would.  A virus's spawn lead is
 marked when the virus is drawn, on the previous spawn's tick: the
-shortest spawn interval, 0.25 s, outlasts the 0.1 s window.  A tick on
-which a cell crosses is sampled for its head pose and not fed.  Every
-other tick still steps the world, spawns, logs its rows and checks the
-empowerment.
+shortest spawn interval, 0.25 s, outlasts the 0.1 s window.  Marks are
+only ever added: when a plan replaces another, the old chain's marks
+stay.  Ticks whose window still reaches into the old chain need them;
+on the others no hand can reach the threshold, so feeding them changes
+nothing.  A tick on which a cell crosses is sampled for its head pose
+and not fed.  Every other tick still steps the world, spawns, logs its
+rows and checks the empowerment.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
 its last phase boundary: it logs the closing phase and ``hr`` rows and
@@ -51,6 +54,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -252,6 +256,12 @@ class SessionConfig:
                 f"duration {self.duration} is not a whole number of "
                 f"{self.dt} s steps"
             )
+        if round(ticks) < 1:
+            # A session with no gameplay tick logs its opening and closing
+            # rows at t 0 and spawns nothing.
+            raise ValueError(
+                f"duration {self.duration} is shorter than one {self.dt} s step"
+            )
         heart = self.heart
         for label, value in (("hr_rest", heart.hr_rest), ("hr_max", heart.hr_max),
                              ("tau_rise", heart.tau_rise),
@@ -397,42 +407,6 @@ def run_session(config: SessionConfig,
         lines.append(_HR_ROW % (t, hr_now, kcal_now, row.phase, row.energy,
                                 "true" if row.empowered else "false"))
 
-    def resolve_crossings(crossings, sample, k: int, t: float,
-                          kind: PhaseKind) -> None:
-        pose = None  # classified once, at the first cell of the tick
-        for entity in crossings:
-            if entity.is_virus:
-                world.retire(entity, EntityStatus.MISSED)
-                on_virus_missed(prog)
-                lines.append(_MISSED_ROW % (t, entity.id))
-                continue
-            if pose is None:
-                if sample is None:
-                    sample = player.sample(k, kind)
-                pose = classify_weave_pose(sample, config.calibration)
-            outcome = resolve_cell_pass(entity, pose)
-            if outcome is CellOutcome.AVOIDED:
-                world.retire(entity, EntityStatus.PASSED)
-                on_cell_avoided(prog)
-            else:
-                world.retire(entity, EntityStatus.COLLIDED)
-                on_cell_collided(prog)
-            lines.append(_CELL_ROW % (t, entity.id, outcome.value, pose.value))
-
-    def resolve_jabs(jabs, t: float) -> None:
-        for jab in jabs:
-            empowered = is_empowered(prog, t)
-            result = resolve_jab(jab, world, config.targeting, empowered)
-            target_id = "null"
-            if result.kind is HitKind.DESTROYED:
-                target_id = result.target.id
-                world.retire(result.target, EntityStatus.DESTROYED)
-                on_virus_destroyed(prog, t)
-            elif result.kind is HitKind.WRONG_HAND:
-                on_wrong_hand(prog)
-            lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
-                                     target_id, jab.hand_speed))
-
     phase = phase_at(0.0)
     lines.append(_PHASE_ROW % (0.0, phase.kind.value, phase.index))
     pending = next_spawn(rng, 0.0, spawn_params(phase))
@@ -505,14 +479,40 @@ def run_session(config: SessionConfig,
         if marks:
             sample = player.sample(k, kind)
             jabs = detector.update(sample)
-            if jabs:
-                if not marks & HAND_MARKS:
-                    raise RuntimeError(
-                        f"a jab fired on tick {k}, which no hand marks")
-                resolve_jabs(jabs, t)
-        crossings = advance(world, dt)
-        if crossings:
-            resolve_crossings(crossings, sample, k, t, kind)
+            if jabs and not marks & HAND_MARKS:
+                raise RuntimeError(
+                    f"a jab fired on tick {k}, which no hand marks")
+            for jab in jabs:
+                result = resolve_jab(jab, world, config.targeting,
+                                     is_empowered(prog, t))
+                target_id = "null"
+                if result.kind is HitKind.DESTROYED:
+                    target_id = result.target.id
+                    world.retire(result.target, EntityStatus.DESTROYED)
+                    on_virus_destroyed(prog, t)
+                elif result.kind is HitKind.WRONG_HAND:
+                    on_wrong_hand(prog)
+                lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
+                                         target_id, jab.hand_speed))
+        pose = None  # classified once, at the first cell of the tick
+        for entity in advance(world, dt):
+            if entity.is_virus:
+                world.retire(entity, EntityStatus.MISSED)
+                on_virus_missed(prog)
+                lines.append(_MISSED_ROW % (t, entity.id))
+                continue
+            if pose is None:
+                if sample is None:
+                    sample = player.sample(k, kind)
+                pose = classify_weave_pose(sample, config.calibration)
+            outcome = resolve_cell_pass(entity, pose)
+            if outcome is CellOutcome.AVOIDED:
+                world.retire(entity, EntityStatus.PASSED)
+                on_cell_avoided(prog)
+            else:
+                world.retire(entity, EntityStatus.COLLIDED)
+                on_cell_collided(prog)
+            lines.append(_CELL_ROW % (t, entity.id, outcome.value, pose.value))
 
         # Each call only when it could act: with its guard false, the
         # callee would change nothing and report no event.
@@ -559,9 +559,9 @@ def run_many(configs: Sequence[SessionConfig],
     """Run a batch of sessions, across up to ``jobs`` processes.
 
     The pool starts all its workers at once, so it gets no more than
-    there are sessions.
+    there are sessions or cores.  Results do not depend on the count.
     """
-    workers = min(jobs, len(configs))
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
     if workers <= 1:
         return [run_session(config) for config in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,12 +1,13 @@
 """The gated session loop writes the log the per-tick loop writes.
 
 ``run_session`` samples the player and feeds the jab detector only on
-the ticks the player marks hot: those the hands' knot chains mark, with
-the lead ticks before them, and the lead ticks before each virus's
-spawn.  It samples a tick a cell crosses on for the head pose alone.
-``per_tick_oracle`` keeps the loop that samples and feeds every tick.
-These tests hold the two to the same log, line for line, across the
-valid config space; check the marks and the loop's guards against a
+the ticks the player marks hot: those any of the hands' knot chains has
+marked, with the lead ticks before them, and the lead ticks before each
+virus's spawn.  Marks are only ever added, so a chain a rebuild replaced
+keeps its marks.  It samples a tick a cell crosses on for the head pose
+alone.  ``per_tick_oracle`` keeps the loop that samples and feeds every
+tick.  These tests hold the two to the same log, line for line, across
+the valid config space; check the marks and the loop's guards against a
 wrong mark; and check the player's side of the bargain: sampled
 sparsely, it answers as if sampled densely.
 """
@@ -356,24 +357,45 @@ class TestHotMarks:
         last = max(k for k in range(100) if (k - lead) * dt < t1)
         marked = [k for k, byte in enumerate(player.hot) if byte]
         assert marked == list(range(first - lead, last + 1))
-        assert all(byte == 2 for byte in player.hot if byte)
+        assert all(byte == HAND_MARKS for byte in player.hot if byte)
 
-    def test_a_rebuild_drops_the_old_chains_marks_past_its_window(
-            self) -> None:
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0))
+    def test_a_rebuild_keeps_the_old_chains_marks(self) -> None:
+        def player() -> SyntheticPlayer:
+            return SyntheticPlayer(load_profile("expert"), Calibration(),
+                                   random.Random(0), horizon=200)
+
         aim = (0.1, 1.4, 0.45)
-        player.inject(JabPlan(0, Hand.RIGHT, 100, 2.5, aim, False, 0), 0)
-        before = bytes(player.hot)
+        fast = JabPlan(0, Hand.RIGHT, 100, 2.5, aim, False, 0)
         # A slow strike one tick later preempts the marked one while its
-        # hand holds: ticks up to now + lead + 1 still look back into the
-        # old chain, and the new one marks nothing.
-        now = 96
-        player.inject(JabPlan(1, Hand.RIGHT, 101, 0.9, aim, False, 1), now)
-        keep = now + player.lead + 2
+        # hand holds, and the new chain marks nothing: the old chain's
+        # marks stay, past the ticks whose window looks back into it too.
+        now, slow = 96, JabPlan(1, Hand.RIGHT, 101, 0.9, aim, False, 1)
+        marked = player()
+        marked.inject(fast, 0)
+        before = bytes(marked.hot)
+        marked.inject(slow, now)
+        keep = now + marked.lead + 2
         assert any(before[now:keep]) and any(before[keep:])
-        assert bytes(player.hot[:keep]) == before[:keep]
-        assert not any(player.hot[keep:])
+        assert bytes(marked.hot) == before
+
+        # Fed on those ticks, a detector fires as one fed every tick: the
+        # same jabs, up to a later fast strike on the same hand.
+        later = JabPlan(2, Hand.RIGHT, 140, 3.0, (0.2, 1.3, 0.6), False, 2)
+        streams = []
+        for marked_only in (False, True):
+            source, detector, events = player(), JabDetector(), []
+            for k in range(200):
+                if k == 0:
+                    source.inject(fast, k)
+                if k == now:
+                    source.inject(slow, k)
+                    source.inject(later, k)
+                if marked_only and not source.hot[k]:
+                    continue
+                events += detector.update(source.sample(k, PhaseKind.LOW))
+            streams.append(events)
+        dense, sparse = streams
+        assert dense and sparse == dense
 
     def test_slow_motion_marks_nothing(self) -> None:
         # A strike below the hot speed: reposition, hold, strike and

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -65,10 +66,14 @@ class TestDeterminism:
 
 
 class TestRunManyWorkers:
+    CORES = 4
+
     @pytest.fixture
     def requested(self, monkeypatch) -> list[int]:
         """Worker counts asked of the pool, which maps in this process
-        instead, so no worker is ever started."""
+        instead, so no worker is ever started, on a host of ``CORES``
+        cores."""
+        monkeypatch.setattr(os, "cpu_count", lambda: self.CORES)
         requested: list[int] = []
 
         class RecordingPool:
@@ -95,6 +100,7 @@ class TestRunManyWorkers:
 
     @pytest.mark.parametrize("jobs, sessions, workers", [
         (500, 2, 2), (4, 3, 3), (2, 5, 2), (3, 3, 3),
+        (10000, 6, CORES),  # nor the cores
     ])
     def test_pool_never_outnumbers_the_sessions(self, requested, jobs,
                                                 sessions, workers) -> None:
@@ -255,6 +261,11 @@ class TestValidation:
     def test_duration_off_grid(self, base_config) -> None:
         with pytest.raises(ValueError):
             dataclasses.replace(base_config, duration=420.01).validate()
+
+    def test_duration_of_no_whole_step(self, base_config) -> None:
+        # On the step grid within its 1e-9 tolerance, but zero ticks long.
+        with pytest.raises(ValueError, match="shorter than one"):
+            dataclasses.replace(base_config, duration=1e-12).validate()
 
     def test_bad_setpoint(self, base_config) -> None:
         with pytest.raises(ValueError):
