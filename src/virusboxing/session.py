@@ -1,19 +1,28 @@
 """Deterministic session loop, replay logs, and batch execution.
 
 One session is 420 s at 50 Hz.  Every tick runs the same stage order:
-phase lookup, spawning, player sampling, jab resolution, world advance
-with crossing resolution, then empowerment bookkeeping.  All randomness
-flows through one seeded generator shared by the spawner and the
-synthetic player, so a seed plus a config fully determines the log, byte
-for byte.
+phase lookup, spawning, player sampling, jab resolution, crossing
+resolution, then empowerment bookkeeping.  All randomness flows through
+one seeded generator shared by the spawner and the synthetic player, so
+a seed plus a config fully determines the log, byte for byte.
 
 Heart rate, kcal and the controller output read nothing from gameplay:
 they follow from the effort, the heart, the PID settings, dt and the
 duration alone.  ``_control_schedule`` integrates them once per such
 config and keeps the result in a small cache, so the seeds of a sweep
-share one integration.  The tick loop reads the controller output from
-the schedule on ticks that spawn, to build the difficulty scale, and
-the rounded heart rate and kcal on ticks that log an ``hr`` row.
+share one integration.  The tick loop reads the rounded heart rate and
+kcal from the schedule on ticks that log an ``hr`` row.
+
+The spawn cadence depends on nothing the seed draws either: each
+spawn's interval and speed follow from the phase and the controller
+output on the tick the previous one lands.  ``_spawn_timeline`` works
+out, once per config and in the same floats, every spawn's parameters
+and tick, and the tick each flight crosses the player plane on, by
+replaying its own ``position -= speed * dt`` steps.  The loop still
+draws each spawn's kind and lane from the seed, but never steps the
+world: it resolves the crossings the timeline puts on each tick, and
+steps the in-flight positions through the same sequence only on a
+tick a jab reads them.
 
 The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
 the loop looks the phase up on those ticks alone and keeps the sprint
@@ -21,11 +30,12 @@ flag until the next one.
 
 Most ticks are quiet: no spawn, no jab, no crossing and no empowerment
 change.  So the loop makes a progression call only when it could act:
-the expiry check while an empowerment runs, the activation attempt once
-the energy bar is full.  The buttons held are fixed per phase kind by
-the profile, so the loop reads them from the player once per phase and
-makes no activation attempt in a phase that holds no button.  Each log
-row is written from one fixed ``%``-format template per kind of row.
+the expiry check on the one tick an empowerment ends, worked out when it
+starts, and the activation attempt once the energy bar is full.  The
+buttons held are fixed per phase kind by the profile, so the loop reads
+them from the player once per phase and makes no activation attempt in
+a phase that holds no button.  Each log row is written from one fixed
+``%``-format template per kind of row.
 
 A jab fires only when a hand's windowed speed reaches 1 m/s.  So the
 loop samples the player and feeds the jab detector on one rule: on the
@@ -37,8 +47,7 @@ only ever added: when a plan replaces another, the old chain's marks
 stay.  Ticks whose window still reaches into the old chain need them;
 on the others no hand can reach the threshold, so feeding them changes
 nothing.  A tick on which a cell crosses is sampled for its head pose
-and not fed.  Every other tick still steps the world, spawns, logs its
-rows and checks the empowerment.
+and not fed.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
 its last phase boundary: it logs the closing phase and ``hr`` rows and
@@ -46,7 +55,8 @@ turns off spawning, the 1 Hz rows and activation.  The ticks after it
 drain the world through the same tick body until nothing is in flight,
 so every spawned entity reaches a terminal state and the summary's
 conservation checks hold.  Log v1 skips tick G: the drain's first step
-is labelled ``(G + 1) * dt``.
+is labelled ``(G + 1) * dt``, so a flight or an empowerment due to end
+on tick G ends on G + 1.
 """
 from __future__ import annotations
 
@@ -62,6 +72,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import protocol
 from .interaction import (
     Calibration,
     CellOutcome,
@@ -104,11 +115,15 @@ from .protocol import (
     MODULATION_MIN,
     PhaseKind,
     SESSION_DURATION,
+    SpawnParams,
     next_spawn,
     phase_at,
     phase_boundary_ticks,
     spawn_params,
 )
+# ``_spawn_timeline`` replays each flight, so nothing here calls
+# ``advance``; it stays bound because the benchmark's tracer wraps every
+# stage function in this namespace, ``world.advance`` included.
 from .world import CREATOR_DISTANCE, EntityStatus, WorldState, advance
 
 __all__ = [
@@ -221,6 +236,138 @@ def _control_schedule(effort: float, heart: HeartRateParams,
     return controls, shifts, hr, kcal
 
 
+def _stepped(position: float, speed: float, dt: float, steps: int) -> float:
+    """``position`` after ``steps`` world steps: ``advance``'s own
+    ``position -= speed * dt``, in the same floats."""
+    step = speed * dt
+    for _ in range(steps):
+        position -= step
+    return position
+
+
+def _crossing_tick(position: float, speed: float, dt: float, spawn_tick: int,
+                   gameplay_ticks: int) -> int:
+    """The tick on which an entity spawned on ``spawn_tick`` at
+    ``position`` crosses the player plane: the tick of the first world
+    step that leaves its stepped position at or below 0.
+
+    World step ``n`` (from 0) runs on tick ``n`` up to the end of the
+    protocol and on tick ``n + 1`` after it, since v1 skips tick G.
+    """
+    step = speed * dt
+    # Well short of the plane: the rounding of a whole flight's steps is
+    # far below one step, so no step skipped here can reach it.
+    steps = max(0, math.floor(position / step) - 2)
+    position = _stepped(position, speed, dt, steps)
+    while True:
+        position -= step
+        steps += 1
+        if position <= 0.0:
+            break
+    last = spawn_tick + steps - 1
+    return last + 1 if last >= gameplay_ticks else last
+
+
+def _expiry_tick(until: float, dt: float, gameplay_ticks: int) -> int:
+    """The tick whose ``tick_empowerment`` ends a window open until
+    ``until``: the first ``k`` with ``k * dt >= until``, or G + 1 if that
+    is G, which v1 skips."""
+    k = math.ceil(until / dt)
+    while k > 0 and (k - 1) * dt >= until:
+        k -= 1
+    while k * dt < until:
+        k += 1
+    return k + 1 if k == gameplay_ticks else k
+
+
+def _schedule_key(config: SessionConfig) -> tuple:
+    """The arguments ``_control_schedule`` takes for ``config``: what
+    shapes its controller and physiology, and so its spawn timeline."""
+    return (config.profile.effort, config.heart,
+            tuple(config.pid_gains) if config.pid_enabled else None,
+            config.hr_setpoint, config.dt, round(config.duration / config.dt))
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _spawn_timeline(effort: float, heart: HeartRateParams,
+                    pid_gains: tuple[float, float, float] | None,
+                    setpoint: float, dt: float, gameplay_ticks: int,
+                    bases: tuple[SpawnParams, SpawnParams],
+                    ) -> tuple[tuple[SpawnParams, ...], array, array,
+                               array, array]:
+    """When each spawn lands and crosses, for every seed of a config.
+
+    A spawn's time and speed follow from the previous spawn's tick: its
+    phase and, in a controlled sprint, the controller output there,
+    which ``_control_schedule`` fixes per config.  The seed draws only
+    the kind and the lane.  So the spawn ticks, the position
+    ``WorldState.spawn`` gives each entity and the tick its stepped
+    flight crosses on are the same for every seed, and are worked out
+    here once, in the floats the per-tick loop would use.  Returns
+    ``(params, dues, clocks, crossings, order)``, indexed by spawn:
+
+    - ``params``, ``dues``: the SpawnParams ``next_spawn`` draws spawn i
+      with, and the tick it is due on.  The last spawn is due at or
+      after the end of the protocol and never lands; only its spawn
+      lead is marked.
+    - ``clocks``, ``crossings``: the world's clock
+      (``WorldState.sim_time``) on the tick spawn i lands, and the tick
+      it crosses the player plane on; the last spawn's is -1.
+    - ``order``: the spawn indices in crossing order, ties in spawn
+      order, then the last spawn's.
+
+    ``bases`` is the protocol's (low-intensity, sprint) spawn parameters,
+    which ``spawn_params`` reads: part of the key, so that no other
+    values of them are ever served a stale timeline.  The cache hands
+    the same arrays to every session of the config, so nothing may
+    write to them.
+    """
+    controls, shifts, _, _ = _control_schedule(
+        effort, heart, pid_gains, setpoint, dt, gameplay_ticks)
+    params: list[SpawnParams] = []
+    dues = array("l")
+    clocks = array("d")
+    crossings = array("l")
+    boundaries = iter([b for b in phase_boundary_ticks(dt)
+                       if b < gameplay_ticks] + [-1])
+    next_boundary = next(boundaries)
+    clock, clock_tick = 0.0, 0
+    phase = phase_at(0.0)
+    spawn = spawn_params(phase)
+    time = spawn.interval  # next_spawn(rng, 0.0, spawn)
+    due = _spawn_tick(time, dt)
+    while True:
+        params.append(spawn)
+        dues.append(due)
+        if due >= gameplay_ticks:
+            break
+        for _ in range(due - clock_tick):
+            clock += dt  # advance's ``world.sim_time += dt``
+        clock_tick = due
+        while 0 <= next_boundary <= due:
+            phase = phase_at(next_boundary * dt)
+            shift = shifts.get(next_boundary)
+            made: dict[float, SpawnParams] = {}  # this phase's, by scale
+            next_boundary = next(boundaries)
+        position = CREATOR_DISTANCE - spawn.speed * (clock - time)
+        clocks.append(clock)
+        crossings.append(_crossing_tick(position, spawn.speed, dt, due,
+                                        gameplay_ticks))
+        scale = 1.0
+        if shift is not None:
+            scale = apply_modulation(controls[due + shift])
+        spawn = made.get(scale)
+        if spawn is None:
+            spawn = made[scale] = spawn_params(phase, scale)
+        time = time + spawn.interval
+        due = _spawn_tick(time, dt)
+    landed = len(crossings)
+    crossings.append(-1)
+    order = array("l", sorted(range(landed), key=crossings.__getitem__))
+    order.append(landed)
+    return tuple(params), dues, clocks, crossings, order
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     seed: int
@@ -235,6 +382,10 @@ class SessionConfig:
     duration: float = SESSION_DURATION
 
     def validate(self) -> None:
+        if self.seed < 0:
+            # random.Random seeds by absolute value: seed -3 would replay
+            # seed 3 under another header.
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.profile.validate()
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -373,11 +524,10 @@ def run_session(config: SessionConfig,
     gameplay_ticks = round(config.duration / dt)
     ticks_per_second = max(1, round(1.0 / dt))
 
-    controls, control_shifts, hr_rows, kcal_rows = _control_schedule(
-        config.profile.effort, config.heart,
-        tuple(config.pid_gains) if config.pid_enabled else None,
-        config.hr_setpoint, dt, gameplay_ticks,
-    )
+    key = _schedule_key(config)
+    _, _, hr_rows, kcal_rows = _control_schedule(*key)
+    params, dues, clocks, crossings, order = _spawn_timeline(
+        *key, (protocol.LOW_INTENSITY_SPAWN, protocol.SPRINT_SPAWN))
 
     rng = random.Random(config.seed)
     world = WorldState()
@@ -394,6 +544,11 @@ def run_session(config: SessionConfig,
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
     trace: list[TraceRow] = []
+    # Spawn i is entity i.  Its position holds the world's first
+    # ``stepped[i]`` steps: those before its spawn tick, until a jab
+    # steps it on.
+    entities: list = []
+    stepped = array("l", dues)
     viruses_spawned = 0
     cells_spawned = 0
 
@@ -409,9 +564,13 @@ def run_session(config: SessionConfig,
 
     phase = phase_at(0.0)
     lines.append(_PHASE_ROW % (0.0, phase.kind.value, phase.index))
-    pending = next_spawn(rng, 0.0, spawn_params(phase))
-    due = _spawn_tick(pending.time, dt)
+    pending = next_spawn(rng, 0.0, params[0])
+    due = dues[0]
     player.mark_spawn_lead(pending.kind, due, 0)
+    spawned = 0
+    crossed = 0
+    next_cross = crossings[order[0]]
+    expiry = -1
     # The end of the protocol, tick G = gameplay_ticks, is the last
     # boundary; the ticks after it drain the world.
     boundaries = iter([b for b in phase_boundary_ticks(dt)
@@ -444,44 +603,48 @@ def run_session(config: SessionConfig,
             phase = current
             kind = phase.kind
             presses_a = "A" in player.buttons(kind)
-            # None outside the controller's phases.
-            control_shift = control_shifts.get(k)
             next_boundary = next(boundaries)
         if k == next_hr:
             log_hr(t, kind, k // ticks_per_second)
             next_hr += ticks_per_second
 
-        if k == due:
-            # Only spawns read the difficulty scale; build it for them.
-            scale = 1.0
-            if control_shift is not None:
-                scale = apply_modulation(controls[k + control_shift])
-            while due <= k:
-                entity = world.spawn(pending.kind, pending.time,
-                                     pending.lane_offset, pending.speed)
-                if entity.is_virus:
-                    viruses_spawned += 1
-                else:
-                    cells_spawned += 1
-                lines.append(_SPAWN_ROW % (pending.time, entity.id,
-                                           entity.kind.value,
-                                           entity.lane_offset, entity.speed))
-                player.observe_spawn(entity, k, prog.empowered_until)
-                pending = next_spawn(rng, pending.time,
-                                     spawn_params(phase, scale))
-                due = _spawn_tick(pending.time, dt)
-                player.mark_spawn_lead(pending.kind, due, k)
+        while due == k:
+            world.sim_time = clocks[spawned]
+            entity = world.spawn(pending.kind, pending.time,
+                                 pending.lane_offset, pending.speed)
+            entities.append(entity)
+            if entity.is_virus:
+                viruses_spawned += 1
+            else:
+                cells_spawned += 1
+            lines.append(_SPAWN_ROW % (pending.time, entity.id,
+                                       entity.kind.value,
+                                       entity.lane_offset, entity.speed))
+            player.observe_spawn(entity, k, prog.empowered_until)
+            spawned += 1
+            pending = next_spawn(rng, pending.time, params[spawned])
+            due = dues[spawned]
+            player.mark_spawn_lead(pending.kind, due, k)
 
-        # Jab detection and resolution on a hot tick, then world advance
-        # with crossing resolution.
+        # Jab detection and resolution on a hot tick, then the crossings
+        # the timeline puts on this tick.
         sample = None
         marks = hot[k]
         if marks:
             sample = player.sample(k, kind)
             jabs = detector.update(sample)
-            if jabs and not marks & HAND_MARKS:
-                raise RuntimeError(
-                    f"a jab fired on tick {k}, which no hand marks")
+            if jabs:
+                if not marks & HAND_MARKS:
+                    raise RuntimeError(
+                        f"a jab fired on tick {k}, which no hand marks")
+                # Step the positions the jabs read up to this tick: the
+                # world has run k steps, one fewer in the drain.
+                steps = k - 1 if k > gameplay_ticks else k
+                for entity in world.in_flight:
+                    entity.position = _stepped(
+                        entity.position, entity.speed, dt,
+                        steps - stepped[entity.id])
+                    stepped[entity.id] = steps
             for jab in jabs:
                 result = resolve_jab(jab, world, config.targeting,
                                      is_empowered(prog, t))
@@ -495,7 +658,14 @@ def run_session(config: SessionConfig,
                 lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
                                          target_id, jab.hand_speed))
         pose = None  # classified once, at the first cell of the tick
-        for entity in advance(world, dt):
+        while next_cross == k:
+            i = order[crossed]
+            entity = entities[i]
+            entities[i] = None  # the list holds only what may still cross
+            crossed += 1
+            next_cross = crossings[order[crossed]]
+            if entity.status is not EntityStatus.IN_FLIGHT:
+                continue  # destroyed by a jab
             if entity.is_virus:
                 world.retire(entity, EntityStatus.MISSED)
                 on_virus_missed(prog)
@@ -516,11 +686,12 @@ def run_session(config: SessionConfig,
 
         # Each call only when it could act: with its guard false, the
         # callee would change nothing and report no event.
-        if prog.empowered_until is not None and tick_empowerment(prog, t):
+        if k == expiry and tick_empowerment(prog, t):
             lines.append(_EMPOWER_END_ROW % t)
         if (presses_a and prog.energy >= ENERGY_CAPACITY
                 and activate_empowerment(prog, t, presses_a) is None):
             lines.append(_EMPOWER_START_ROW % (t, prog.empowered_until))
+            expiry = _expiry_tick(prog.empowered_until, dt, gameplay_ticks)
 
     if world.in_flight:
         raise RuntimeError(

@@ -335,3 +335,35 @@ class TestRuntimeFailure:
         assert "runtime failure: worker exploded" in err
         assert "Traceback (most recent call last)" in err
         assert "RuntimeError: worker exploded" in err
+
+
+class TestNegativeSeeds:
+    """A negative seed is a config error on every entry point, not seed
+    3's session under seed -3's header."""
+
+    def test_seed_flag(self, capsys) -> None:
+        assert main(["run", "--seed", "-3", "--pid", "off"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_seed_range_with_equals(self, tmp_path, capsys) -> None:
+        assert main(["run", "--seeds=-2..2", "--pid", "off",
+                     "--out", str(tmp_path)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_seed_range_as_its_own_argument(self, capsys) -> None:
+        # argparse reads "-2..2" as a flag, so --seeds has no value.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seeds", "-2..2"])
+        assert exc.value.code == 2
+
+    def test_config_file_seed(self, tmp_path, capsys) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1, "pid": False}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_verify_seed_flag(self, out_dir, capsys) -> None:
+        assert main(["verify", str(out_dir / "replay_0.jsonl"), "--seed", "-1",
+                     "--pid", "off"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err

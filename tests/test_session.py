@@ -475,3 +475,19 @@ class TestControlSchedule:
         after_base = run_session(variant)
         assert after_base.lines == cold.lines
         assert _physiology(cold) != _physiology(base)
+
+
+class TestNegativeSeeds:
+    """random.Random seeds by absolute value, so a negative seed would
+    replay its positive twin under another header."""
+
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_a_negative_seed_is_rejected(self, base_config, seed) -> None:
+        config = dataclasses.replace(base_config, seed=seed, duration=10.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            config.validate()
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            run_session(config)
+
+    def test_seed_zero_is_accepted(self, base_config) -> None:
+        dataclasses.replace(base_config, seed=0).validate()
