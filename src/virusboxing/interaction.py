@@ -73,9 +73,9 @@ HAND_FOR_VIRUS = {
 class PoseSample(NamedTuple):
     """One 50 Hz tracker frame: head, both hands, and held buttons.
 
-    A named tuple, so immutable and cheap to build: the session loop
-    makes one every tick.  Read fields by name, or unpack them in the
-    order ``time, head, left_hand, right_hand, buttons``.
+    A named tuple, so immutable and cheap to build.  Read fields by name,
+    or unpack them in the order ``time, head, left_hand, right_hand,
+    buttons``.
     """
 
     time: float
@@ -185,8 +185,9 @@ def hand_velocity(samples: Sequence[tuple[float, Vec3]]) -> tuple[float, Vec3]:
 class JabDetector:
     """Streaming threshold-crossing detector over both hands.
 
-    Feed pose samples in time order; each call returns the jabs that fire
-    on that frame (left hand reported before right).
+    Feed frames in time order, as the time and the two hand positions
+    (``feed``) or as a whole pose sample (``update``); each call returns
+    the jabs that fire on that frame (left hand reported before right).
 
     Both hands share one window of ``(time, left, right)`` samples, and
     per-hand state sits in ``[left, right]`` slots.  Speed is the
@@ -218,9 +219,11 @@ class JabDetector:
         self._last_fire = [-math.inf, -math.inf]
 
     def update(self, sample: PoseSample) -> list[JabEvent]:
+        return self.feed(sample.time, sample.left_hand, sample.right_hand)
+
+    def feed(self, now: float, left: Vec3, right: Vec3) -> list[JabEvent]:
         events: list[JabEvent] = []
-        now = sample.time
-        newest = (now, sample.left_hand, sample.right_hand)
+        newest = (now, left, right)
         history = self._history
         history.append(newest)
         horizon = now - self.window - 1e-9
@@ -296,12 +299,13 @@ def resolve_jab(jab: JabEvent, world: WorldState, policy: TargetingPolicy,
     """
     matching: list[tuple[float, int, Entity]] = []
     off_colour: list[tuple[float, int, Entity]] = []
+    range_m = policy.range_m
     for entity in world.in_flight:
         if entity.kind not in VIRUS_KINDS:
             continue
         if empowered:
             distance = entity.position
-            if distance > policy.range_m:
+            if distance > range_m:
                 continue
             if policy.mode is TargetingMode.PRECISE and not _ray_passes(
                 jab.hand_pos, jab.direction, entity.centre(), PRECISE_RAY_TOLERANCE

@@ -493,13 +493,17 @@ class SyntheticPlayer:
     (``_HandTrack._mark_hot``); a virus's plan rebuilds its hand's chain
     from its spawn tick on, and marks are only ever added.  As the new
     chain's first run may need lead ticks from before the spawn tick,
-    ``mark_spawn_lead`` marks those under ``SPAWN_LEAD_MARK`` when the
-    virus is drawn, while they are still to come.  ``lead`` is the
-    velocity window in ticks.  ``horizon`` sizes ``hot`` up front; it
-    grows past that when a mark reaches further.
+    ``mark_spawn_lead`` marks those it can need under
+    ``SPAWN_LEAD_MARK`` when the virus is drawn, while they are still to
+    come: none, unless a strike of the rebuilt chain can start within
+    ``lead`` ticks of the spawn.  ``lead`` is the velocity window in
+    ticks.  ``horizon`` sizes ``hot`` up front; it grows past that when a
+    mark reaches further.
 
     Ticks may be sampled sparsely, in ascending order: the hands and the
-    weave windows come out as if every tick had been sampled.
+    weave windows come out as if every tick had been sampled.  ``hands``
+    gives the two hand positions alone, the same tuples ``sample`` puts
+    in its ``PoseSample``, for a jab detector that reads nothing else.
     """
 
     def __init__(self, profile: PlayerProfile, calibration: Calibration,
@@ -517,6 +521,8 @@ class SyntheticPlayer:
         self._left = _HandTrack(GUARD_LEFT, dt, self.hot)
         self._right = _HandTrack(GUARD_RIGHT, dt, self.hot)
         self.lead = self._left.lead
+        # The most ticks a strike at _HOT_SPEED or faster lasts.
+        self._hot_strike_ticks = _strike_ticks(_HOT_SPEED, dt)
         self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
@@ -548,19 +554,45 @@ class SyntheticPlayer:
 
     def mark_spawn_lead(self, kind: EntityKind, spawn_tick: int,
                         now_tick: int) -> None:
-        """Mark the ``lead - 1`` ticks before a spawn of ``kind`` on
-        ``spawn_tick`` hot, under ``SPAWN_LEAD_MARK``, if it is a virus.
+        """Mark hot, under ``SPAWN_LEAD_MARK``, the ticks before a spawn of
+        ``kind`` on ``spawn_tick`` that the chain its plan rebuilds can
+        need, if it is a virus.
 
-        A virus's plan rebuilds a hand's chain from ``spawn_tick`` on, and
-        the new chain may open a hot run as soon as ``spawn_tick + 1``,
-        whose lead reaches back to ``spawn_tick + 1 - lead``.  Marked now,
-        those ticks are sampled off the chains that still hold on them.
-        Raises RuntimeError unless they all lie after ``now_tick``, the
-        tick being run, so that none of them has been passed already.
+        Each hot run of the rebuilt chain is a strike at ``_HOT_SPEED``
+        or faster, which lasts at most ``_hot_strike_ticks`` and ends on
+        its plan's strike tick; its lead reaches ``lead`` ticks back from
+        the run's first tick.  The new plan's strike ends no earlier than
+        the profile's reaction time after ``(spawn_tick - 1) * dt``: a
+        ranged plan counts from the spawn time, up to a step before the
+        spawn tick.  The rebuild also re-lays the hand's pending plans
+        that strike after ``spawn_tick``; the others it drops.  So the
+        marks start at the lead before the earliest strike any of these
+        can start, one tick early for float slack, and never before
+        ``spawn_tick + 1 - lead``, as the chain starts on ``spawn_tick``.
+        The bound holds for the plans ``observe_spawn`` draws with this
+        player's profile.  Marked now, those ticks are sampled off the
+        chains that still hold on them.
+
+        Raises RuntimeError unless the marked ticks all lie after
+        ``now_tick``, the tick being run, so that none of them has been
+        passed already.
         """
         if kind not in VIRUS_KINDS:
             return
-        start = spawn_tick + 1 - self.lead
+        dt = self.dt
+        # The earliest tick a strike of the rebuilt chain can start on.
+        # Its hot run starts a tick later: taken as the run's first tick,
+        # it is the float slack.
+        reaction = math.floor(self.profile.reaction_time / dt)
+        first = spawn_tick - 1 + reaction - self._hot_strike_ticks
+        for track in (self._left, self._right):
+            for plan in track.plans:
+                if plan.strike_tick > spawn_tick and plan.speed >= _HOT_SPEED:
+                    first = min(first, plan.strike_tick
+                                - _strike_ticks(plan.speed, dt))
+        start = max(spawn_tick + 1, first) - self.lead
+        if start >= spawn_tick:
+            return
         if start <= now_tick:
             raise RuntimeError(f"the lead of the spawn on tick {spawn_tick} "
                                f"starts on tick {start}, by tick {now_tick}")
@@ -632,6 +664,17 @@ class SyntheticPlayer:
         # plain squat, never the other way round.
         return self._standing if best is None else best.head
 
+    def hands(self, t: float) -> tuple[Vec3, Vec3]:
+        """The left and right hand positions at time ``t``: the very
+        tuples ``sample`` gives, so a held hand is one object from tick to
+        tick."""
+        # A hand past its last knot rests there: position_at's first test.
+        track = self._left
+        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        track = self._right
+        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        return left, right
+
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
         weaves = self._weaves
@@ -641,9 +684,5 @@ class SyntheticPlayer:
             head = self._standing
         else:
             head = self._weave_head(tick)
-        # A hand past its last knot rests there: position_at's first test.
-        track = self._left
-        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        track = self._right
-        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        left, right = self.hands(t)
         return PoseSample(t, head, left, right, self.buttons(phase_kind))

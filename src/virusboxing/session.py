@@ -1,7 +1,7 @@
 """Deterministic session loop, replay logs, and batch execution.
 
 One session is 420 s at 50 Hz.  Every tick runs the same stage order:
-phase lookup, spawning, player sampling, jab resolution, crossing
+phase lookup, spawning, jab detection and resolution, crossing
 resolution, then empowerment bookkeeping.  All randomness flows through
 one seeded generator shared by the spawner and the synthetic player, so
 a seed plus a config fully determines the log, byte for byte.
@@ -38,16 +38,21 @@ a phase that holds no button.  Each log row is written from one fixed
 ``%``-format template per kind of row.
 
 A jab fires only when a hand's windowed speed reaches 1 m/s.  So the
-loop samples the player and feeds the jab detector on one rule: on the
-ticks the player marks hot (``SyntheticPlayer.hot``), in order, which
-fires exactly as feeding every tick would.  A virus's spawn lead is
-marked when the virus is drawn, on the previous spawn's tick: the
-shortest spawn interval, 0.25 s, outlasts the 0.1 s window.  Marks are
-only ever added: when a plan replaces another, the old chain's marks
-stay.  Ticks whose window still reaches into the old chain need them;
-on the others no hand can reach the threshold, so feeding them changes
-nothing.  A tick on which a cell crosses is sampled for its head pose
-and not fed.
+loop feeds the jab detector on one rule: on the ticks the player marks
+hot (``SyntheticPlayer.hot``), in order, which fires exactly as feeding
+every tick would.  The detector reads the time and the two hands alone,
+so a hot tick asks the player for its hands (``SyntheticPlayer.hands``)
+and builds no pose sample.  A virus's spawn lead is marked when the
+virus is drawn, on the previous spawn's tick: the shortest spawn
+interval, 0.25 s, outlasts the 0.1 s window.  It covers only the ticks
+before the spawn that a strike of the rebuilt chain can need, which
+with a reaction time of 0.25 s or more at 50 Hz is none unless a
+pending strike is close.  Marks are only ever added: when a plan
+replaces another, the old chain's marks stay.  Ticks whose window still
+reaches into the old chain need them; on the others no hand can reach
+the threshold, so feeding them changes nothing.  A tick on which a cell
+crosses is sampled whole (``SyntheticPlayer.sample``) for its head pose,
+and not fed unless it is hot.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
 its last phase boundary: it logs the closing phase and ``hr`` rows and
@@ -626,13 +631,12 @@ def run_session(config: SessionConfig,
             due = dues[spawned]
             player.mark_spawn_lead(pending.kind, due, k)
 
-        # Jab detection and resolution on a hot tick, then the crossings
-        # the timeline puts on this tick.
-        sample = None
+        # Jab detection and resolution on a hot tick, from the hands
+        # alone, then the crossings the timeline puts on this tick.
         marks = hot[k]
         if marks:
-            sample = player.sample(k, kind)
-            jabs = detector.update(sample)
+            left, right = player.hands(t)
+            jabs = detector.feed(t, left, right)
             if jabs:
                 if not marks & HAND_MARKS:
                     raise RuntimeError(
@@ -672,9 +676,8 @@ def run_session(config: SessionConfig,
                 lines.append(_MISSED_ROW % (t, entity.id))
                 continue
             if pose is None:
-                if sample is None:
-                    sample = player.sample(k, kind)
-                pose = classify_weave_pose(sample, config.calibration)
+                pose = classify_weave_pose(player.sample(k, kind),
+                                           config.calibration)
             outcome = resolve_cell_pass(entity, pose)
             if outcome is CellOutcome.AVOIDED:
                 world.retire(entity, EntityStatus.PASSED)

@@ -1,8 +1,9 @@
 """The session loop's shortcuts agree with the plain computations.
 
-The loop looks the phase up only on boundary ticks, and the jab detector
+The loop looks the phase up only on boundary ticks, the jab detector
 skips the speed arithmetic for a hand whose position object has not
-changed.  Each shortcut is checked here against the computation it
+changed, and the loop feeds the detector the time and the two hands
+alone.  Each shortcut is checked here against the computation it
 replaces.
 """
 from __future__ import annotations
@@ -172,3 +173,18 @@ class TestDetectorIdentityFastPath:
             history = [(s.time, s.hand(event.hand)) for s in samples
                        if event.time - window - 1e-9 <= s.time <= event.time]
             assert hand_velocity(history) == (event.hand_speed, event.direction)
+
+    @pytest.mark.parametrize("stream", [_hand_stream, _player_stream])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"window": 0.02}, {"window": 0.2, "threshold": 0.8,
+                               "refractory": 0.1},
+    ], ids=["default", "window0.02", "custom"])
+    def test_feed_fires_as_update(self, stream, kwargs) -> None:
+        samples = stream()
+        fed, updated = JabDetector(**kwargs), JabDetector(**kwargs)
+        fired = 0
+        for s in samples:
+            events = fed.feed(s.time, s.left_hand, s.right_hand)
+            assert events == updated.update(s), s.time
+            fired += len(events)
+        assert fired

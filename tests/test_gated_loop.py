@@ -63,6 +63,45 @@ def _assert_same_log(config: SessionConfig) -> list[str]:
     return got
 
 
+def _late_marks(before: bytes, hot: bytearray) -> list[int]:
+    """The ticks ``before`` covers that ``hot`` marks and ``before`` did
+    not: marks that came after their tick was run."""
+    return [k for k, byte in enumerate(before) if hot[k] and not byte]
+
+
+def _assert_no_late_marks(config: SessionConfig) -> None:
+    """Run ``config`` checking that no plan's rebuild marks a tick already
+    run that was not marked before, then hold its log to the per-tick
+    one.  The spawn lead must have marked, before they were run, the
+    ticks before the spawn that the rebuilt chain marks; a rebuild's
+    marks reach back at most the velocity window before the spawn."""
+    observe = SyntheticPlayer.observe_spawn
+    rebuilds = []
+
+    def checked_observe(self, entity, now_tick, empowered_until):
+        start = max(0, now_tick - 2 * self.lead - self._hot_strike_ticks)
+        before = bytes(self.hot[start:now_tick])
+        observe(self, entity, now_tick, empowered_until)
+        late = _late_marks(before, self.hot[start:now_tick])
+        assert late == [], [start + k for k in late]
+        rebuilds.append(now_tick)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SyntheticPlayer, "observe_spawn", checked_observe)
+        got = run_session(config).lines
+    assert got == run_session_per_tick(config).lines
+    assert rebuilds or config.duration < 1.0
+
+
+@pytest.mark.parametrize("reaction", [0.0, 0.06, 0.12, 0.18])
+@pytest.mark.parametrize("dt", [0.02, 0.035, 0.07])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_no_rebuild_marks_a_tick_already_run(profile, dt, reaction) -> None:
+    quick = dataclasses.replace(load_profile(profile), reaction_time=reaction)
+    _assert_no_late_marks(SessionConfig(seed=SEED, profile=quick, dt=dt,
+                                        duration=63.0))
+
+
 @st.composite
 def _session_configs_with_quick_reactions(draw) -> SessionConfig:
     """``session_configs``, half of them with a reaction time cut to at
@@ -82,7 +121,7 @@ def _session_configs_with_quick_reactions(draw) -> SessionConfig:
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=_session_configs_with_quick_reactions())
 def test_gated_log_equals_the_per_tick_log(config: SessionConfig) -> None:
-    _assert_same_log(config)
+    _assert_no_late_marks(config)
 
 
 @pytest.mark.parametrize("targeting", sorted(TARGETING))
@@ -177,7 +216,7 @@ class TestSampledTicks:
         fed ticks and its player's final hot marks."""
         config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"))
         dt = config.dt
-        sample, update = SyntheticPlayer.sample, JabDetector.update
+        sample, feed = SyntheticPlayer.sample, JabDetector.feed
         calls: list[tuple[int, PhaseKind]] = []
         fired: list[int] = []
         fed: list[int] = []
@@ -188,16 +227,16 @@ class TestSampledTicks:
             players.append(self)
             return sample(self, tick, phase_kind)
 
-        def recording_update(self, pose):
-            fed.append(round(pose.time / dt))
-            events = update(self, pose)
+        def recording_feed(self, now, left, right):
+            fed.append(round(now / dt))
+            events = feed(self, now, left, right)
             if events:
-                fired.append(round(pose.time / dt))
+                fired.append(round(now / dt))
             return events
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SyntheticPlayer, "sample", recording_sample)
-            patch.setattr(JabDetector, "update", recording_update)
+            patch.setattr(JabDetector, "feed", recording_feed)
             oracle = run_session_per_tick(config)
             oracle_calls, oracle_fired = calls[:], fired[:]
             calls.clear()
@@ -224,22 +263,27 @@ class TestSampledTicks:
                 assert kind is PhaseKind.ENDED, tick
 
     def test_fired_and_crossing_ticks_are_sampled(self, runs) -> None:
-        config, oracle, _, oracle_fired, calls, fired, _, _ = runs
+        # The detector reads the hands alone: a fired tick is fed, and a
+        # tick a cell crosses on is sampled whole for its head.
+        config, oracle, _, oracle_fired, calls, fired, fed, _ = runs
         sampled = {tick for tick, _ in calls}
         assert oracle_fired and fired == oracle_fired
-        assert set(oracle_fired) <= sampled
+        assert set(oracle_fired) <= set(fed)
         rows = [json.loads(line) for line in oracle.lines]
         cell_ticks = {round(row["t"] / config.dt) for row in rows
                       if row["type"] == "cross" and "pose" in row}
-        assert cell_ticks and cell_ticks <= sampled
+        assert cell_ticks and cell_ticks == sampled
 
     def test_fewer_than_half_the_ticks_are_sampled(self, runs) -> None:
-        _, _, oracle_calls, _, calls, _, _, _ = runs
+        _, _, oracle_calls, _, calls, _, fed, _ = runs
         assert len(calls) < len(oracle_calls) / 2
+        assert len(fed) < len(oracle_calls) / 2
 
     def test_ticks_are_fed_once_in_order(self, runs) -> None:
-        _, _, _, _, _, _, fed, _ = runs
+        _, _, _, _, _, _, fed, marks = runs
         assert fed and fed == sorted(set(fed))
+        # Fed on exactly the ticks marked hot.
+        assert fed == [tick for tick in range(fed[-1] + 1) if marks[tick]]
 
     def test_only_cold_crossing_ticks_are_sampled_unfed(self, runs) -> None:
         # A tick is fed when it is marked hot, and a mark on a tick already
@@ -341,6 +385,15 @@ class TestSparseSampling:
         assert player._active is active and not active
 
 
+def _expert_reacting_in(reaction_time: float, **kwargs) -> SyntheticPlayer:
+    """An expert player with another reaction time.  Reacting at once, a
+    new plan can strike on the tick after its spawn, so its spawn lead is
+    the whole window."""
+    profile = dataclasses.replace(load_profile("expert"),
+                                  reaction_time=reaction_time)
+    return SyntheticPlayer(profile, Calibration(), random.Random(0), **kwargs)
+
+
 class TestHotMarks:
     def test_a_strike_marks_its_window_and_lead(self) -> None:
         dt = 0.02
@@ -408,8 +461,7 @@ class TestHotMarks:
         assert not any(player.hot)
 
     def test_a_spawn_lead_marks_the_ticks_before_its_spawn(self) -> None:
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), dt=0.02)
+        player = _expert_reacting_in(0.0)
         spawn, lead = 40, player.lead
         player.mark_spawn_lead(RED, spawn, 30)
         marked = [k for k, byte in enumerate(player.hot) if byte]
@@ -426,8 +478,7 @@ class TestHotMarks:
         assert not any(player.hot)
 
     def test_a_spawn_lead_leaves_the_hand_marks(self) -> None:
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), dt=0.02)
+        player = _expert_reacting_in(0.0)
         player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
                               False, 0), 0)
         before = bytes(player.hot)
@@ -441,14 +492,75 @@ class TestHotMarks:
                 if byte & SPAWN_LEAD_MARK] == list(lead_ticks)
 
     def test_a_lead_that_is_not_after_the_current_tick_raises(self) -> None:
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), dt=0.02)
+        player = _expert_reacting_in(0.0)
         start = 40 + 1 - player.lead
         with pytest.raises(RuntimeError, match="lead"):
             player.mark_spawn_lead(RED, 40, start)
         assert not any(player.hot)
         player.mark_spawn_lead(RED, 40, start - 1)
         assert player.hot[start]
+
+    def test_a_quarter_second_reaction_marks_no_spawn_lead(self) -> None:
+        # At dt 0.02 a new plan strikes no earlier than 12 ticks after the
+        # tick before its spawn, and a hot strike lasts at most 6 ticks:
+        # its run's lead starts on the spawn tick.  A pending strike that
+        # is slow, or not after the spawn tick, changes nothing.
+        player = _expert_reacting_in(0.25)
+        player.mark_spawn_lead(RED, 40, 30)
+        assert not any(player.hot)
+        player.inject(JabPlan(0, Hand.LEFT, 42, 0.9, (-0.1, 1.4, 0.5),
+                              False, 0), 0)
+        player.inject(JabPlan(1, Hand.RIGHT, 40, 2.5, (0.1, 1.4, 0.45),
+                              False, 1), 0)
+        hand_marks = bytes(player.hot)
+        player.mark_spawn_lead(RED, 40, 30)
+        assert bytes(player.hot) == hand_marks
+        assert not any(byte & SPAWN_LEAD_MARK for byte in player.hot)
+
+    def test_a_pending_hot_strike_marks_its_lead(self) -> None:
+        # A rebuild on the spawn tick re-lays the pending plans, so a hot
+        # strike due soon after the spawn counts from its own start: two
+        # ticks before tick 44 at 2.5 m/s, one tick early for slack.
+        player = _expert_reacting_in(0.25)
+        player.inject(JabPlan(0, Hand.RIGHT, 44, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        player.mark_spawn_lead(RED, 40, 30)
+        assert [k for k, byte in enumerate(player.hot)
+                if byte & SPAWN_LEAD_MARK] == list(range(42 - player.lead, 40))
+
+    def test_a_relaid_chain_fires_alike_on_its_marked_ticks(self) -> None:
+        # Plans A and B wait on one hand, B repositioning from where A's
+        # strike ends.  On tick 100 a new plan N preempts A, which was due
+        # to strike on tick 104, and the rebuild re-lays B behind N.  Fed
+        # only the ticks marked by then, a detector fires as one fed every
+        # tick, and no tick before 100 gets a mark it lacked.
+        a = JabPlan(0, Hand.RIGHT, 104, 3.0, (0.1, 1.4, 0.45), False, 0)
+        b = JabPlan(1, Hand.RIGHT, 124, 2.0, (0.2, 1.3, 0.5), False, 1)
+        n = JabPlan(2, Hand.RIGHT, 111, 3.0, (0.0, 1.5, 0.5), False, 2)
+        streams = []
+        for marked_only in (False, True):
+            source = _expert_reacting_in(0.25, horizon=200)
+            detector, events = JabDetector(), []
+            for k in range(200):
+                if k == 0:
+                    source.inject(a, k)
+                    source.inject(b, k)
+                if k == 90:
+                    source.mark_spawn_lead(RED, 100, k)
+                if k == 100:
+                    before = bytes(source.hot[:k])
+                    source.inject(n, k)
+                    assert [p.entity_id for p in source._right.plans] == [2, 1]
+                    assert _late_marks(before, source.hot) == []
+                if marked_only and not source.hot[k]:
+                    continue
+                t = k * source.dt
+                events += detector.feed(t, *source.hands(t))
+            streams.append(events)
+        dense, sparse = streams
+        assert [event.time for event in dense] == pytest.approx([2.22, 2.48])
+        assert sparse == dense
+        assert any(byte == SPAWN_LEAD_MARK for byte in source.hot)
 
     @pytest.mark.parametrize("dt", [0.035, 0.07])
     def test_the_spawn_tick_is_the_per_tick_loops(self, dt) -> None:
@@ -468,26 +580,29 @@ class TestHotMarks:
 
 class TestGuards:
     def test_a_jab_on_a_tick_only_a_spawn_lead_marks_raises(self) -> None:
-        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
-                               duration=30.0)
-        mark, update = SyntheticPlayer.mark_spawn_lead, JabDetector.update
+        # With no reaction time every virus gets its whole spawn lead, so
+        # some ticks carry that mark alone.
+        instant = dataclasses.replace(load_profile("mid_skill"),
+                                      reaction_time=0.0)
+        config = SessionConfig(seed=SEED, profile=instant, duration=30.0)
+        mark, feed = SyntheticPlayer.mark_spawn_lead, JabDetector.feed
         players: list[SyntheticPlayer] = []
 
         def recording_mark(self, kind, spawn_tick, now_tick):
             players.append(self)
             mark(self, kind, spawn_tick, now_tick)
 
-        def firing_update(self, pose):
-            events = update(self, pose)
-            tick = round(pose.time / config.dt)
+        def firing_feed(self, now, left, right):
+            events = feed(self, now, left, right)
+            tick = round(now / config.dt)
             if players[-1].hot[tick] == SPAWN_LEAD_MARK:
-                events.append(JabEvent(pose.time, Hand.RIGHT, 2.0,
-                                       pose.right_hand, (0.0, 0.0, 1.0)))
+                events.append(JabEvent(now, Hand.RIGHT, 2.0, right,
+                                       (0.0, 0.0, 1.0)))
             return events
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SyntheticPlayer, "mark_spawn_lead", recording_mark)
-            patch.setattr(JabDetector, "update", firing_update)
+            patch.setattr(JabDetector, "feed", firing_feed)
             with pytest.raises(RuntimeError, match="no hand marks"):
                 run_session(config)
 

@@ -2,8 +2,9 @@
 
 The session writes each log row from a fixed ``%``-format template,
 ``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` decides a
-standing, resting tick without calling out, and a held hand is one
-tuple from tick to tick.  Each is checked here against the computation
+standing, resting tick without calling out, ``SyntheticPlayer.hands``
+gives the hands ``sample`` would, and a held hand is one tuple from tick
+to tick.  Each is checked here against the computation
 it replaces: the generic row formatter the log used to be written with,
 the dataclass interface, and a plain scan of the weave windows beside
 the player's own ``position_at`` and a plain knot scan with ``_lerp``.
@@ -257,9 +258,19 @@ class TestSampleFastPath:
     @pytest.mark.parametrize("profile", ["mid_skill", "novice"])
     def test_sample_equals_the_slow_path_on_every_tick(
             self, profile, dt, monkeypatch) -> None:
-        fast_sample = SyntheticPlayer.sample
+        fast_sample, fast_hands = SyntheticPlayer.sample, SyntheticPlayer.hands
         standing = PoseClass.STANDING
-        counts = {"ticks": 0, "weaving": 0, "moving": 0}
+        counts = {"ticks": 0, "weaving": 0, "moving": 0, "hands": 0,
+                  "hands_moving": 0}
+
+        def checked_hands(self, t):
+            got = fast_hands(self, t)
+            for track, hand in zip((self._left, self._right), got):
+                assert hand == _reference_position(track.knots, t), t
+            counts["hands"] += 1
+            counts["hands_moving"] += (t < self._left._rest_t
+                                       or t < self._right._rest_t)
+            return got
 
         def checked(self, tick, phase_kind):
             got = fast_sample(self, tick, phase_kind)
@@ -277,19 +288,47 @@ class TestSampleFastPath:
             return got
 
         monkeypatch.setattr(SyntheticPlayer, "sample", checked)
+        monkeypatch.setattr(SyntheticPlayer, "hands", checked_hands)
         config = SessionConfig(seed=3, profile=load_profile(profile),
                                pid_enabled=False, dt=dt, duration=42.0)
         # Every tick through the per-tick loop, then the ticks the gated
-        # loop samples, which must give the same log.
+        # loop samples or reads the hands on, which must give the same log.
         lines = run_session_per_tick(config).lines
         assert counts["ticks"] >= round(42.0 / dt)
+        assert counts["hands"] == counts["ticks"]
         assert counts["weaving"] > 0
         assert 0 < counts["moving"] < counts["ticks"]
         assert any('"type":"jab"' in line for line in lines)
-        counts.update(ticks=0, weaving=0, moving=0)
+        counts.update(ticks=0, weaving=0, moving=0, hands=0, hands_moving=0)
         assert run_session(config).lines == lines
-        assert 0 < counts["ticks"] < round(42.0 / dt)
-        assert counts["weaving"] > 0 and counts["moving"] > 0
+        assert 0 < counts["ticks"] < counts["hands"] < round(42.0 / dt)
+        assert counts["weaving"] > 0 and counts["hands_moving"] > 0
+
+    def test_hands_are_the_samples_hands(self) -> None:
+        # On every tick, the values sample gives, and for a hand held or
+        # at rest on a knot the very tuple: the detector's still-hand
+        # shortcut tests identity.
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        player.inject(JabPlan(1, Hand.LEFT, 90, 3.0, (-0.1, 1.4, 0.5),
+                              True, 1), 0)
+        held = 0
+        for k in range(200):
+            if k == 70:
+                player.inject(JabPlan(2, Hand.RIGHT, 120, 1.5,
+                                      (0.2, 1.3, 0.5), False, 2), k)
+            hands = player.hands(k * player.dt)
+            sample = player.sample(k, PhaseKind.LOW)
+            sampled_hands = (sample.left_hand, sample.right_hand)
+            assert hands == sampled_hands, k
+            for track, hand, sampled in zip((player._left, player._right),
+                                            hands, sampled_hands):
+                if any(hand is point for _, point in track.knots):
+                    assert hand is sampled, k
+                    held += 1
+        assert held > 200
 
     def test_a_held_hand_is_one_object(self) -> None:
         # Between two knots on one point the hand is still: every tick
