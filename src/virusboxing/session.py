@@ -10,8 +10,14 @@ Heart rate, kcal and the controller output read nothing from gameplay:
 they follow from the effort, the heart, the PID settings, dt and the
 duration alone.  ``_control_schedule`` integrates them once per such
 config and keeps the result in a small cache, so the seeds of a sweep
-share one integration.  The tick loop reads the rounded heart rate and
-kcal from the schedule on ticks that log an ``hr`` row.
+share one integration.  That integration runs on local floats: each
+tick is the arithmetic of the ``physiology`` step functions written out
+term for term, with ``min`` and ``max`` as the conditional expressions
+they evaluate to, so NaN clamps as before, and the 1 Hz rows are taken
+once per one-second span.  ``tests/per_tick_oracle.py`` keeps the loop
+that calls those functions, as the reference the schedule must match
+byte for byte.  The tick loop reads the rounded heart rate and kcal
+from the schedule on ticks that log an ``hr`` row.
 
 The spawn cadence depends on nothing the seed draws either: each
 spawn's interval and speed follow from the phase and the controller
@@ -89,12 +95,14 @@ from .interaction import (
     resolve_cell_pass,
     resolve_jab,
 )
+# ``_control_schedule`` inlines ``hr_step`` and ``kcal_step``, so nothing
+# here calls them; they stay bound because the benchmark's tracer wraps
+# them by name, as it does ``advance`` below.
 from .physiology import (
     DEFAULT_PID_GAINS,
     HEART_PRESETS,
+    KCAL_PER_BPM_SECOND,
     HeartRateParams,
-    PhysioState,
-    PidController,
     apply_modulation,
     hr_step,
     kcal_step,
@@ -202,42 +210,84 @@ def _control_schedule(effort: float, heart: HeartRateParams,
 
     The cache hands the same arrays to every session of the config, so
     nothing may write to them.
+
+    The loop runs on local floats: each tick is the arithmetic of
+    ``PidController.step``, ``apply_modulation``, ``kcal_step`` and
+    ``hr_step``, term for term and in their order, with no call.  Each
+    ``min(a, b)`` there is written ``b if b < a else a`` and each
+    ``max(a, b)`` ``b if b > a else a``, which is what the builtins
+    return, NaN included: a NaN controller output still clamps to -1.0.
+    The ticks run in spans that start on a phase boundary or a 1 Hz
+    row, so the phase and the uncontrolled heart-rate target are worked
+    out once per phase and the row once per span.
+    ``tests/per_tick_oracle.py`` keeps the loop that calls the
+    ``physiology`` functions on every tick, and
+    ``tests/test_control_schedule.py`` holds the two to the same bytes.
     """
     ticks_per_second = max(1, round(1.0 / dt))
-    physio = PhysioState(hr=heart.hr_rest)
-    pid = None
+    hr_rest, hr_max = heart.hr_rest, heart.hr_max
+    tau_rise, tau_decay = heart.tau_rise, heart.tau_decay
+    hr_range = hr_max - hr_rest
+    burn = KCAL_PER_BPM_SECOND
     if pid_gains is not None:
         kp, ki, kd = pid_gains
-        pid = PidController(kp=kp, ki=ki, kd=kd)
+        # The anti-windup clamp, which applies only for a positive ki.
+        windup = ki > 0.0
+        if windup:
+            high, low = 1.0 / ki, -1.0 / ki
+    integral = prev_error = 0.0
+    h = hr_rest
+    kc = 0.0
     controls = array("d")
+    append_control = controls.append
     shifts: dict[int, int] = {}
     hr = array("d")
     kcal = array("d")
-    boundaries = iter(phase_boundary_ticks(dt))
-    next_boundary = next(boundaries)
-    for k in range(gameplay_ticks):
-        if k == next_boundary:
-            kind = phase_at(k * dt).kind
-            controlled = pid is not None and kind is PhaseKind.SPRINT
+    boundaries = {b for b in phase_boundary_ticks(dt) if b < gameplay_ticks}
+    starts = sorted(boundaries.union(range(0, gameplay_ticks,
+                                           ticks_per_second)))
+    for start, stop in zip(starts, starts[1:] + [gameplay_ticks]):
+        if start in boundaries:
+            kind = phase_at(start * dt).kind
+            controlled = pid_gains is not None and kind is PhaseKind.SPRINT
             if controlled:
-                shifts[k] = len(controls) - k
+                shifts[start] = len(controls) - start
+            # At most 1.0 already, so hr_step's min(1.0, intensity * 1.0)
+            # is intensity itself.
             intensity = modulated_intensity(kind, effort)
-            next_boundary = next(boundaries, -1)
-        if k % ticks_per_second == 0:
-            hr.append(round(physio.hr, 6))
-            kcal.append(round(physio.kcal, 6))
+            target = hr_rest + intensity * hr_range
+        if start % ticks_per_second == 0:
+            hr.append(round(h, 6))
+            kcal.append(round(kc, 6))
         if controlled:
-            control = pid.step(setpoint, physio.hr, dt)
-            controls.append(control)
-            scale = apply_modulation(control)
+            for _ in range(stop - start):
+                error = setpoint - h
+                integral += error * dt
+                if windup:
+                    integral = integral if integral > low else low
+                    integral = integral if integral < high else high
+                derivative = (error - prev_error) / dt
+                prev_error = error
+                u = kp * error + ki * integral + kd * derivative
+                u = u if u > -1.0 else -1.0
+                u = u if u < 1.0 else 1.0
+                append_control(u)
+                kc += burn * h * dt
+                # u is in [-1, 1], so apply_modulation's clamp keeps it.
+                scaled = intensity * 2.0 ** u
+                scaled = scaled if scaled < 1.0 else 1.0
+                aim = hr_rest + scaled * hr_range
+                h += dt * (aim - h) / (tau_rise if aim > h else tau_decay)
+                h = h if h > hr_rest else hr_rest
+                h = h if h < hr_max else hr_max
         else:
-            scale = 1.0
-        kcal_step(physio, dt)
-        # modulated_intensity(kind, effort, scale), with the phase part
-        # computed once per phase.
-        hr_step(physio, min(1.0, intensity * scale), heart, dt)
-    hr.append(round(physio.hr, 6))
-    kcal.append(round(physio.kcal, 6))
+            for _ in range(stop - start):
+                kc += burn * h * dt
+                h += dt * (target - h) / (tau_rise if target > h else tau_decay)
+                h = h if h > hr_rest else hr_rest
+                h = h if h < hr_max else hr_max
+    hr.append(round(h, 6))
+    kcal.append(round(kc, 6))
     return controls, shifts, hr, kcal
 
 
@@ -431,6 +481,11 @@ class SessionConfig:
             )
         if heart.hr_rest >= heart.hr_max:
             raise ValueError("hr_rest must be below hr_max")
+        if not math.isfinite(heart.hr_max - heart.hr_rest):
+            # The heart-rate target would be inf or NaN.
+            raise ValueError(
+                f"heart range {heart.hr_rest} to {heart.hr_max} overflows"
+            )
         if not math.isfinite(self.hr_setpoint) or self.hr_setpoint <= 0.0:
             raise ValueError(
                 f"hr_setpoint must be positive and finite, got {self.hr_setpoint}"
@@ -442,6 +497,21 @@ class SessionConfig:
         if not all(math.isfinite(gain) for gain in self.pid_gains):
             # A NaN output clamps to full slow-down without a word.
             raise ValueError(f"pid_gains must be finite, got {self.pid_gains}")
+        # So can finite gains: an output is NaN when two of its terms are
+        # infinite with opposite signs.  The integral term may be (a
+        # negative ki has no anti-windup clamp), so the proportional and
+        # derivative terms must stay finite.  The heart rate stays in
+        # [hr_rest, hr_max] and the setpoint in (0, hr_max], so |error|
+        # is at most hr_max - min(hr_rest, 0) and |Δerror| at most twice
+        # that, which also covers the rounding of the differences.
+        kp, _, kd = self.pid_gains
+        reach = heart.hr_max - min(heart.hr_rest, 0.0)
+        if not (math.isfinite(abs(kp) * reach)
+                and math.isfinite(abs(kd) * 2.0 * reach / self.dt)):
+            raise ValueError(
+                f"pid_gains {self.pid_gains} overflow the controller output "
+                f"for heart rates up to {heart.hr_max} at dt {self.dt}"
+            )
 
 
 def config_digest(config: SessionConfig) -> str:

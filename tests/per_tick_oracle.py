@@ -12,10 +12,19 @@ its worth is that it does the obvious thing on every tick.  It calls
 the same stage functions as the live loop, so only the loop's own
 choices (which ticks sample, which ticks feed the detector) are under
 test.
+
+``control_schedule_per_tick`` is ``virusboxing.session._control_schedule``
+as it stood before its loop was written out on local floats: it calls
+``PidController.step``, ``apply_modulation``, ``kcal_step`` and
+``hr_step`` on every tick.  ``run_session_per_tick`` reads its controls
+and 1 Hz rows from it, and ``tests/test_control_schedule.py`` holds the
+live schedule to it byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import random
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +36,15 @@ from virusboxing.interaction import (
     resolve_cell_pass,
     resolve_jab,
 )
-from virusboxing.physiology import apply_modulation
+from virusboxing.physiology import (
+    HeartRateParams,
+    PhysioState,
+    PidController,
+    apply_modulation,
+    hr_step,
+    kcal_step,
+    modulated_intensity,
+)
 from virusboxing.playersim import SyntheticPlayer
 from virusboxing.progression import (
     ENERGY_CAPACITY,
@@ -63,11 +80,56 @@ from virusboxing.session import (
     SessionConfig,
     SessionResult,
     TraceRow,
-    _control_schedule,
     _drain_tick_cap,
     config_digest,
 )
 from virusboxing.world import EntityStatus, WorldState, advance
+
+
+@functools.lru_cache(maxsize=16)
+def control_schedule_per_tick(effort: float, heart: HeartRateParams,
+                              pid_gains: tuple[float, float, float] | None,
+                              setpoint: float, dt: float,
+                              gameplay_ticks: int,
+                              ) -> tuple[array, dict[int, int], array, array]:
+    """``(controls, shifts, hr, kcal)`` of one config, one call per stage
+    per tick; the arguments and results are ``_control_schedule``'s."""
+    ticks_per_second = max(1, round(1.0 / dt))
+    physio = PhysioState(hr=heart.hr_rest)
+    pid = None
+    if pid_gains is not None:
+        kp, ki, kd = pid_gains
+        pid = PidController(kp=kp, ki=ki, kd=kd)
+    controls = array("d")
+    shifts: dict[int, int] = {}
+    hr = array("d")
+    kcal = array("d")
+    boundaries = iter(phase_boundary_ticks(dt))
+    next_boundary = next(boundaries)
+    for k in range(gameplay_ticks):
+        if k == next_boundary:
+            kind = phase_at(k * dt).kind
+            controlled = pid is not None and kind is PhaseKind.SPRINT
+            if controlled:
+                shifts[k] = len(controls) - k
+            intensity = modulated_intensity(kind, effort)
+            next_boundary = next(boundaries, -1)
+        if k % ticks_per_second == 0:
+            hr.append(round(physio.hr, 6))
+            kcal.append(round(physio.kcal, 6))
+        if controlled:
+            control = pid.step(setpoint, physio.hr, dt)
+            controls.append(control)
+            scale = apply_modulation(control)
+        else:
+            scale = 1.0
+        kcal_step(physio, dt)
+        # modulated_intensity(kind, effort, scale), with the phase part
+        # computed once per phase.
+        hr_step(physio, min(1.0, intensity * scale), heart, dt)
+    hr.append(round(physio.hr, 6))
+    kcal.append(round(physio.kcal, 6))
+    return controls, shifts, hr, kcal
 
 
 def run_session_per_tick(config: SessionConfig,
@@ -78,7 +140,7 @@ def run_session_per_tick(config: SessionConfig,
     gameplay_ticks = round(config.duration / dt)
     ticks_per_second = max(1, round(1.0 / dt))
 
-    controls, control_shifts, hr_rows, kcal_rows = _control_schedule(
+    controls, control_shifts, hr_rows, kcal_rows = control_schedule_per_tick(
         config.profile.effort, config.heart,
         tuple(config.pid_gains) if config.pid_enabled else None,
         config.hr_setpoint, dt, gameplay_ticks,

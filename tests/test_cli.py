@@ -249,6 +249,12 @@ class TestConfigFileValues:
         assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
         assert "pid_gains" in capsys.readouterr().err
 
+    def test_overflowing_gains_are_a_config_error(self, tmp_path,
+                                                  capsys) -> None:
+        # Finite, but the first controller output would be inf - inf.
+        assert _run_with_file(tmp_path, {"pid_gains": [1e308, 0.0, -1e308]}) == 2
+        assert "pid_gains" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("targeting", ["pt"]), ("range", {"long": 1}),
     ])

@@ -6,12 +6,15 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from per_tick_oracle import control_schedule_per_tick
 from virusboxing.interaction import TargetingMode, TargetingPolicy, TargetingRange
 from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import builtin_profiles, load_profile
 from virusboxing.session import (
     SessionConfig,
+    _control_schedule,
     _drain_tick_cap,
+    _schedule_key,
     metrics_from_log,
     replay_verify,
     run_session,
@@ -62,3 +65,15 @@ def test_session_invariants_hold(config: SessionConfig) -> None:
     assert end["t"] <= ticks * config.dt + 1e-6
     assert metrics_from_log(result.lines) == m
     assert replay_verify(result.lines, config).ok
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=session_configs())
+def test_control_schedule_matches_the_per_call_reference(
+        config: SessionConfig) -> None:
+    key = _schedule_key(config)
+    live = _control_schedule.__wrapped__(*key)
+    reference = control_schedule_per_tick.__wrapped__(*key)
+    assert live[1] == reference[1]
+    for i in (0, 2, 3):
+        assert live[i].tobytes() == reference[i].tobytes()

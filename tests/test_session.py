@@ -331,6 +331,12 @@ class TestConfigRejection:
         with pytest.raises(ValueError):
             dataclasses.replace(base_config, heart=heart).validate()
 
+    def test_heart_range_that_overflows(self, base_config) -> None:
+        heart = dataclasses.replace(base_config.heart, hr_rest=-1e308,
+                                    hr_max=1e308)
+        with pytest.raises(ValueError, match="heart range"):
+            dataclasses.replace(base_config, heart=heart).validate()
+
     @pytest.mark.parametrize("setpoint", [
         float("nan"), float("inf"), -float("inf"), 190.5,
     ])
@@ -344,6 +350,25 @@ class TestConfigRejection:
     def test_bad_pid_gains(self, base_config, gains) -> None:
         with pytest.raises(ValueError):
             dataclasses.replace(base_config, pid_gains=gains).validate()
+
+    @pytest.mark.parametrize("gains", [
+        (1e308, 0.0, -1e308), (-1e307, 0.0, 0.0), (0.06, 0.005, 1e306),
+    ])
+    def test_gains_that_overflow_the_output(self, base_config, gains) -> None:
+        # (1e308, 0, -1e308) makes the first output inf - inf = NaN, which
+        # clamps to full slow-down.
+        config = dataclasses.replace(base_config, pid_gains=gains)
+        with pytest.raises(ValueError, match="overflow the controller"):
+            config.validate()
+
+    @pytest.mark.parametrize("gains", [
+        (1e300, 1e300, 1e300), (-1e300, -1e300, -1e300), (0.0, 1e308, 0.0),
+    ])
+    def test_huge_gains_that_saturate_are_accepted(self, base_config,
+                                                   gains) -> None:
+        # The integral term is clamped for a positive ki and may be
+        # infinite for a negative one: alone, it cannot make a NaN.
+        dataclasses.replace(base_config, pid_gains=gains).validate()
 
     def test_duration_past_the_protocol(self, base_config) -> None:
         # Spawning past 420 s has no phase parameters to draw from.
