@@ -495,10 +495,10 @@ class SyntheticPlayer:
     chain's first run may need lead ticks from before the spawn tick,
     ``mark_spawn_lead`` marks those it can need under
     ``SPAWN_LEAD_MARK`` when the virus is drawn, while they are still to
-    come: none, unless a strike of the rebuilt chain can start within
-    ``lead`` ticks of the spawn.  ``lead`` is the velocity window in
-    ticks.  ``horizon`` sizes ``hot`` up front; it grows past that when a
-    mark reaches further.
+    come: none, unless the new plan's strike can start within ``lead``
+    ticks of the spawn.  ``lead`` is the velocity window in ticks.
+    ``horizon`` sizes ``hot`` up front; it grows past that when a mark
+    reaches further.
 
     Ticks may be sampled sparsely, in ascending order: the hands and the
     weave windows come out as if every tick had been sampled.  ``hands``
@@ -555,23 +555,24 @@ class SyntheticPlayer:
     def mark_spawn_lead(self, kind: EntityKind, spawn_tick: int,
                         now_tick: int) -> None:
         """Mark hot, under ``SPAWN_LEAD_MARK``, the ticks before a spawn of
-        ``kind`` on ``spawn_tick`` that the chain its plan rebuilds can
-        need, if it is a virus.
+        ``kind`` on ``spawn_tick`` that the strike of its plan can need,
+        if it is a virus.
 
-        Each hot run of the rebuilt chain is a strike at ``_HOT_SPEED``
-        or faster, which lasts at most ``_hot_strike_ticks`` and ends on
-        its plan's strike tick; its lead reaches ``lead`` ticks back from
-        the run's first tick.  The new plan's strike ends no earlier than
-        the profile's reaction time after ``(spawn_tick - 1) * dt``: a
-        ranged plan counts from the spawn time, up to a step before the
-        spawn tick.  The rebuild also re-lays the hand's pending plans
-        that strike after ``spawn_tick``; the others it drops.  So the
-        marks start at the lead before the earliest strike any of these
-        can start, one tick early for float slack, and never before
-        ``spawn_tick + 1 - lead``, as the chain starts on ``spawn_tick``.
-        The bound holds for the plans ``observe_spawn`` draws with this
-        player's profile.  Marked now, those ticks are sampled off the
-        chains that still hold on them.
+        A hot strike, at ``_HOT_SPEED`` or faster, lasts at most
+        ``_hot_strike_ticks`` and ends on its plan's strike tick; the
+        lead of its hot run reaches ``lead`` ticks back from the run's
+        first tick.  The new plan's strike ends no earlier than the
+        profile's reaction time after ``(spawn_tick - 1) * dt``: a ranged
+        plan counts from the spawn time, up to a step before the spawn
+        tick.  So the marks start at the lead before the earliest tick
+        that strike can start on, one tick early for float slack, and
+        never before ``spawn_tick + 1 - lead``, as the rebuilt chain
+        starts on ``spawn_tick``.  The bound holds for the plans
+        ``observe_spawn`` draws with this player's profile.  The rebuild
+        also re-lays the hand's pending plans, but none of their strikes
+        starts before it did in the chain it replaces, whose marks stay:
+        their leads are marked already.  Marked now, those ticks are
+        sampled off the chains that still hold on them.
 
         Raises RuntimeError unless the marked ticks all lie after
         ``now_tick``, the tick being run, so that none of them has been
@@ -579,17 +580,11 @@ class SyntheticPlayer:
         """
         if kind not in VIRUS_KINDS:
             return
-        dt = self.dt
-        # The earliest tick a strike of the rebuilt chain can start on.
-        # Its hot run starts a tick later: taken as the run's first tick,
-        # it is the float slack.
-        reaction = math.floor(self.profile.reaction_time / dt)
+        # The earliest tick the new plan's strike can start on.  Its hot
+        # run starts a tick later: taken as the run's first tick, it is
+        # the float slack.
+        reaction = math.floor(self.profile.reaction_time / self.dt)
         first = spawn_tick - 1 + reaction - self._hot_strike_ticks
-        for track in (self._left, self._right):
-            for plan in track.plans:
-                if plan.strike_tick > spawn_tick and plan.speed >= _HOT_SPEED:
-                    first = min(first, plan.strike_tick
-                                - _strike_ticks(plan.speed, dt))
         start = max(spawn_tick + 1, first) - self.lead
         if start >= spawn_tick:
             return

@@ -6,33 +6,33 @@ resolution, then empowerment bookkeeping.  All randomness flows through
 one seeded generator shared by the spawner and the synthetic player, so
 a seed plus a config fully determines the log, byte for byte.
 
-Heart rate, kcal and the controller output read nothing from gameplay:
-they follow from the effort, the heart, the PID settings, dt and the
-duration alone.  ``_control_schedule`` integrates them once per such
-config and keeps the result in a small cache, so the seeds of a sweep
-share one integration.  That integration runs on local floats: each
-tick is the arithmetic of the ``physiology`` step functions written out
-term for term, with ``min`` and ``max`` as the conditional expressions
-they evaluate to, so NaN clamps as before, and the 1 Hz rows are taken
-once per one-second span.  ``tests/per_tick_oracle.py`` keeps the loop
-that calls those functions, as the reference the schedule must match
-byte for byte.  The tick loop reads the rounded heart rate and kcal
-from the schedule on ticks that log an ``hr`` row.
+Heart rate, kcal, the controller output and the spawn cadence they
+drive read nothing from gameplay: they follow from the effort, the
+heart, the PID settings, dt and the duration alone.  ``_plan`` works
+them out once per such config and keeps them in one small cache, so the
+seeds of a sweep share one plan.  ``_control_schedule`` integrates the
+controller and the physiology on local floats: each tick is the
+arithmetic of the ``physiology`` step functions written out term for
+term, with ``min`` and ``max`` as the conditional expressions they
+evaluate to, so NaN clamps as before, and the 1 Hz rows are taken once
+per one-second span.  ``tests/per_tick_oracle.py`` keeps the loop that
+calls those functions, as the reference the schedule must match byte
+for byte.  The plan keeps the rounded heart rate and kcal of each
+``hr`` row; the controller output serves only to build it.
 
-The spawn cadence depends on nothing the seed draws either: each
-spawn's interval and speed follow from the phase and the controller
-output on the tick the previous one lands.  ``_spawn_timeline`` works
-out, once per config and in the same floats, every spawn's parameters
-and tick, and the tick each flight crosses the player plane on, by
-replaying its own ``position -= speed * dt`` steps.  The loop still
-draws each spawn's kind and lane from the seed, but never steps the
-world: it resolves the crossings the timeline puts on each tick, and
-steps the in-flight positions through the same sequence only on a
-tick a jab reads them.
+Each spawn's interval and speed follow from the phase and the
+controller output on the tick the previous one lands, so the plan also
+holds, in the same floats, every spawn's parameters and tick, and the
+tick each flight crosses the player plane on, found by replaying its
+own ``position -= speed * dt`` steps.  The loop still draws each
+spawn's kind and lane from the seed, but never steps the world: it
+resolves the crossings the plan puts on each tick, and steps the
+in-flight positions through the same sequence only on a tick a jab
+reads them.
 
-The phase changes only at the ticks ``phase_boundary_ticks`` lists, so
-the loop looks the phase up on those ticks alone and keeps the sprint
-flag until the next one.
+The phase changes only at the ticks ``phase_boundary_ticks`` lists,
+which the plan keeps, so the loop looks the phase up on those ticks
+alone and keeps the sprint flag until the next one.
 
 Most ticks are quiet: no spawn, no jab, no crossing and no empowerment
 change.  So the loop makes a progression call only when it could act:
@@ -51,12 +51,13 @@ so a hot tick asks the player for its hands (``SyntheticPlayer.hands``)
 and builds no pose sample.  A virus's spawn lead is marked when the
 virus is drawn, on the previous spawn's tick: the shortest spawn
 interval, 0.25 s, outlasts the 0.1 s window.  It covers only the ticks
-before the spawn that a strike of the rebuilt chain can need, which
-with a reaction time of 0.25 s or more at 50 Hz is none unless a
-pending strike is close.  Marks are only ever added: when a plan
-replaces another, the old chain's marks stay.  Ticks whose window still
-reaches into the old chain need them; on the others no hand can reach
-the threshold, so feeding them changes nothing.  A tick on which a cell
+before the spawn that the new plan's strike can need, which with a
+reaction time of 0.25 s or more at 50 Hz is none.  Marks are only ever
+added: when a plan replaces another, the old chain's marks stay.  Ticks
+whose window still reaches into the old chain need them; on the others
+no hand can reach the threshold, so feeding them changes nothing.  A
+pending strike that the rebuild re-lays never starts before it did in
+the old chain, so its lead is marked already.  A tick on which a cell
 crosses is sampled whole (``SyntheticPlayer.sample``) for its head pose,
 and not fed unless it is hot.
 
@@ -78,12 +79,12 @@ import math
 import os
 import random
 from array import array
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import protocol
 from .interaction import (
     Calibration,
     CellOutcome,
@@ -134,9 +135,9 @@ from .protocol import (
     phase_boundary_ticks,
     spawn_params,
 )
-# ``_spawn_timeline`` replays each flight, so nothing here calls
-# ``advance``; it stays bound because the benchmark's tracer wraps every
-# stage function in this namespace, ``world.advance`` included.
+# ``_plan`` replays each flight, so nothing here calls ``advance``; it
+# stays bound because the benchmark's tracer wraps every stage function
+# in this namespace, ``world.advance`` included.
 from .world import CREATOR_DISTANCE, EntityStatus, WorldState, advance
 
 __all__ = [
@@ -182,18 +183,13 @@ def _spawn_tick(time: float, dt: float) -> int:
     return k
 
 
-# Enough for every config of a 24-cell profile x targeting x PID x heart
-# grid; a PID-on 420 s schedule holds about 110 kB.
-_SCHEDULE_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
 def _control_schedule(effort: float, heart: HeartRateParams,
                       pid_gains: tuple[float, float, float] | None,
                       setpoint: float, dt: float,
                       gameplay_ticks: int,
                       ) -> tuple[array, dict[int, int], array, array]:
-    """Controller output and physiology of one config, for every seed.
+    """Controller output and physiology of one config, for every seed:
+    the part of its plan that ``_plan`` builds first.
 
     Each tick records the 1 Hz row's values if one is due, steps the
     controller on the heart rate at the tick's start, then integrates
@@ -208,8 +204,8 @@ def _control_schedule(effort: float, heart: HeartRateParams,
     - ``hr``, ``kcal``: the rounded values of each 1 Hz ``hr`` row, then
       those of the row at the end of the protocol.
 
-    The cache hands the same arrays to every session of the config, so
-    nothing may write to them.
+    Nothing caches the result: ``_plan`` keeps the rows and lets the
+    controls and shifts go once its spawn timeline is built.
 
     The loop runs on local floats: each tick is the arithmetic of
     ``PidController.step``, ``apply_modulation``, ``kcal_step`` and
@@ -336,21 +332,26 @@ def _expiry_tick(until: float, dt: float, gameplay_ticks: int) -> int:
 
 
 def _schedule_key(config: SessionConfig) -> tuple:
-    """The arguments ``_control_schedule`` takes for ``config``: what
-    shapes its controller and physiology, and so its spawn timeline."""
+    """The arguments ``_plan`` takes for ``config``: what shapes its
+    controller and physiology, and so its spawn timeline."""
     return (config.profile.effort, config.heart,
             tuple(config.pid_gains) if config.pid_enabled else None,
             config.hr_setpoint, config.dt, round(config.duration / config.dt))
 
 
-@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _spawn_timeline(effort: float, heart: HeartRateParams,
-                    pid_gains: tuple[float, float, float] | None,
-                    setpoint: float, dt: float, gameplay_ticks: int,
-                    bases: tuple[SpawnParams, SpawnParams],
-                    ) -> tuple[tuple[SpawnParams, ...], array, array,
-                               array, array]:
-    """When each spawn lands and crosses, for every seed of a config.
+# What one config fixes for every seed: see ``_plan``.
+_Plan = namedtuple("_Plan", "boundaries hr kcal params dues clocks "
+                            "crossings order")
+
+
+# Enough for every config of a 24-cell profile x targeting x PID x heart
+# grid, which has 8.
+@functools.lru_cache(maxsize=16)
+def _plan(effort: float, heart: HeartRateParams,
+          pid_gains: tuple[float, float, float] | None,
+          setpoint: float, dt: float, gameplay_ticks: int) -> _Plan:
+    """The phase boundaries, physiology and spawn timeline of one config,
+    for every seed.
 
     A spawn's time and speed follow from the previous spawn's tick: its
     phase and, in a controlled sprint, the controller output there,
@@ -358,9 +359,12 @@ def _spawn_timeline(effort: float, heart: HeartRateParams,
     the kind and the lane.  So the spawn ticks, the position
     ``WorldState.spawn`` gives each entity and the tick its stepped
     flight crosses on are the same for every seed, and are worked out
-    here once, in the floats the per-tick loop would use.  Returns
-    ``(params, dues, clocks, crossings, order)``, indexed by spawn:
+    here once, in the floats the per-tick loop would use.  The plan
+    holds:
 
+    - ``boundaries``: the phase boundary ticks before the end of the
+      protocol, then the end, tick G.
+    - ``hr``, ``kcal``: the rows of ``_control_schedule``.
     - ``params``, ``dues``: the SpawnParams ``next_spawn`` draws spawn i
       with, and the tick it is due on.  The last spawn is due at or
       after the end of the protocol and never lands; only its spawn
@@ -371,21 +375,21 @@ def _spawn_timeline(effort: float, heart: HeartRateParams,
     - ``order``: the spawn indices in crossing order, ties in spawn
       order, then the last spawn's.
 
-    ``bases`` is the protocol's (low-intensity, sprint) spawn parameters,
-    which ``spawn_params`` reads: part of the key, so that no other
-    values of them are ever served a stale timeline.  The cache hands
-    the same arrays to every session of the config, so nothing may
-    write to them.
+    ``spawn_params`` reads the protocol's spawn constants, which are not
+    part of the key: whatever changes them must clear the cache.  The
+    cache hands the same arrays to every session of the config, so
+    nothing may write to them.
     """
-    controls, shifts, _, _ = _control_schedule(
+    controls, shifts, hr, kcal = _control_schedule(
         effort, heart, pid_gains, setpoint, dt, gameplay_ticks)
+    boundaries = tuple(b for b in phase_boundary_ticks(dt)
+                       if b < gameplay_ticks) + (gameplay_ticks,)
     params: list[SpawnParams] = []
     dues = array("l")
     clocks = array("d")
     crossings = array("l")
-    boundaries = iter([b for b in phase_boundary_ticks(dt)
-                       if b < gameplay_ticks] + [-1])
-    next_boundary = next(boundaries)
+    boundary_ticks = iter(boundaries)
+    next_boundary = next(boundary_ticks)
     clock, clock_tick = 0.0, 0
     phase = phase_at(0.0)
     spawn = spawn_params(phase)
@@ -399,11 +403,12 @@ def _spawn_timeline(effort: float, heart: HeartRateParams,
         for _ in range(due - clock_tick):
             clock += dt  # advance's ``world.sim_time += dt``
         clock_tick = due
-        while 0 <= next_boundary <= due:
+        # Tick G, the last boundary, lies past every due tick here.
+        while next_boundary <= due:
             phase = phase_at(next_boundary * dt)
             shift = shifts.get(next_boundary)
             made: dict[float, SpawnParams] = {}  # this phase's, by scale
-            next_boundary = next(boundaries)
+            next_boundary = next(boundary_ticks)
         position = CREATOR_DISTANCE - spawn.speed * (clock - time)
         clocks.append(clock)
         crossings.append(_crossing_tick(position, spawn.speed, dt, due,
@@ -420,7 +425,8 @@ def _spawn_timeline(effort: float, heart: HeartRateParams,
     crossings.append(-1)
     order = array("l", sorted(range(landed), key=crossings.__getitem__))
     order.append(landed)
-    return tuple(params), dues, clocks, crossings, order
+    return _Plan(boundaries, hr, kcal, tuple(params), dues, clocks,
+                 crossings, order)
 
 
 @dataclass(frozen=True)
@@ -479,12 +485,11 @@ class SessionConfig:
                 f"heart time constants must be positive, got tau_rise "
                 f"{heart.tau_rise} and tau_decay {heart.tau_decay}"
             )
-        if heart.hr_rest >= heart.hr_max:
-            raise ValueError("hr_rest must be below hr_max")
-        if not math.isfinite(heart.hr_max - heart.hr_rest):
-            # The heart-rate target would be inf or NaN.
+        # Which also keeps the heart-rate range, hr_max - hr_rest, finite.
+        if not 0.0 < heart.hr_rest < heart.hr_max:
             raise ValueError(
-                f"heart range {heart.hr_rest} to {heart.hr_max} overflows"
+                f"hr_rest must lie in (0, hr_max), got {heart.hr_rest} "
+                f"with hr_max {heart.hr_max}"
             )
         if not math.isfinite(self.hr_setpoint) or self.hr_setpoint <= 0.0:
             raise ValueError(
@@ -501,13 +506,12 @@ class SessionConfig:
         # infinite with opposite signs.  The integral term may be (a
         # negative ki has no anti-windup clamp), so the proportional and
         # derivative terms must stay finite.  The heart rate stays in
-        # [hr_rest, hr_max] and the setpoint in (0, hr_max], so |error|
-        # is at most hr_max - min(hr_rest, 0) and |Δerror| at most twice
-        # that, which also covers the rounding of the differences.
+        # [hr_rest, hr_max] and the setpoint in (0, hr_max], both above 0,
+        # so |error| is below hr_max and |Δerror| below twice that, which
+        # also covers the rounding of the differences.
         kp, _, kd = self.pid_gains
-        reach = heart.hr_max - min(heart.hr_rest, 0.0)
-        if not (math.isfinite(abs(kp) * reach)
-                and math.isfinite(abs(kd) * 2.0 * reach / self.dt)):
+        if not (math.isfinite(abs(kp) * heart.hr_max)
+                and math.isfinite(abs(kd) * 2.0 * heart.hr_max / self.dt)):
             raise ValueError(
                 f"pid_gains {self.pid_gains} overflow the controller output "
                 f"for heart rates up to {heart.hr_max} at dt {self.dt}"
@@ -599,10 +603,8 @@ def run_session(config: SessionConfig,
     gameplay_ticks = round(config.duration / dt)
     ticks_per_second = max(1, round(1.0 / dt))
 
-    key = _schedule_key(config)
-    _, _, hr_rows, kcal_rows = _control_schedule(*key)
-    params, dues, clocks, crossings, order = _spawn_timeline(
-        *key, (protocol.LOW_INTENSITY_SPAWN, protocol.SPRINT_SPAWN))
+    (boundaries, hr_rows, kcal_rows, params, dues, clocks, crossings,
+     order) = _plan(*_schedule_key(config))
 
     rng = random.Random(config.seed)
     world = WorldState()
@@ -648,8 +650,7 @@ def run_session(config: SessionConfig,
     expiry = -1
     # The end of the protocol, tick G = gameplay_ticks, is the last
     # boundary; the ticks after it drain the world.
-    boundaries = iter([b for b in phase_boundary_ticks(dt)
-                       if b < gameplay_ticks] + [gameplay_ticks])
+    boundaries = iter(boundaries)
     next_boundary = next(boundaries)
     next_hr = 0
 

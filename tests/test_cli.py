@@ -271,6 +271,13 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
         assert "hr_rest" in capsys.readouterr().err
 
+    def test_inline_heart_with_a_negative_rest_is_a_config_error(
+            self, tmp_path, capsys) -> None:
+        # Accepted, it would log negative heart rates and kcal.
+        heart = {"hr_rest": -50, "hr_max": 190}
+        assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
+        assert "hr_rest" in capsys.readouterr().err
+
     def test_inline_heart_equal_to_a_preset_runs_as_it(self, tmp_path,
                                                        capsys) -> None:
         heart = {"hr_rest": 60, "hr_max": 190.0}

@@ -72,7 +72,7 @@ def test_session_invariants_hold(config: SessionConfig) -> None:
 def test_control_schedule_matches_the_per_call_reference(
         config: SessionConfig) -> None:
     key = _schedule_key(config)
-    live = _control_schedule.__wrapped__(*key)
+    live = _control_schedule(*key)
     reference = control_schedule_per_tick.__wrapped__(*key)
     assert live[1] == reference[1]
     for i in (0, 2, 3):

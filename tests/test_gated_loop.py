@@ -38,13 +38,15 @@ from virusboxing.interaction import (
 from virusboxing.playersim import (
     HAND_MARKS,
     SPAWN_LEAD_MARK,
+    _HOT_SPEED,
     JabPlan,
     SyntheticPlayer,
     WeavePlan,
+    _HandTrack,
     load_profile,
 )
 from virusboxing.protocol import PhaseKind, SpawnParams, phase_at
-from virusboxing.session import SessionConfig, _spawn_tick, run_session
+from virusboxing.session import SessionConfig, _plan, _spawn_tick, run_session
 from virusboxing.world import EntityKind
 
 # Not a seed the golden logs pin (they use 0, 1 and 2).
@@ -503,8 +505,8 @@ class TestHotMarks:
     def test_a_quarter_second_reaction_marks_no_spawn_lead(self) -> None:
         # At dt 0.02 a new plan strikes no earlier than 12 ticks after the
         # tick before its spawn, and a hot strike lasts at most 6 ticks:
-        # its run's lead starts on the spawn tick.  A pending strike that
-        # is slow, or not after the spawn tick, changes nothing.
+        # its run's lead starts on the spawn tick.  A pending strike
+        # changes nothing: the rebuild never starts it earlier.
         player = _expert_reacting_in(0.25)
         player.mark_spawn_lead(RED, 40, 30)
         assert not any(player.hot)
@@ -516,17 +518,6 @@ class TestHotMarks:
         player.mark_spawn_lead(RED, 40, 30)
         assert bytes(player.hot) == hand_marks
         assert not any(byte & SPAWN_LEAD_MARK for byte in player.hot)
-
-    def test_a_pending_hot_strike_marks_its_lead(self) -> None:
-        # A rebuild on the spawn tick re-lays the pending plans, so a hot
-        # strike due soon after the spawn counts from its own start: two
-        # ticks before tick 44 at 2.5 m/s, one tick early for slack.
-        player = _expert_reacting_in(0.25)
-        player.inject(JabPlan(0, Hand.RIGHT, 44, 2.5, (0.1, 1.4, 0.45),
-                              False, 0), 0)
-        player.mark_spawn_lead(RED, 40, 30)
-        assert [k for k, byte in enumerate(player.hot)
-                if byte & SPAWN_LEAD_MARK] == list(range(42 - player.lead, 40))
 
     def test_a_relaid_chain_fires_alike_on_its_marked_ticks(self) -> None:
         # Plans A and B wait on one hand, B repositioning from where A's
@@ -560,7 +551,48 @@ class TestHotMarks:
         dense, sparse = streams
         assert [event.time for event in dense] == pytest.approx([2.22, 2.48])
         assert sparse == dense
-        assert any(byte == SPAWN_LEAD_MARK for byte in source.hot)
+
+    @pytest.mark.parametrize("reaction", [0.0, None])
+    @pytest.mark.parametrize("dt", [0.02, 0.07])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_a_relaid_strike_never_starts_earlier(self, profile, dt,
+                                                  reaction) -> None:
+        # A rebuild re-lays the pending plans of its hand behind the new
+        # one.  None of their hot strikes starts before it did in the
+        # chain it replaces, whose marks stay: so the lead before each of
+        # them is marked already, and the spawn lead need not cover it.
+        add = _HandTrack.add
+        relaid = 0
+
+        def strike_starts(track) -> dict[int, float]:
+            """Each pending hot plan's strike start, by seq: the knot
+            before the one its strike ends on."""
+            times = [t for t, _ in track.knots]
+            return {plan.seq: times[times.index(plan.strike_tick * dt) - 1]
+                    for plan in track.plans if plan.speed >= _HOT_SPEED}
+
+        def checked_add(self, plan, now_tick):
+            nonlocal relaid
+            before, marks = strike_starts(self), bytes(self.hot)
+            add(self, plan, now_tick)
+            for seq, start in strike_starts(self).items():
+                if seq not in before:
+                    continue
+                relaid += 1
+                assert start >= before[seq], (now_tick, seq)
+                first = next(k for k in itertools.count(now_tick)
+                             if k * dt > start)
+                assert all(marks[max(0, first - self.lead):first]), (
+                    now_tick, seq)
+
+        quick = load_profile(profile)
+        if reaction is not None:
+            quick = dataclasses.replace(quick, reaction_time=reaction)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_HandTrack, "add", checked_add)
+            run_session(SessionConfig(seed=SEED, profile=quick, dt=dt,
+                                      duration=63.0))
+        assert relaid
 
     @pytest.mark.parametrize("dt", [0.035, 0.07])
     def test_the_spawn_tick_is_the_per_tick_loops(self, dt) -> None:
@@ -609,16 +641,25 @@ class TestGuards:
     def test_spawns_closer_than_the_velocity_window_raise(self) -> None:
         # A virus drawn less than a window before its spawn tick leaves no
         # time to feed its lead in order.  The per-tick loop needs no lead
-        # and runs on; the gated loop refuses rather than guess.
-        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
+        # and runs on; the gated loop refuses rather than guess.  With no
+        # reaction time every virus has a spawn lead.
+        instant = dataclasses.replace(load_profile("mid_skill"),
+                                      reaction_time=0.0)
+        config = SessionConfig(seed=SEED, profile=instant,
                                pid_enabled=False, duration=10.0)
         fast = SpawnParams(interval=0.9 * VELOCITY_WINDOW, speed=5.7)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol, "LOW_INTENSITY_SPAWN", fast)
-            patch.setattr(protocol, "SPRINT_SPAWN", fast)
-            assert run_session_per_tick(config).lines
-            with pytest.raises(RuntimeError, match="lead"):
-                run_session(config)
+        # The plan cache is keyed on the config alone, not on the spawn
+        # constants: clear it before and after running with these.
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(protocol, "LOW_INTENSITY_SPAWN", fast)
+                patch.setattr(protocol, "SPRINT_SPAWN", fast)
+                _plan.cache_clear()
+                assert run_session_per_tick(config).lines
+                with pytest.raises(RuntimeError, match="lead"):
+                    run_session(config)
+        finally:
+            _plan.cache_clear()
 
 
 class TestStepBound:

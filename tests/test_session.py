@@ -26,8 +26,9 @@ from virusboxing.session import (
     replay_verify,
     run_many,
     run_session,
-    _control_schedule,
     _drain_tick_cap,
+    _plan,
+    _schedule_key,
 )
 from virusboxing.world import CREATOR_DISTANCE
 
@@ -325,6 +326,7 @@ class TestConfigRejection:
     @pytest.mark.parametrize("field, value", [
         ("tau_rise", 0.0), ("tau_decay", 0.0), ("tau_rise", -5.0),
         ("tau_decay", float("nan")), ("hr_max", float("inf")),
+        ("hr_rest", -50.0), ("hr_rest", 0.0),
     ])
     def test_bad_heart(self, base_config, field, value) -> None:
         heart = dataclasses.replace(base_config.heart, **{field: value})
@@ -334,7 +336,7 @@ class TestConfigRejection:
     def test_heart_range_that_overflows(self, base_config) -> None:
         heart = dataclasses.replace(base_config.heart, hr_rest=-1e308,
                                     hr_max=1e308)
-        with pytest.raises(ValueError, match="heart range"):
+        with pytest.raises(ValueError, match="hr_rest must lie in"):
             dataclasses.replace(base_config, heart=heart).validate()
 
     @pytest.mark.parametrize("setpoint", [
@@ -447,8 +449,14 @@ def _physiology(result) -> list[tuple[float, float]]:
     return [(row.hr, row.kcal) for row in result.trace]
 
 
-class TestControlSchedule:
-    """Heart rate, kcal and the controller come from a per-config cache."""
+def _spawns(result) -> list[tuple[float, float]]:
+    rows = [json.loads(line) for line in result.lines]
+    return [(row["t"], row["speed"]) for row in rows if row["type"] == "spawn"]
+
+
+class TestPlanCache:
+    """Heart rate, kcal and the spawn timeline come from one per-config
+    cache."""
 
     @pytest.fixture(scope="class")
     def pid_config(self) -> SessionConfig:
@@ -457,17 +465,16 @@ class TestControlSchedule:
                              duration=60.0)
 
     def test_warm_cache_gives_the_cold_log(self, pid_config) -> None:
-        _control_schedule.cache_clear()
+        _plan.cache_clear()
         cold = run_session(pid_config)
-        hits = _control_schedule.cache_info().hits
+        hits = _plan.cache_info().hits
         warm = run_session(pid_config)
-        assert _control_schedule.cache_info().hits == hits + 1
+        assert _plan.cache_info().hits == hits + 1
         assert warm.lines == cold.lines
         assert warm.trace == cold.trace
 
-    def test_physiology_is_shared_across_seeds_and_targeting(
-            self, pid_config) -> None:
-        _control_schedule.cache_clear()
+    def test_one_plan_serves_every_seed_and_targeting(self, pid_config) -> None:
+        _plan.cache_clear()
         reference = _physiology(run_session(pid_config))
         precise = TargetingPolicy(TargetingMode.PRECISE)
         for seed in (1, 7):
@@ -475,8 +482,7 @@ class TestControlSchedule:
                 other = dataclasses.replace(pid_config, seed=seed,
                                             targeting=targeting)
                 assert _physiology(run_session(other)) == reference
-        # One schedule served all five sessions.
-        assert _control_schedule.cache_info().misses == 1
+        assert _plan.cache_info().misses == 1
 
     @pytest.mark.parametrize("changes", [
         {"profile": dataclasses.replace(load_profile("mid_skill"), effort=0.5)},
@@ -488,18 +494,33 @@ class TestControlSchedule:
         {"dt": 0.01, "duration": 30.0},
         {"duration": 90.0},
     ], ids=["effort", "heart", "pid", "gains", "setpoint", "dt", "duration"])
-    def test_every_key_field_gets_its_own_schedule(
-            self, pid_config, changes) -> None:
-        # A key that left the field out would serve the variant the
-        # schedule cached for pid_config.
+    def test_every_key_field_gets_its_own_plan(self, pid_config,
+                                               changes) -> None:
+        # A key that left the field out would serve the variant the plan
+        # cached for pid_config.
         variant = dataclasses.replace(pid_config, **changes)
-        _control_schedule.cache_clear()
+        _plan.cache_clear()
         cold = run_session(variant)
-        _control_schedule.cache_clear()
+        _plan.cache_clear()
         base = run_session(pid_config)
         after_base = run_session(variant)
         assert after_base.lines == cold.lines
+        assert _plan.cache_info().misses == 2
         assert _physiology(cold) != _physiology(base)
+        assert _spawns(cold) != _spawns(base)
+
+    def test_runs_leave_the_shared_arrays_unchanged(self, pid_config) -> None:
+        plan = _plan(*_schedule_key(pid_config))
+
+        def snapshot() -> list:
+            return [part.tobytes() if hasattr(part, "tobytes") else part
+                    for part in plan]
+
+        before = snapshot()
+        for seed in range(4):
+            run_session(dataclasses.replace(pid_config, seed=seed))
+        assert _plan(*_schedule_key(pid_config)) is plan
+        assert snapshot() == before
 
 
 class TestNegativeSeeds:

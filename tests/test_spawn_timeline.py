@@ -1,17 +1,16 @@
 """The spawn timeline: each flight's crossing worked out once per config.
 
 ``run_session`` does not step the world on every tick.  Per config,
-``_spawn_timeline`` replays each entity's ``position -= speed * dt``
-sequence once to find the tick it crosses on, and the loop steps the
-in-flight positions through the same sequence only when a jab reads
-them.  These tests hold the replay to ``world.advance`` with ``==``, the
-precomputed empowerment expiry to ``tick_empowerment``, a few sessions
-whose empowerment ends on or after the end of the protocol to the
-per-tick loop, and the timeline's cache to the control schedule's rules.
+``_plan`` replays each entity's ``position -= speed * dt`` sequence
+once to find the tick it crosses on, and the loop steps the in-flight
+positions through the same sequence only when a jab reads them.  These
+tests hold the replay to ``world.advance`` with ``==``, the precomputed
+empowerment expiry to ``tick_empowerment``, and a few sessions whose
+empowerment ends on or after the end of the protocol to the per-tick
+loop.  ``tests/test_session.py`` tests the plan's cache.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -19,9 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_tick_oracle import run_session_per_tick
-from virusboxing import protocol
-from virusboxing.interaction import TargetingMode, TargetingPolicy
-from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import load_profile
 from virusboxing.progression import (
     EMPOWERMENT_DURATION,
@@ -33,15 +29,11 @@ from virusboxing.protocol import (
     MODULATION_MAX,
     MODULATION_MIN,
     SPRINT_SPAWN,
-    SpawnParams,
 )
 from virusboxing.session import (
     SessionConfig,
-    _control_schedule,
     _crossing_tick,
     _expiry_tick,
-    _schedule_key,
-    _spawn_timeline,
     _stepped,
     run_session,
 )
@@ -50,11 +42,6 @@ from virusboxing.world import EntityKind, WorldState, advance
 # Not a seed the golden logs pin (they use 0, 1 and 2).
 SEED = 5
 STEPS = (0.001, 0.02, 0.035, 0.07, 0.1)
-
-
-def _timeline(config: SessionConfig):
-    bases = (protocol.LOW_INTENSITY_SPAWN, protocol.SPRINT_SPAWN)
-    return _spawn_timeline(*_schedule_key(config), bases)
 
 
 class TestCrossingReplay:
@@ -186,87 +173,3 @@ class TestExpiryAtTheEnd:
         assert empower[-2:] == [(start, "start"),
                                 (round(end_tick * dt, 6), "end")]
         assert end_tick > gameplay_ticks
-
-
-class TestSpawnTimelineCache:
-    """The timeline comes from a per-config cache, like the control
-    schedule."""
-
-    @pytest.fixture(scope="class")
-    def pid_config(self) -> SessionConfig:
-        # Ends inside the first sprint, so the controller runs.
-        return SessionConfig(seed=0, profile=load_profile("mid_skill"),
-                             duration=60.0)
-
-    def test_warm_cache_gives_the_cold_log(self, pid_config) -> None:
-        _spawn_timeline.cache_clear()
-        cold = run_session(pid_config)
-        hits = _spawn_timeline.cache_info().hits
-        warm = run_session(pid_config)
-        assert _spawn_timeline.cache_info().hits == hits + 1
-        assert warm.lines == cold.lines
-        assert warm.trace == cold.trace
-
-    def test_one_timeline_serves_every_seed_and_targeting(
-            self, pid_config) -> None:
-        _spawn_timeline.cache_clear()
-        run_session(pid_config)
-        precise = TargetingPolicy(TargetingMode.PRECISE)
-        for seed in (1, 7):
-            for targeting in (pid_config.targeting, precise):
-                run_session(dataclasses.replace(pid_config, seed=seed,
-                                                targeting=targeting))
-        assert _spawn_timeline.cache_info().misses == 1
-
-    @pytest.mark.parametrize("changes", [
-        {"profile": dataclasses.replace(load_profile("mid_skill"), effort=0.5)},
-        {"heart": HEART_PRESETS["sedentary"]},
-        {"pid_enabled": False},
-        {"pid_gains": (0.01, 0.0, 0.0)},
-        {"hr_setpoint": 120.0},
-        # The same 3000 ticks as pid_config, so only dt tells them apart.
-        {"dt": 0.01, "duration": 30.0},
-        {"duration": 90.0},
-        "bases",
-    ], ids=["effort", "heart", "pid", "gains", "setpoint", "dt", "duration",
-            "bases"])
-    def test_every_key_field_gets_its_own_timeline(
-            self, pid_config, changes, monkeypatch) -> None:
-        # A key that left the field out would serve the variant the
-        # timeline cached for pid_config.
-        def run_variant():
-            if changes != "bases":
-                return run_session(dataclasses.replace(pid_config, **changes))
-            with monkeypatch.context() as patch:
-                patch.setattr(protocol, "SPRINT_SPAWN", SpawnParams(0.6, 9.0))
-                return run_session(pid_config)
-
-        _spawn_timeline.cache_clear()
-        cold = run_variant()
-        _spawn_timeline.cache_clear()
-        base = run_session(pid_config)
-        after_base = run_variant()
-        assert after_base.lines == cold.lines
-        assert _spawn_timeline.cache_info().misses == 2
-        assert _spawns(cold) != _spawns(base)
-
-    def test_runs_leave_the_shared_arrays_unchanged(self, pid_config) -> None:
-        run_session(pid_config)
-        timeline = _timeline(pid_config)
-        schedule = _control_schedule(*_schedule_key(pid_config))
-        before = _snapshot(timeline), _snapshot(schedule)
-        for seed in range(4):
-            run_session(dataclasses.replace(pid_config, seed=seed))
-        assert _timeline(pid_config) is timeline
-        assert (_snapshot(timeline), _snapshot(schedule)) == before
-
-
-def _spawns(result) -> list[tuple[float, float]]:
-    rows = [json.loads(line) for line in result.lines]
-    return [(row["t"], row["speed"]) for row in rows if row["type"] == "spawn"]
-
-
-def _snapshot(parts) -> tuple:
-    return tuple(part.tobytes() if hasattr(part, "tobytes")
-                 else (dict(part) if isinstance(part, dict) else tuple(part))
-                 for part in parts)
