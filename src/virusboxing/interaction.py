@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .world import Entity, EntityKind, VIRUS_KINDS, WorldState
+from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, WorldState
 
 __all__ = [
     "JAB_SPEED_THRESHOLD",
@@ -57,6 +57,8 @@ Vec3 = tuple[float, float, float]
 class Hand(Enum):
     LEFT = "left"
     RIGHT = "right"
+
+    __hash__ = object.__hash__  # see world.EntityKind
 
 
 # Slot order of per-hand state: left first, as jabs are reported.
@@ -103,16 +105,22 @@ class PoseClass(Enum):
     SQUAT_LEAN_LEFT = "squat_lean_left"
     SQUAT_LEAN_RIGHT = "squat_lean_right"
 
+    __hash__ = object.__hash__  # see world.EntityKind
+
 
 class TargetingMode(Enum):
     PRECISE = "precise"
     ROUGH = "rough"
+
+    __hash__ = object.__hash__  # see world.EntityKind
 
 
 class TargetingRange(Enum):
     SHORT = "short"
     MEDIUM = "medium"
     LONG = "long"
+
+    __hash__ = object.__hash__  # see world.EntityKind
 
 
 RANGE_METRES = {
@@ -132,8 +140,13 @@ class TargetingPolicy:
         return RANGE_METRES[self.range]
 
 
-@dataclass(frozen=True, slots=True)
-class JabEvent:
+class JabEvent(NamedTuple):
+    """One registered jab: when, which hand, how fast, from where and
+    which way.
+
+    A named tuple, so immutable and cheap to build.
+    """
+
     time: float
     hand: Hand
     hand_speed: float
@@ -146,18 +159,32 @@ class HitKind(Enum):
     WRONG_HAND = "wrong_hand"
     NO_TARGET = "no_target"
 
+    __hash__ = object.__hash__  # see world.EntityKind
 
-@dataclass(frozen=True, slots=True)
-class HitResult:
-    """What a jab hit; ``target`` is the destroyed virus, else None."""
+
+class HitResult(NamedTuple):
+    """What a jab hit; ``target`` is the destroyed virus, else None.
+
+    A named tuple, so immutable and cheap to build.
+    """
 
     kind: HitKind
     target: Entity | None = None
 
 
+# The two results that name no target, built once and shared: they are
+# immutable.
+_WRONG_HAND = HitResult(HitKind.WRONG_HAND)
+_NO_TARGET = HitResult(HitKind.NO_TARGET)
+# Bound once: reading a member off its class is slow in Python 3.11.
+_PRECISE = TargetingMode.PRECISE
+
+
 class CellOutcome(Enum):
     AVOIDED = "avoided"
     COLLIDED = "collided"
+
+    __hash__ = object.__hash__  # see world.EntityKind
 
 
 def hand_velocity(samples: Sequence[tuple[float, Vec3]]) -> tuple[float, Vec3]:
@@ -254,21 +281,10 @@ class JabDetector:
             if (speed >= self.threshold and prev_speed[i] < self.threshold
                     and now - self._last_fire[i] >= self.refractory - 1e-9):
                 self._last_fire[i] = now
-                events.append(JabEvent(
-                    time=now,
-                    hand=_HANDS[i],
-                    hand_speed=speed,
-                    hand_pos=p1,
-                    direction=(dx / dist, dy / dist, dz / dist),
-                ))
+                events.append(JabEvent(now, _HANDS[i], speed, p1,
+                                       (dx / dist, dy / dist, dz / dist)))
             prev_speed[i] = speed
         return events
-
-
-def _dist3(a: Vec3, b: Vec3) -> float:
-    return math.sqrt(
-        (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-    )
 
 
 def _ray_passes(origin: Vec3, direction: Vec3, centre: Vec3,
@@ -300,6 +316,11 @@ def resolve_jab(jab: JabEvent, world: WorldState, policy: TargetingPolicy,
     matching: list[tuple[float, int, Entity]] = []
     off_colour: list[tuple[float, int, Entity]] = []
     range_m = policy.range_m
+    precise = policy.mode is _PRECISE
+    hand = jab.hand
+    hx, hy, hz = jab.hand_pos
+    # The height term of the melee distance, the same for every entity.
+    dy2 = (hy - FLIGHT_HEIGHT) ** 2
     for entity in world.in_flight:
         if entity.kind not in VIRUS_KINDS:
             continue
@@ -307,22 +328,22 @@ def resolve_jab(jab: JabEvent, world: WorldState, policy: TargetingPolicy,
             distance = entity.position
             if distance > range_m:
                 continue
-            if policy.mode is TargetingMode.PRECISE and not _ray_passes(
+            if precise and not _ray_passes(
                 jab.hand_pos, jab.direction, entity.centre(), PRECISE_RAY_TOLERANCE
             ):
                 continue
         else:
-            distance = _dist3(jab.hand_pos, entity.centre())
+            # The distance from the hand to entity.centre(), written out.
+            distance = math.sqrt((hx - entity.lane_offset) ** 2 + dy2
+                                 + (hz - entity.position) ** 2)
             if distance > MELEE_RADIUS:
                 continue
-        bucket = matching if HAND_FOR_VIRUS[entity.kind] is jab.hand else off_colour
+        bucket = matching if HAND_FOR_VIRUS[entity.kind] is hand else off_colour
         bucket.append((distance, entity.id, entity))
     if matching:
         _, _, target = min(matching, key=lambda item: (item[0], item[1]))
         return HitResult(HitKind.DESTROYED, target)
-    if off_colour:
-        return HitResult(HitKind.WRONG_HAND)
-    return HitResult(HitKind.NO_TARGET)
+    return _WRONG_HAND if off_colour else _NO_TARGET
 
 
 def classify_weave_pose(sample: PoseSample, calibration: Calibration) -> PoseClass:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .interaction import (
     Calibration,
@@ -183,8 +184,14 @@ def load_profile(name_or_path: str) -> PlayerProfile:
     return profile
 
 
-@dataclass(frozen=True, slots=True)
-class JabPlan:
+class JabPlan(NamedTuple):
+    """A scripted punch at a virus: which hand strikes, on which tick, how
+    fast and at what point, and whether empowered targeting aims it.
+
+    A named tuple, so immutable and cheap to build.  ``seq`` orders plans
+    drawn for the same hand: the later plan wins a conflict.
+    """
+
     entity_id: int
     hand: Hand
     strike_tick: int
@@ -194,8 +201,13 @@ class JabPlan:
     seq: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class WeavePlan:
+class WeavePlan(NamedTuple):
+    """A scripted duck under a cell: the pose to hold around the tick the
+    cell is predicted to cross on.
+
+    A named tuple, so immutable and cheap to build.
+    """
+
     entity_id: int
     pose: PoseClass
     cross_tick: int
@@ -208,8 +220,14 @@ _AVOIDANCE_POSE = {
 }
 
 
+# Bound once: reading an enum member off its class is slow in Python 3.11.
+_LEFT = Hand.LEFT
+_RIGHT = Hand.RIGHT
+_SQUAT = PoseClass.SQUAT
+
+
 def _other_hand(hand: Hand) -> Hand:
-    return Hand.LEFT if hand is Hand.RIGHT else Hand.RIGHT
+    return _LEFT if hand is _RIGHT else _RIGHT
 
 
 def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
@@ -523,7 +541,7 @@ class SyntheticPlayer:
         self.lead = self._left.lead
         # The most ticks a strike at _HOT_SPEED or faster lasts.
         self._hot_strike_ticks = _strike_ticks(_HOT_SPEED, dt)
-        self._hands = {Hand.LEFT: self._left, Hand.RIGHT: self._right}
+        self._hands = {_LEFT: self._left, _RIGHT: self._right}
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
         lean_x = calibration.lean_threshold + LEAN_MARGIN
@@ -559,15 +577,17 @@ class SyntheticPlayer:
         if it is a virus.
 
         A hot strike, at ``_HOT_SPEED`` or faster, lasts at most
-        ``_hot_strike_ticks`` and ends on its plan's strike tick; the
-        lead of its hot run reaches ``lead`` ticks back from the run's
-        first tick.  The new plan's strike ends no earlier than the
-        profile's reaction time after ``(spawn_tick - 1) * dt``: a ranged
-        plan counts from the spawn time, up to a step before the spawn
-        tick.  So the marks start at the lead before the earliest tick
-        that strike can start on, one tick early for float slack, and
-        never before ``spawn_tick + 1 - lead``, as the rebuilt chain
-        starts on ``spawn_tick``.  The bound holds for the plans
+        ``_hot_strike_ticks`` and ends on its plan's strike tick; its hot
+        run starts on the tick after the strike starts, and the run's lead
+        reaches ``lead`` ticks back from there.  A spawn lands on tick
+        ``s`` only if its time is above ``(s - 1) * dt + 1e-9``
+        (``session._spawn_tick``), and every plan strikes at least the
+        profile's reaction time after the spawn time, so its strike tick
+        is at least ``s + floor(reaction_time / dt)``: a ranged plan
+        counts from the spawn time, a melee plan from ``s * dt``.  So the
+        marks start at the lead before the first tick of the earliest hot
+        run, and never before ``spawn_tick + 1 - lead``, as the rebuilt
+        chain starts on ``spawn_tick``.  The bound holds for the plans
         ``observe_spawn`` draws with this player's profile.  The rebuild
         also re-lays the hand's pending plans, but none of their strikes
         starts before it did in the chain it replaces, whose marks stay:
@@ -580,11 +600,10 @@ class SyntheticPlayer:
         """
         if kind not in VIRUS_KINDS:
             return
-        # The earliest tick the new plan's strike can start on.  Its hot
-        # run starts a tick later: taken as the run's first tick, it is
-        # the float slack.
+        # The first tick of the earliest hot run the new plan's strike can
+        # open: the tick after the earliest it can start on.
         reaction = math.floor(self.profile.reaction_time / self.dt)
-        first = spawn_tick - 1 + reaction - self._hot_strike_ticks
+        first = spawn_tick + 1 + reaction - self._hot_strike_ticks
         start = max(spawn_tick + 1, first) - self.lead
         if start >= spawn_tick:
             return
@@ -617,7 +636,7 @@ class SyntheticPlayer:
             pose=plan.pose,
             head=self._head_for[plan.pose],
             entity_id=plan.entity_id,
-            tilted=plan.pose is not PoseClass.SQUAT,
+            tilted=plan.pose is not _SQUAT,
         )
         # Consume the windows due by the last tick first, as sampling
         # every tick up to now would have: where the new window lands

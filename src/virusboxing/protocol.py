@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .world import EntityKind
 
@@ -50,6 +51,8 @@ class PhaseKind(Enum):
     SPRINT = "sprint"
     COOLDOWN = "cooldown"
     ENDED = "ended"
+
+    __hash__ = object.__hash__  # see world.EntityKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +158,12 @@ def sample_kind(rng: random.Random) -> EntityKind:
     return KIND_MIX[-1][0]
 
 
-@dataclass(frozen=True, slots=True)
-class SpawnEvent:
+class SpawnEvent(NamedTuple):
+    """The next spawn: when, what, how fast and where across the lane.
+
+    A named tuple, so immutable and cheap to build.
+    """
+
     time: float
     kind: EntityKind
     speed: float
@@ -172,9 +179,4 @@ def next_spawn(rng: random.Random, now: float, params: SpawnParams) -> SpawnEven
     """
     kind = sample_kind(rng)
     lane = rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)
-    return SpawnEvent(
-        time=now + params.interval,
-        kind=kind,
-        speed=params.speed,
-        lane_offset=lane,
-    )
+    return SpawnEvent(now + params.interval, kind, params.speed, lane)

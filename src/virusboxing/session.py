@@ -83,7 +83,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .interaction import (
     Calibration,
@@ -186,10 +186,12 @@ def _spawn_tick(time: float, dt: float) -> int:
 def _control_schedule(effort: float, heart: HeartRateParams,
                       pid_gains: tuple[float, float, float] | None,
                       setpoint: float, dt: float,
-                      gameplay_ticks: int,
+                      boundaries: tuple[int, ...],
                       ) -> tuple[array, dict[int, int], array, array]:
     """Controller output and physiology of one config, for every seed:
-    the part of its plan that ``_plan`` builds first.
+    the part of its plan that ``_plan`` builds first, from the plan's
+    ``boundaries`` (the phase boundary ticks, then the end of the
+    protocol, tick G).
 
     Each tick records the 1 Hz row's values if one is due, steps the
     controller on the heart rate at the tick's start, then integrates
@@ -221,6 +223,7 @@ def _control_schedule(effort: float, heart: HeartRateParams,
     ``tests/test_control_schedule.py`` holds the two to the same bytes.
     """
     ticks_per_second = max(1, round(1.0 / dt))
+    gameplay_ticks = boundaries[-1]
     hr_rest, hr_max = heart.hr_rest, heart.hr_max
     tau_rise, tau_decay = heart.tau_rise, heart.tau_decay
     hr_range = hr_max - hr_rest
@@ -239,10 +242,10 @@ def _control_schedule(effort: float, heart: HeartRateParams,
     shifts: dict[int, int] = {}
     hr = array("d")
     kcal = array("d")
-    boundaries = {b for b in phase_boundary_ticks(dt) if b < gameplay_ticks}
-    starts = sorted(boundaries.union(range(0, gameplay_ticks,
-                                           ticks_per_second)))
-    for start, stop in zip(starts, starts[1:] + [gameplay_ticks]):
+    # Every span ends on the next start, the last on tick G.
+    starts = sorted(set(boundaries).union(range(0, gameplay_ticks,
+                                                ticks_per_second)))
+    for start, stop in zip(starts, starts[1:]):
         if start in boundaries:
             kind = phase_at(start * dt).kind
             controlled = pid_gains is not None and kind is PhaseKind.SPRINT
@@ -380,10 +383,10 @@ def _plan(effort: float, heart: HeartRateParams,
     cache hands the same arrays to every session of the config, so
     nothing may write to them.
     """
-    controls, shifts, hr, kcal = _control_schedule(
-        effort, heart, pid_gains, setpoint, dt, gameplay_ticks)
     boundaries = tuple(b for b in phase_boundary_ticks(dt)
                        if b < gameplay_ticks) + (gameplay_ticks,)
+    controls, shifts, hr, kcal = _control_schedule(
+        effort, heart, pid_gains, setpoint, dt, boundaries)
     params: list[SpawnParams] = []
     dues = array("l")
     clocks = array("d")
@@ -572,9 +575,26 @@ _END_ROW = ('{"type":"end","t":%.6f,"viruses_spawned":%d,"cells_spawned":%d,'
             '"viruses_destroyed":%d,"viruses_missed":%d,"cells_avoided":%d,'
             '"cells_collided":%d,"wrong_hand_jabs":%d,"activations":%d}')
 
+# The members the tick loop reads, bound once: reading a member off its
+# class is slow in Python 3.11, as is ``.value``, so the rows read an
+# enum member's value through ``_value_``, which the ``enum`` docs define.
+_HIT_DESTROYED = HitKind.DESTROYED
+_HIT_WRONG_HAND = HitKind.WRONG_HAND
+_AVOIDED = CellOutcome.AVOIDED
+_IN_FLIGHT = EntityStatus.IN_FLIGHT
+_DESTROYED = EntityStatus.DESTROYED
+_MISSED = EntityStatus.MISSED
+_PASSED = EntityStatus.PASSED
+_COLLIDED = EntityStatus.COLLIDED
 
-@dataclass(frozen=True, slots=True)
-class TraceRow:
+
+class TraceRow(NamedTuple):
+    """One ``hr`` row as the session ran it, for the summary and the CSV
+    trace.
+
+    A named tuple, so immutable and cheap to build.
+    """
+
     t: float
     hr: float
     kcal: float
@@ -633,14 +653,14 @@ def run_session(config: SessionConfig,
         """The ``hr`` row with the schedule's values at row ``index``."""
         hr_now = hr_rows[index]
         kcal_now = kcal_rows[index]
-        row = TraceRow(t, hr_now, kcal_now, phase_kind.value,
+        row = TraceRow(t, hr_now, kcal_now, phase_kind._value_,
                        prog.energy, is_empowered(prog, t))
         trace.append(row)
         lines.append(_HR_ROW % (t, hr_now, kcal_now, row.phase, row.energy,
                                 "true" if row.empowered else "false"))
 
     phase = phase_at(0.0)
-    lines.append(_PHASE_ROW % (0.0, phase.kind.value, phase.index))
+    lines.append(_PHASE_ROW % (0.0, phase.kind._value_, phase.index))
     pending = next_spawn(rng, 0.0, params[0])
     due = dues[0]
     player.mark_spawn_lead(pending.kind, due, 0)
@@ -666,7 +686,7 @@ def run_session(config: SessionConfig,
                 # The end of the protocol: the closing rows, then the drain,
                 # in which nothing spawns, no 1 Hz row is due and no
                 # empowerment starts.
-                lines.append(_PHASE_ROW % (t, current.kind.value,
+                lines.append(_PHASE_ROW % (t, current.kind._value_,
                                            current.index))
                 log_hr(t, current.kind, -1)
                 kind = PhaseKind.ENDED
@@ -674,7 +694,7 @@ def run_session(config: SessionConfig,
                 presses_a = False
                 continue  # v1 skips tick G: the drain starts at (G + 1) * dt
             if (current.kind, current.index) != (phase.kind, phase.index):
-                lines.append(_PHASE_ROW % (t, current.kind.value,
+                lines.append(_PHASE_ROW % (t, current.kind._value_,
                                            current.index))
             phase = current
             kind = phase.kind
@@ -694,7 +714,7 @@ def run_session(config: SessionConfig,
             else:
                 cells_spawned += 1
             lines.append(_SPAWN_ROW % (pending.time, entity.id,
-                                       entity.kind.value,
+                                       entity.kind._value_,
                                        entity.lane_offset, entity.speed))
             player.observe_spawn(entity, k, prog.empowered_until)
             spawned += 1
@@ -724,13 +744,14 @@ def run_session(config: SessionConfig,
                 result = resolve_jab(jab, world, config.targeting,
                                      is_empowered(prog, t))
                 target_id = "null"
-                if result.kind is HitKind.DESTROYED:
-                    target_id = result.target.id
-                    world.retire(result.target, EntityStatus.DESTROYED)
+                hit, target = result
+                if hit is _HIT_DESTROYED:
+                    target_id = target.id
+                    world.retire(target, _DESTROYED)
                     on_virus_destroyed(prog, t)
-                elif result.kind is HitKind.WRONG_HAND:
+                elif hit is _HIT_WRONG_HAND:
                     on_wrong_hand(prog)
-                lines.append(_JAB_ROW % (t, jab.hand.value, result.kind.value,
+                lines.append(_JAB_ROW % (t, jab.hand._value_, hit._value_,
                                          target_id, jab.hand_speed))
         pose = None  # classified once, at the first cell of the tick
         while next_cross == k:
@@ -739,10 +760,10 @@ def run_session(config: SessionConfig,
             entities[i] = None  # the list holds only what may still cross
             crossed += 1
             next_cross = crossings[order[crossed]]
-            if entity.status is not EntityStatus.IN_FLIGHT:
+            if entity.status is not _IN_FLIGHT:
                 continue  # destroyed by a jab
             if entity.is_virus:
-                world.retire(entity, EntityStatus.MISSED)
+                world.retire(entity, _MISSED)
                 on_virus_missed(prog)
                 lines.append(_MISSED_ROW % (t, entity.id))
                 continue
@@ -750,13 +771,14 @@ def run_session(config: SessionConfig,
                 pose = classify_weave_pose(player.sample(k, kind),
                                            config.calibration)
             outcome = resolve_cell_pass(entity, pose)
-            if outcome is CellOutcome.AVOIDED:
-                world.retire(entity, EntityStatus.PASSED)
+            if outcome is _AVOIDED:
+                world.retire(entity, _PASSED)
                 on_cell_avoided(prog)
             else:
-                world.retire(entity, EntityStatus.COLLIDED)
+                world.retire(entity, _COLLIDED)
                 on_cell_collided(prog)
-            lines.append(_CELL_ROW % (t, entity.id, outcome.value, pose.value))
+            lines.append(_CELL_ROW % (t, entity.id, outcome._value_,
+                                      pose._value_))
 
         # Each call only when it could act: with its guard false, the
         # callee would change nothing and report no event.

@@ -14,6 +14,7 @@ from virusboxing.session import (
     SessionConfig,
     _control_schedule,
     _drain_tick_cap,
+    _plan,
     _schedule_key,
     metrics_from_log,
     replay_verify,
@@ -72,7 +73,8 @@ def test_session_invariants_hold(config: SessionConfig) -> None:
 def test_control_schedule_matches_the_per_call_reference(
         config: SessionConfig) -> None:
     key = _schedule_key(config)
-    live = _control_schedule(*key)
+    # The live schedule takes the plan's boundaries for the tick count.
+    live = _control_schedule(*key[:-1], _plan(*key).boundaries)
     reference = control_schedule_per_tick.__wrapped__(*key)
     assert live[1] == reference[1]
     for i in (0, 2, 3):

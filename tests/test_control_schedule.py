@@ -4,7 +4,9 @@
 ``kcal_step`` and ``hr_step`` out on local floats.
 ``per_tick_oracle.control_schedule_per_tick`` calls them on every tick.
 These tests require the same controls, heart rate and kcal down to the
-byte, and the same shifts, across step sizes, durations and gains.
+byte, and the same shifts, across step sizes, durations and gains.  The
+live schedule takes ``_plan``'s boundary tuple in place of the tick
+count the reference takes.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import pytest
 from per_tick_oracle import control_schedule_per_tick
 from virusboxing.physiology import DEFAULT_PID_GAINS, HEART_PRESETS
 from virusboxing.playersim import load_profile
+from virusboxing.protocol import phase_boundary_ticks
 from virusboxing.session import DEFAULT_SETPOINT, SessionConfig, _control_schedule
 
 REGULAR = HEART_PRESETS["regular"]
@@ -30,7 +33,11 @@ def _key(dt=0.02, duration=420.0, gains=DEFAULT_PID_GAINS,
 
 
 def _assert_same(key: tuple) -> tuple:
-    controls, shifts, hr, kcal = _control_schedule(*key)
+    *head, dt, gameplay_ticks = key
+    # As _plan builds it: the phase boundaries before tick G, then G.
+    boundaries = tuple(b for b in phase_boundary_ticks(dt)
+                       if b < gameplay_ticks) + (gameplay_ticks,)
+    controls, shifts, hr, kcal = _control_schedule(*head, dt, boundaries)
     ref_controls, ref_shifts, ref_hr, ref_kcal = control_schedule_per_tick(*key)
     assert controls.tobytes() == ref_controls.tobytes()
     assert shifts == ref_shifts

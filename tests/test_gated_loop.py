@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from per_tick_oracle import run_session_per_tick
 from test_config_properties import session_configs
-from virusboxing import protocol
+from virusboxing import playersim, protocol
 from virusboxing.interaction import (
     VELOCITY_WINDOW,
     Calibration,
@@ -102,6 +103,38 @@ def test_no_rebuild_marks_a_tick_already_run(profile, dt, reaction) -> None:
     quick = dataclasses.replace(load_profile(profile), reaction_time=reaction)
     _assert_no_late_marks(SessionConfig(seed=SEED, profile=quick, dt=dt,
                                         duration=63.0))
+
+
+@pytest.mark.parametrize("own_reaction", [True, False], ids=["own", "reaction0"])
+@pytest.mark.parametrize("dt", [0.01, 0.02, 0.035, 0.07, 0.1])
+@pytest.mark.parametrize("profile", PROFILES)
+def test_a_virus_plan_strikes_a_reaction_after_its_spawn_tick(
+        profile, dt, own_reaction) -> None:
+    # The premise of SyntheticPlayer.mark_spawn_lead's bound: a spawn lands
+    # on tick s only if its time is above (s - 1) * dt + 1e-9, so every
+    # plan, ranged or melee, strikes on tick s + floor(reaction / dt) or
+    # later.
+    loaded = load_profile(profile)
+    if not own_reaction:
+        loaded = dataclasses.replace(loaded, reaction_time=0.0)
+    reaction = math.floor(loaded.reaction_time / dt)
+    plan_reaction = playersim.plan_reaction
+    slack = []
+
+    def checked_plan(profile, entity, rng, **kwargs):
+        plan = plan_reaction(profile, entity, rng, **kwargs)
+        if isinstance(plan, JabPlan):
+            spawn_tick = kwargs["now_tick"]
+            assert spawn_tick == _spawn_tick(entity.spawn_time, dt)
+            slack.append(plan.strike_tick - (spawn_tick + reaction))
+        return plan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(playersim, "plan_reaction", checked_plan)
+        run_session(SessionConfig(seed=SEED, profile=loaded, dt=dt,
+                                  duration=round(round(63.0 / dt) * dt, 9)))
+    assert len(slack) > 100
+    assert min(slack) >= 0
 
 
 @st.composite

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -60,10 +61,20 @@ class TestDeterminism:
 
     def test_run_many_matches_serial(self, base_config) -> None:
         configs = [dataclasses.replace(base_config, seed=s) for s in (0, 1)]
+        # Short sessions of every profile and targeting mode, PID on: the
+        # workers look up the enum members they unpickle in their dicts.
+        configs += [
+            SessionConfig(seed=seed, profile=load_profile(profile),
+                          targeting=TargetingPolicy(mode, TargetingRange.MEDIUM),
+                          duration=45.0)
+            for seed, (profile, mode) in enumerate(itertools.product(
+                ("expert", "mid_skill", "novice"), TargetingMode))
+        ]
         serial = run_many(configs, jobs=1)
         parallel = run_many(configs, jobs=2)
-        for a, b in zip(serial, parallel):
+        for a, b in zip(serial, parallel, strict=True):
             assert a.lines == b.lines
+            assert a.trace == b.trace
 
 
 class TestRunManyWorkers:

@@ -99,6 +99,20 @@ def test_retire_removes_from_flight_and_validates() -> None:
         world.retire(entity, EntityStatus.MISSED)
 
 
+def test_retire_removes_that_very_entity() -> None:
+    # Entities compare by identity: a twin with every field equal, id
+    # included, is another entity, and retiring it leaves the first.
+    world = WorldState()
+    first = _spawn_one(world)
+    twin = Entity(first.id, first.kind, first.spawn_time, first.lane_offset,
+                  first.speed, first.spawn_z, first.position)
+    world.in_flight.append(twin)
+    assert twin != first
+    world.retire(twin, EntityStatus.MISSED)
+    assert len(world.in_flight) == 1 and world.in_flight[0] is first
+    assert first.status is EntityStatus.IN_FLIGHT
+
+
 def test_retire_refuses_non_terminal_status() -> None:
     world = WorldState()
     entity = _spawn_one(world)
