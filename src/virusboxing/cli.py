@@ -147,9 +147,9 @@ def _resolve_profile(ref: object) -> PlayerProfile:
     if isinstance(ref, dict):
         try:
             profile = PlayerProfile.from_dict(ref)
+            profile.validate()
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad inline profile: {exc}") from exc
-        profile.validate()
         return profile
     if isinstance(ref, str):
         try:

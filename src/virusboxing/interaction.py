@@ -225,14 +225,10 @@ class JabDetector:
     back the same tuple every tick while a hand rests or holds still
     before a strike.
 
-    What fires on tick ``k`` depends on the samples of ticks ``k - W``
-    to ``k``, where ``W = ceil(window / dt)``, on the previous tick's
-    speed and on the last fire.  So a caller may skip ticks on which no
-    hand can reach the threshold, provided it feeds every tick from
-    ``k - W`` on before any tick ``k`` that can fire: the detector then
-    fires exactly as it would when fed every tick.  Extra ticks fed
-    anywhere change nothing, as long as they come in order and no hand
-    reaches the threshold on them.
+    ``judge`` is the fire rule for one hand on one frame, given the two
+    ends of its window.  ``feed`` calls it for both hands; a caller that
+    can read the window's ends itself calls it directly, and only on the
+    frames where the hand can reach the threshold.
     """
 
     def __init__(self, window: float = VELOCITY_WINDOW,
@@ -242,7 +238,11 @@ class JabDetector:
         self.threshold = threshold
         self.refractory = refractory
         self._history: deque[tuple[float, Vec3, Vec3]] = deque()
-        self._prev_speed = [0.0, 0.0]
+        # The time of the last frame fed.
+        self._now: float | None = None
+        # Each hand's last judged speed, and the frame it was judged on.
+        self._speed = [0.0, 0.0]
+        self._judged: list[float | None] = [None, None]
         self._last_fire = [-math.inf, -math.inf]
 
     def update(self, sample: PoseSample) -> list[JabEvent]:
@@ -258,33 +258,51 @@ class JabDetector:
             history.popleft()
         oldest = history[0]
         elapsed = now - oldest[0]
-        prev_speed = self._prev_speed
-        if elapsed <= 0.0 or (oldest[1] is newest[1] and oldest[2] is newest[2]):
+        before, self._now = self._now, now
+        if elapsed <= 0.0 or (oldest[1] is left and oldest[2] is right):
             # An under-filled window, or both hands at rest (the common
             # tick): speed 0, which never crosses a threshold from below.
-            prev_speed[0] = prev_speed[1] = 0.0
+            # Left unjudged, both count as 0 on the next frame.
             return events
-        for i in (0, 1):
-            p0 = oldest[i + 1]
-            p1 = newest[i + 1]
-            if p0 is p1:
-                prev_speed[i] = 0.0
-                continue
-            dx = p1[0] - p0[0]
-            dy = p1[1] - p0[1]
-            dz = p1[2] - p0[2]
-            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if dist == 0.0:
-                prev_speed[i] = 0.0
-                continue
-            speed = dist / elapsed
-            if (speed >= self.threshold and prev_speed[i] < self.threshold
-                    and now - self._last_fire[i] >= self.refractory - 1e-9):
-                self._last_fire[i] = now
-                events.append(JabEvent(now, _HANDS[i], speed, p1,
-                                       (dx / dist, dy / dist, dz / dist)))
-            prev_speed[i] = speed
+        jab = self.judge(0, now, before, elapsed, oldest[1], left)
+        if jab is not None:
+            events.append(jab)
+        jab = self.judge(1, now, before, elapsed, oldest[2], right)
+        if jab is not None:
+            events.append(jab)
         return events
+
+    def judge(self, i: int, now: float, before: float | None,
+              elapsed: float, start: Vec3, end: Vec3) -> JabEvent | None:
+        """The jab hand ``i`` (0 left, 1 right) fires on the frame at
+        ``now``, if any, when its window starts ``elapsed`` earlier at
+        ``start`` and ends at ``end``.
+
+        The speed is 0 for an empty window or a hand that has not moved,
+        and otherwise the distance over ``elapsed``.  The jab fires when
+        that reaches the threshold from below, outside the refractory.
+        The speed below is the one judged on the frame at ``before``,
+        the frame before this one; a hand not judged there counts as 0.
+        """
+        below = self._speed[i] if self._judged[i] == before else 0.0
+        self._judged[i] = now
+        self._speed[i] = 0.0
+        if elapsed <= 0.0 or start is end:
+            return None
+        dx = end[0] - start[0]
+        dy = end[1] - start[1]
+        dz = end[2] - start[2]
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist == 0.0:
+            return None
+        speed = self._speed[i] = dist / elapsed
+        threshold = self.threshold
+        if (speed >= threshold and below < threshold
+                and now - self._last_fire[i] >= self.refractory - 1e-9):
+            self._last_fire[i] = now
+            return JabEvent(now, _HANDS[i], speed, end,
+                            (dx / dist, dy / dist, dz / dist))
+        return None
 
 
 def _ray_passes(origin: Vec3, direction: Vec3, centre: Vec3,

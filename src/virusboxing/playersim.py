@@ -35,7 +35,7 @@ from .interaction import (
     VELOCITY_WINDOW,
 )
 from .protocol import PhaseKind
-from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, arrival_time
+from .world import Entity, EntityKind, FLIGHT_HEIGHT, arrival_time
 
 __all__ = [
     "EmpowerPolicy",
@@ -80,13 +80,12 @@ _MAX_STRIKE_SECONDS = 0.5
 # repositioning and retracting stay well below it.
 _HOT_SPEED = JAB_SPEED_THRESHOLD - 0.05
 
-# The marks of SyntheticPlayer.hot: one for the hands' knot chains, and
-# one for the lead before a virus spawn.
-HAND_MARKS = 1
-SPAWN_LEAD_MARK = 2
+# The bit each hand's track marks in SyntheticPlayer.hot.
+LEFT_MARK = 1
+RIGHT_MARK = 2
 # For each mark, the table that adds it to a byte through bytes.translate.
 _WITH_MARK = {mark: bytes(byte | mark for byte in range(256))
-              for mark in (HAND_MARKS, SPAWN_LEAD_MARK)}
+              for mark in (LEFT_MARK, RIGHT_MARK)}
 
 
 def _mark(hot: bytearray, start: int, stop: int, mark: int) -> None:
@@ -143,6 +142,12 @@ class PlayerProfile:
         )
 
     def validate(self) -> None:
+        for label, value in (("reaction_time", self.reaction_time),
+                             ("punch_speed_mean", self.punch_speed_mean),
+                             ("punch_speed_sd", self.punch_speed_sd),
+                             ("aim_error_sd", self.aim_error_sd)):
+            if not math.isfinite(value):
+                raise ValueError(f"{label} must be finite, got {value}")
         if self.reaction_time < 0:
             raise ValueError(f"reaction_time must be >= 0, got {self.reaction_time}")
         if self.punch_speed_mean < 0 or self.punch_speed_sd < 0:
@@ -311,21 +316,36 @@ class _HandTrack:
     rebuilt on every insertion; a new plan whose choreography cannot
     coexist with a pending one preempts it (highest seq wins).
 
-    Each rebuild also marks, in the shared ``hot`` array under
-    ``HAND_MARKS``, the ticks whose jab detection the new chain can
-    change (see :meth:`_mark_hot` and :class:`SyntheticPlayer`).
+    Each rebuild also marks, under the track's own bit ``mark`` of the
+    shared ``hot`` array, the ticks on which its hand's jab can fire
+    (see :meth:`_mark_hot` and :class:`SyntheticPlayer`).  The track keeps
+    the chain a rebuild replaced, with the tick it was replaced on, so
+    that :meth:`ends` can read a window that starts before the rebuild.
+    ``lead`` is the velocity window in ticks.
     """
 
-    def __init__(self, guard: Vec3, dt: float, hot: bytearray) -> None:
+    def __init__(self, guard: Vec3, dt: float, hot: bytearray,
+                 mark: int) -> None:
         self.guard = guard
         self.dt = dt
         self.lead = math.ceil(VELOCITY_WINDOW / dt)
         self.hot = hot
+        self.mark = mark
         self.knots: list[tuple[float, Vec3]] = [(0.0, guard)]
         self.plans: list[JabPlan] = []
         self._ptr = 0
         # From the last knot on the hand holds still.
         self._rest_t, self._rest_pos = self.knots[-1]
+        # The tick the chain took over on, set a window back for the first
+        # so that a rebuild on any tick is far enough from it; the chain
+        # it replaced; and a second forward pointer into each, for window
+        # starts.
+        self._since = -self.lead
+        self._old = self.knots
+        self._start_ptr = self._old_ptr = 0
+        # The positions read on the last ticks ``ends`` was asked for.
+        self._ring_ticks = [-1] * (self.lead + 2)
+        self._ring_points: list[Vec3 | None] = [None] * (self.lead + 2)
 
     def position_at(self, t: float) -> Vec3:
         if t >= self._rest_t:
@@ -352,7 +372,84 @@ class _HandTrack:
             p0[2] + f * (p1[2] - p0[2]),
         )
 
+    def ends(self, start: int, tick: int) -> tuple[Vec3, Vec3]:
+        """The hand on tick ``start`` and on tick ``tick``: the very values,
+        and on a hold or at rest the very tuples, that ``position_at``
+        gives when read on every tick.
+
+        ``tick`` is read as ``position_at`` reads it, and kept in a small
+        ring.  ``start`` comes from the ring if it was read there, else
+        from the chain that held on it (``_start_at``).  Both must
+        ascend from call to call, and ``start`` lie at most ``lead``
+        ticks before ``tick``.
+        """
+        t = tick * self.dt
+        end = self._rest_pos if t >= self._rest_t else self.position_at(t)
+        ticks, points = self._ring_ticks, self._ring_points
+        slot = tick % len(ticks)
+        ticks[slot] = tick
+        points[slot] = end
+        slot = start % len(ticks)
+        if ticks[slot] == start:
+            return points[slot], end
+        return self._start_at(start), end
+
+    def _start_at(self, tick: int) -> Vec3:
+        """``position_at`` on ``tick`` as it was read then, off the chain
+        that held on that tick, by that chain's second forward pointer.
+
+        A rebuild replaces the chain after the ticks before it were run,
+        so the chain it replaced holds before ``_since`` and the current
+        one from there on.  ``add`` keeps rebuilds a window apart, so a
+        window start never reaches further back.
+        """
+        t = tick * self.dt
+        current = tick >= self._since
+        if current:
+            knots, i = self.knots, self._start_ptr
+        else:
+            knots, i = self._old, self._old_ptr
+        last = len(knots) - 1
+        t_rest, p_rest = knots[last]
+        if t >= t_rest:
+            return p_rest
+        # position_at's walk and lerp, term for term, on this pointer.
+        while i < last and knots[i + 1][0] <= t:
+            i += 1
+        if current:
+            self._start_ptr = i
+        else:
+            self._old_ptr = i
+        t0, p0 = knots[i]
+        if i == last or t <= t0:
+            return p0
+        t1, p1 = knots[i + 1]
+        if p1 is p0:
+            return p0
+        f = (t - t0) / (t1 - t0)
+        return (
+            p0[0] + f * (p1[0] - p0[0]),
+            p0[1] + f * (p1[1] - p0[1]),
+            p0[2] + f * (p1[2] - p0[2]),
+        )
+
     def add(self, plan: JabPlan, now_tick: int) -> None:
+        """Schedule ``plan`` and rebuild the chain from ``now_tick`` on.
+
+        Raises RuntimeError if the chain was last rebuilt fewer than
+        ``lead`` ticks before, on another tick: a window could then span
+        three chains.  A second rebuild on one tick replaces a chain that
+        held on no tick, so the older one stays the previous chain.
+        """
+        if now_tick != self._since:
+            if now_tick - self._since < self.lead:
+                raise RuntimeError(
+                    f"a hand chain rebuilt on tick {self._since} is rebuilt "
+                    f"again on tick {now_tick}, within the {self.lead}-tick "
+                    f"velocity window")
+            self._old, self._old_ptr = self.knots, self._start_ptr
+            self._since = now_tick
+        self._start_ptr = 0
         self.plans = [p for p in self.plans if p.strike_tick > now_tick]
         self.plans.append(plan)
         self.plans.sort(key=lambda p: (p.strike_tick, p.seq))
@@ -447,16 +544,18 @@ class _HandTrack:
 
     def _mark_hot(self) -> None:
         """Mark every tick whose velocity window overlaps a segment of the
-        chain at ``_HOT_SPEED`` or faster, plus ``lead`` ticks before each
-        such run.
+        chain at ``_HOT_SPEED`` or faster, from the first tick after the
+        segment starts to ``lead`` ticks after the last one before it ends.
 
+        The first marked tick comes after the chain's first knot, which
+        lies on the rebuild tick, so no mark lands on a tick already run.
         Marks are only ever added, so those of a chain a rebuild replaced
-        stay.  A tick whose window reaches back before the rebuild may
-        need them.  On a later tick that only they cover, every segment
-        in the window is slower than ``_HOT_SPEED``, so no hand reaches
-        the jab threshold there and feeding the tick changes nothing.
+        stay: a tick whose window reaches back before the rebuild may need
+        them.  On a tick no chain has marked, every segment in the window
+        is slower than ``_HOT_SPEED``, so the hand's windowed speed is
+        below the jab threshold there.
         """
-        hot, dt, lead = self.hot, self.dt, self.lead
+        hot, dt, lead, mark = self.hot, self.dt, self.lead, self.mark
         knots = self.knots
         for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
             if p1 is p0:
@@ -467,8 +566,8 @@ class _HandTrack:
             limit = _HOT_SPEED * (t1 - t0)
             if dx * dx + dy * dy + dz * dz < limit * limit:
                 continue
-            # The first tick past t0, and the last tick whose window
-            # starts before t1, both on the player's own k * dt clock.
+            # The first tick past t0, and the last tick before t1, both on
+            # the player's own k * dt clock.
             first = math.floor(t0 / dt) + 1
             while first > 0 and (first - 1) * dt > t0:
                 first -= 1
@@ -479,7 +578,7 @@ class _HandTrack:
                 last += 1
             while last >= 0 and last * dt >= t1:
                 last -= 1
-            _mark(hot, max(0, first - lead), last + lead + 1, HAND_MARKS)
+            _mark(hot, first, last + lead + 1, mark)
 
 
 @dataclass(slots=True)
@@ -503,25 +602,24 @@ _SPRINT = PhaseKind.SPRINT
 class SyntheticPlayer:
     """Streaming pose generator driven by per-spawn plans.
 
-    ``hot`` marks the ticks on which a jab can fire, and the ticks a jab
-    detector must see beforehand to fire exactly as it would when fed
-    every tick: one byte per tick, one bit per kind of mark.  Each knot
-    chain of either hand marks, under ``HAND_MARKS``, the ticks its jabs
-    can fire on and the ``lead`` ticks before each run of them
-    (``_HandTrack._mark_hot``); a virus's plan rebuilds its hand's chain
-    from its spawn tick on, and marks are only ever added.  As the new
-    chain's first run may need lead ticks from before the spawn tick,
-    ``mark_spawn_lead`` marks those it can need under
-    ``SPAWN_LEAD_MARK`` when the virus is drawn, while they are still to
-    come: none, unless the new plan's strike can start within ``lead``
-    ticks of the spawn.  ``lead`` is the velocity window in ticks.
-    ``horizon`` sizes ``hot`` up front; it grows past that when a mark
-    reaches further.
+    ``hot`` marks the ticks on which a jab can fire: one byte per tick,
+    one bit per hand (``LEFT_MARK``, ``RIGHT_MARK``).  Each knot chain of
+    a hand marks under its bit the ticks whose velocity window overlaps
+    a segment at ``_HOT_SPEED`` or faster (``_HandTrack._mark_hot``).  A
+    virus's plan rebuilds its hand's chain from its spawn tick on, and
+    the new marks start after that tick; marks are only ever added.  On
+    a tick its bit leaves unmarked, a hand's windowed speed is below the
+    jab threshold.  ``horizon`` sizes ``hot`` up front; it grows past
+    that when a mark reaches further.
 
     Ticks may be sampled sparsely, in ascending order: the hands and the
-    weave windows come out as if every tick had been sampled.  ``hands``
-    gives the two hand positions alone, the same tuples ``sample`` puts
-    in its ``PoseSample``, for a jab detector that reads nothing else.
+    weave windows come out as if every tick had been sampled, and a held
+    hand as one tuple from tick to tick.  ``tracks``
+    holds the left and the right hand's track, in the order of their
+    bits.  On a tick its bit marks, a track's ``ends`` gives the hand's
+    position there and at the start of its velocity window, the very
+    tuples ``sample`` would have given on those ticks, for a jab
+    detector that reads nothing else.
     """
 
     def __init__(self, profile: PlayerProfile, calibration: Calibration,
@@ -536,11 +634,10 @@ class SyntheticPlayer:
         self.policy = policy
         self._seq = 0
         self.hot = bytearray(horizon)
-        self._left = _HandTrack(GUARD_LEFT, dt, self.hot)
-        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot)
+        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, LEFT_MARK)
+        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, RIGHT_MARK)
+        self.tracks = (self._left, self._right)
         self.lead = self._left.lead
-        # The most ticks a strike at _HOT_SPEED or faster lasts.
-        self._hot_strike_ticks = _strike_ticks(_HOT_SPEED, dt)
         self._hands = {_LEFT: self._left, _RIGHT: self._right}
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
@@ -569,48 +666,6 @@ class SyntheticPlayer:
         """The buttons held in a phase of this kind, on every tick of it."""
         return (self._sprint_buttons if phase_kind is _SPRINT
                 else self._other_buttons)
-
-    def mark_spawn_lead(self, kind: EntityKind, spawn_tick: int,
-                        now_tick: int) -> None:
-        """Mark hot, under ``SPAWN_LEAD_MARK``, the ticks before a spawn of
-        ``kind`` on ``spawn_tick`` that the strike of its plan can need,
-        if it is a virus.
-
-        A hot strike, at ``_HOT_SPEED`` or faster, lasts at most
-        ``_hot_strike_ticks`` and ends on its plan's strike tick; its hot
-        run starts on the tick after the strike starts, and the run's lead
-        reaches ``lead`` ticks back from there.  A spawn lands on tick
-        ``s`` only if its time is above ``(s - 1) * dt + 1e-9``
-        (``session._spawn_tick``), and every plan strikes at least the
-        profile's reaction time after the spawn time, so its strike tick
-        is at least ``s + floor(reaction_time / dt)``: a ranged plan
-        counts from the spawn time, a melee plan from ``s * dt``.  So the
-        marks start at the lead before the first tick of the earliest hot
-        run, and never before ``spawn_tick + 1 - lead``, as the rebuilt
-        chain starts on ``spawn_tick``.  The bound holds for the plans
-        ``observe_spawn`` draws with this player's profile.  The rebuild
-        also re-lays the hand's pending plans, but none of their strikes
-        starts before it did in the chain it replaces, whose marks stay:
-        their leads are marked already.  Marked now, those ticks are
-        sampled off the chains that still hold on them.
-
-        Raises RuntimeError unless the marked ticks all lie after
-        ``now_tick``, the tick being run, so that none of them has been
-        passed already.
-        """
-        if kind not in VIRUS_KINDS:
-            return
-        # The first tick of the earliest hot run the new plan's strike can
-        # open: the tick after the earliest it can start on.
-        reaction = math.floor(self.profile.reaction_time / self.dt)
-        first = spawn_tick + 1 + reaction - self._hot_strike_ticks
-        start = max(spawn_tick + 1, first) - self.lead
-        if start >= spawn_tick:
-            return
-        if start <= now_tick:
-            raise RuntimeError(f"the lead of the spawn on tick {spawn_tick} "
-                               f"starts on tick {start}, by tick {now_tick}")
-        _mark(self.hot, start, spawn_tick, SPAWN_LEAD_MARK)
 
     def observe_spawn(self, entity: Entity, now_tick: int,
                       empowered_until: float | None) -> None:
@@ -678,17 +733,6 @@ class SyntheticPlayer:
         # plain squat, never the other way round.
         return self._standing if best is None else best.head
 
-    def hands(self, t: float) -> tuple[Vec3, Vec3]:
-        """The left and right hand positions at time ``t``: the very
-        tuples ``sample`` gives, so a held hand is one object from tick to
-        tick."""
-        # A hand past its last knot rests there: position_at's first test.
-        track = self._left
-        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        track = self._right
-        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        return left, right
-
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
         weaves = self._weaves
@@ -698,5 +742,9 @@ class SyntheticPlayer:
             head = self._standing
         else:
             head = self._weave_head(tick)
-        left, right = self.hands(t)
+        # A hand past its last knot rests there: position_at's first test.
+        track = self._left
+        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
+        track = self._right
+        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
         return PoseSample(t, head, left, right, self.buttons(phase_kind))

@@ -44,22 +44,23 @@ a phase that holds no button.  Each log row is written from one fixed
 ``%``-format template per kind of row.
 
 A jab fires only when a hand's windowed speed reaches 1 m/s.  So the
-loop feeds the jab detector on one rule: on the ticks the player marks
-hot (``SyntheticPlayer.hot``), in order, which fires exactly as feeding
-every tick would.  The detector reads the time and the two hands alone,
-so a hot tick asks the player for its hands (``SyntheticPlayer.hands``)
-and builds no pose sample.  A virus's spawn lead is marked when the
-virus is drawn, on the previous spawn's tick: the shortest spawn
-interval, 0.25 s, outlasts the 0.1 s window.  It covers only the ticks
-before the spawn that the new plan's strike can need, which with a
-reaction time of 0.25 s or more at 50 Hz is none.  Marks are only ever
-added: when a plan replaces another, the old chain's marks stay.  Ticks
-whose window still reaches into the old chain need them; on the others
-no hand can reach the threshold, so feeding them changes nothing.  A
-pending strike that the rebuild re-lays never starts before it did in
-the old chain, so its lead is marked already.  A tick on which a cell
-crosses is sampled whole (``SyntheticPlayer.sample``) for its head pose,
-and not fed unless it is hot.
+loop judges a hand only on the ticks the player marks hot for it
+(``SyntheticPlayer.hot``, one bit per hand): elsewhere no segment of its
+chains at that speed lies in the window, so its speed is below the
+threshold.  The speed on a marked tick needs two reads of the hand's
+track (``_HandTrack.ends``): its position on the tick, and on the
+window's first tick, which is the jab detector's own choice when fed
+every tick but G, worked out in the same floats.  The detector's
+``judge`` applies the fire rule, with the hand's speed on the tick
+before as judged there, or 0 if that tick was not marked for it.  So
+jabs fire exactly as a detector fed every tick would fire them, and no
+tick is read only to fill a window.  A plan's rebuild marks only ticks
+after its own, so no mark lands on a tick already run.  Marks are only
+ever added: when a plan replaces another, the old chain's marks stay,
+for the ticks whose window still reaches into it.  A tick on which a
+cell crosses is sampled whole (``SyntheticPlayer.sample``) for its head
+pose.  On a tick a jab fires, only the viruses' positions are stepped:
+a jab reads no cell, and the crossings come from the plan.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
 its last phase boundary: it logs the closing phase and ``hr`` rows and
@@ -109,7 +110,7 @@ from .physiology import (
     kcal_step,
     modulated_intensity,
 )
-from .playersim import HAND_MARKS, PlayerProfile, SyntheticPlayer
+from .playersim import LEFT_MARK, RIGHT_MARK, PlayerProfile, SyntheticPlayer
 from .progression import (
     ENERGY_CAPACITY,
     ProgressionState,
@@ -138,7 +139,13 @@ from .protocol import (
 # ``_plan`` replays each flight, so nothing here calls ``advance``; it
 # stays bound because the benchmark's tracer wraps every stage function
 # in this namespace, ``world.advance`` included.
-from .world import CREATOR_DISTANCE, EntityStatus, WorldState, advance
+from .world import (
+    CREATOR_DISTANCE,
+    VIRUS_KINDS,
+    EntityStatus,
+    WorldState,
+    advance,
+)
 
 __all__ = [
     "LOG_VERSION",
@@ -370,8 +377,8 @@ def _plan(effort: float, heart: HeartRateParams,
     - ``hr``, ``kcal``: the rows of ``_control_schedule``.
     - ``params``, ``dues``: the SpawnParams ``next_spawn`` draws spawn i
       with, and the tick it is due on.  The last spawn is due at or
-      after the end of the protocol and never lands; only its spawn
-      lead is marked.
+      after the end of the protocol and never lands; it is drawn all
+      the same, as the per-tick loop draws it.
     - ``clocks``, ``crossings``: the world's clock
       (``WorldState.sim_time``) on the tick spawn i lands, and the tick
       it crosses the player plane on; the last spawn's is -1.
@@ -451,6 +458,12 @@ class SessionConfig:
             # seed 3 under another header.
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.profile.validate()
+        if self.profile.reaction_time >= _MAX_FLIGHT_SECONDS:
+            # Every virus would cross before the player could strike it.
+            raise ValueError(
+                f"reaction_time {self.profile.reaction_time} is not below "
+                f"the longest flight, {_MAX_FLIGHT_SECONDS:.6g} s"
+            )
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt > VELOCITY_WINDOW + 1e-9:
@@ -636,14 +649,17 @@ def run_session(config: SessionConfig,
         horizon=gameplay_ticks + drain_cap + 1,
     )
     hot = player.hot
+    lead = player.lead
+    left_track, right_track = player.tracks
     detector = JabDetector()
+    judge = detector.judge
 
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
     trace: list[TraceRow] = []
     # Spawn i is entity i.  Its position holds the world's first
     # ``stepped[i]`` steps: those before its spawn tick, until a jab
-    # steps it on.
+    # steps it on if it is a virus.
     entities: list = []
     stepped = array("l", dues)
     viruses_spawned = 0
@@ -663,7 +679,6 @@ def run_session(config: SessionConfig,
     lines.append(_PHASE_ROW % (0.0, phase.kind._value_, phase.index))
     pending = next_spawn(rng, 0.0, params[0])
     due = dues[0]
-    player.mark_spawn_lead(pending.kind, due, 0)
     spawned = 0
     crossed = 0
     next_cross = crossings[order[0]]
@@ -720,26 +735,44 @@ def run_session(config: SessionConfig,
             spawned += 1
             pending = next_spawn(rng, pending.time, params[spawned])
             due = dues[spawned]
-            player.mark_spawn_lead(pending.kind, due, k)
 
-        # Jab detection and resolution on a hot tick, from the hands
-        # alone, then the crossings the timeline puts on this tick.
+        # Jab detection and resolution on a hot tick, for the hands it
+        # marks, then the crossings the timeline puts on this tick.
         marks = hot[k]
         if marks:
-            left, right = player.hands(t)
-            jabs = detector.feed(t, left, right)
+            # The first tick of the detector's window, as its history holds
+            # it when fed every tick but G, and the tick fed before this.
+            horizon = t - VELOCITY_WINDOW - 1e-9
+            j = k - lead if k > lead else 0
+            while j > 0 and (j - 1) * dt >= horizon:
+                j -= 1
+            while j * dt < horizon:
+                j += 1
+            if j == gameplay_ticks:
+                j += 1
+            elapsed = t - j * dt
+            before = (k - 2 if k == gameplay_ticks + 1 else k - 1) * dt
+            jabs = []
+            if marks & LEFT_MARK:
+                start, end = left_track.ends(j, k)
+                jab = judge(0, t, before, elapsed, start, end)
+                if jab is not None:
+                    jabs.append(jab)
+            if marks & RIGHT_MARK:
+                start, end = right_track.ends(j, k)
+                jab = judge(1, t, before, elapsed, start, end)
+                if jab is not None:
+                    jabs.append(jab)
             if jabs:
-                if not marks & HAND_MARKS:
-                    raise RuntimeError(
-                        f"a jab fired on tick {k}, which no hand marks")
-                # Step the positions the jabs read up to this tick: the
-                # world has run k steps, one fewer in the drain.
+                # Step the virus positions the jabs read up to this tick:
+                # the world has run k steps, one fewer in the drain.
                 steps = k - 1 if k > gameplay_ticks else k
                 for entity in world.in_flight:
-                    entity.position = _stepped(
-                        entity.position, entity.speed, dt,
-                        steps - stepped[entity.id])
-                    stepped[entity.id] = steps
+                    if entity.kind in VIRUS_KINDS:
+                        entity.position = _stepped(
+                            entity.position, entity.speed, dt,
+                            steps - stepped[entity.id])
+                        stepped[entity.id] = steps
             for jab in jabs:
                 result = resolve_jab(jab, world, config.targeting,
                                      is_empowered(prog, t))

@@ -4,14 +4,22 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
-from virusboxing import cli
+from virusboxing import cli, session
 from virusboxing.cli import build_parser, main
 
 
 RUN_OFF = ["run", "--seed", "0", "--pid", "off"]
+INLINE_PROFILE = {
+    "name": "tweak", "reaction_time": 0.2,
+    "punch_speed_mean": 2.5, "punch_speed_sd": 0.0,
+    "aim_error_sd": 0.0, "correct_hand_prob": 1.0,
+    "weave_reliability": 1.0,
+    "empower_policy": "activate_immediately", "effort": 0.5,
+}
 
 
 @pytest.fixture(scope="module")
@@ -113,15 +121,8 @@ class TestRun:
         assert second["config"] == first["config"]
 
     def test_inline_profile_dict(self, tmp_path, capsys) -> None:
-        profile = {
-            "name": "tweak", "reaction_time": 0.2,
-            "punch_speed_mean": 2.5, "punch_speed_sd": 0.0,
-            "aim_error_sd": 0.0, "correct_hand_prob": 1.0,
-            "weave_reliability": 1.0,
-            "empower_policy": "activate_immediately", "effort": 0.5,
-        }
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"profile": profile, "pid": False}))
+        cfg.write_text(json.dumps({"profile": INLINE_PROFILE, "pid": False}))
         assert main(["run", "--config", str(cfg), "--seed", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 0
 
@@ -285,6 +286,29 @@ class TestConfigFileValues:
         from_file = json.loads(capsys.readouterr().out)
         assert main(RUN_OFF + ["--heart", "regular"]) == 0
         assert from_file == json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("key, value", [
+        # Non-finite: a crash on converting to a tick, or a session with
+        # no jab and every virus missed.
+        ("reaction_time", math.inf), ("reaction_time", math.nan),
+        ("punch_speed_mean", math.inf), ("punch_speed_sd", math.nan),
+        ("aim_error_sd", math.inf),
+        # Negative, and checked inside the config error handling.
+        ("reaction_time", -1.0),
+        # At or past the longest flight no virus can be struck, and the
+        # player's hot marks would grow with the reaction time.
+        ("reaction_time", session._MAX_FLIGHT_SECONDS), ("reaction_time", 1e4),
+    ])
+    def test_inline_profile_that_cannot_run_is_a_config_error(
+            self, tmp_path, capsys, key, value) -> None:
+        profile = dict(INLINE_PROFILE, **{key: value})
+        assert _run_with_file(tmp_path, {"profile": profile, "pid": False}) == 2
+        assert key in capsys.readouterr().err
+
+    def test_a_reaction_just_below_the_longest_flight_is_accepted(self) -> None:
+        profile = cli._resolve_profile(
+            dict(INLINE_PROFILE, reaction_time=session._MAX_FLIGHT_SECONDS - 0.01))
+        session.SessionConfig(seed=0, profile=profile).validate()
 
     def test_verify_rejects_a_non_integer_file_seed(self, out_dir, tmp_path,
                                                     capsys) -> None:

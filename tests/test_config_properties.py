@@ -1,6 +1,7 @@
 """Session invariants across the valid config space, not only the defaults."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from hypothesis import HealthCheck, given, settings
@@ -37,9 +38,21 @@ def session_configs(draw) -> SessionConfig:
     ticks = max(1, min(round(seconds / dt), round(MAX_DURATION / dt)))
     heart = HEART_PRESETS[draw(st.sampled_from(sorted(HEART_PRESETS)))]
     gain = st.floats(min_value=0.0, max_value=0.5)
+    # A built-in profile's effort and policy, with the rest drawn: punch
+    # speeds around the 1 m/s jab threshold, and reactions from instant
+    # to slower than any built-in.
+    profile = dataclasses.replace(
+        load_profile(draw(st.sampled_from(builtin_profiles()))),
+        reaction_time=draw(st.floats(min_value=0.0, max_value=0.5)),
+        punch_speed_mean=draw(st.floats(min_value=0.5, max_value=6.0)),
+        punch_speed_sd=draw(st.floats(min_value=0.0, max_value=1.0)),
+        aim_error_sd=draw(st.floats(min_value=0.0, max_value=0.2)),
+        correct_hand_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+        weave_reliability=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
     return SessionConfig(
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        profile=load_profile(draw(st.sampled_from(builtin_profiles()))),
+        profile=profile,
         targeting=TargetingPolicy(draw(st.sampled_from(TargetingMode)),
                                   draw(st.sampled_from(TargetingRange))),
         heart=heart,

@@ -2,8 +2,8 @@
 
 The loop looks the phase up only on boundary ticks, the jab detector
 skips the speed arithmetic for a hand whose position object has not
-changed, and the loop feeds the detector the time and the two hands
-alone.  Each shortcut is checked here against the computation it
+changed, and the loop judges a hand from the two ends of its window
+alone, on the ticks it can fire on.  Each shortcut is checked here against the computation it
 replaces.
 """
 from __future__ import annotations
@@ -187,4 +187,30 @@ class TestDetectorIdentityFastPath:
             events = fed.feed(s.time, s.left_hand, s.right_hand)
             assert events == updated.update(s), s.time
             fired += len(events)
+        assert fired
+
+    @pytest.mark.parametrize("stream", [_hand_stream, _player_stream])
+    def test_judging_the_moving_hands_fires_as_feed(self, stream) -> None:
+        # Judged from the two ends of its window, and only on the ticks
+        # where the hand moved within it, a hand fires as a detector fed
+        # every tick fires it.
+        samples = stream()
+        fed, judged = JabDetector(), JabDetector()
+        fired = 0
+        for k, s in enumerate(samples):
+            want = fed.feed(s.time, s.left_hand, s.right_hand)
+            horizon = s.time - VELOCITY_WINDOW - 1e-9
+            j = next(j for j in range(k + 1) if samples[j].time >= horizon)
+            got = []
+            for i, hand in enumerate((Hand.LEFT, Hand.RIGHT)):
+                start, end = samples[j].hand(hand), s.hand(hand)
+                if start is end:
+                    continue
+                before = samples[k - 1].time if k else None
+                jab = judged.judge(i, s.time, before, s.time - samples[j].time,
+                                   start, end)
+                if jab is not None:
+                    got.append(jab)
+            assert got == want, s.time
+            fired += len(got)
         assert fired

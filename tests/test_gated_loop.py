@@ -1,15 +1,16 @@
 """The gated session loop writes the log the per-tick loop writes.
 
-``run_session`` samples the player and feeds the jab detector only on
-the ticks the player marks hot: those any of the hands' knot chains has
-marked, with the lead ticks before them, and the lead ticks before each
-virus's spawn.  Marks are only ever added, so a chain a rebuild replaced
-keeps its marks.  It samples a tick a cell crosses on for the head pose
-alone.  ``per_tick_oracle`` keeps the loop that samples and feeds every
-tick.  These tests hold the two to the same log, line for line, across
-the valid config space; check the marks and the loop's guards against a
-wrong mark; and check the player's side of the bargain: sampled
-sparsely, it answers as if sampled densely.
+``run_session`` judges a hand's jab only on the ticks the player marks
+hot for that hand: those whose velocity window overlaps a fast segment
+of one of the hand's knot chains.  Marks are only ever added, so a
+chain a rebuild replaced keeps its marks.  On a marked tick the loop
+reads the hand's position there and at the start of the detector's
+window off the hand's track (``_HandTrack.ends``).  It samples a tick a
+cell crosses on for the head pose alone.  ``per_tick_oracle`` keeps the
+loop that samples and feeds every tick.  These tests hold the two to
+the same log, line for line, across the valid config space; check the
+marks and the track's reads; and check the player's side of the
+bargain: sampled sparsely, it answers as if sampled densely.
 """
 from __future__ import annotations
 
@@ -31,15 +32,13 @@ from virusboxing.interaction import (
     Calibration,
     Hand,
     JabDetector,
-    JabEvent,
     PoseClass,
     TargetingMode,
     TargetingPolicy,
 )
 from virusboxing.playersim import (
-    HAND_MARKS,
-    SPAWN_LEAD_MARK,
-    _HOT_SPEED,
+    LEFT_MARK,
+    RIGHT_MARK,
     JabPlan,
     SyntheticPlayer,
     WeavePlan,
@@ -48,13 +47,11 @@ from virusboxing.playersim import (
 )
 from virusboxing.protocol import PhaseKind, SpawnParams, phase_at
 from virusboxing.session import SessionConfig, _plan, _spawn_tick, run_session
-from virusboxing.world import EntityKind
 
 # Not a seed the golden logs pin (they use 0, 1 and 2).
 SEED = 5
 PROFILES = ("expert", "mid_skill", "novice")
 TARGETING = {"pt": TargetingMode.PRECISE, "rt": TargetingMode.ROUGH}
-RED = EntityKind.RED_VIRUS
 
 
 def _assert_same_log(config: SessionConfig) -> list[str]:
@@ -66,34 +63,31 @@ def _assert_same_log(config: SessionConfig) -> list[str]:
     return got
 
 
-def _late_marks(before: bytes, hot: bytearray) -> list[int]:
-    """The ticks ``before`` covers that ``hot`` marks and ``before`` did
-    not: marks that came after their tick was run."""
-    return [k for k, byte in enumerate(before) if hot[k] and not byte]
-
-
-def _assert_no_late_marks(config: SessionConfig) -> None:
-    """Run ``config`` checking that no plan's rebuild marks a tick already
-    run that was not marked before, then hold its log to the per-tick
-    one.  The spawn lead must have marked, before they were run, the
-    ticks before the spawn that the rebuilt chain marks; a rebuild's
-    marks reach back at most the velocity window before the spawn."""
-    observe = SyntheticPlayer.observe_spawn
+def _assert_marks_after_their_rebuild(config: SessionConfig) -> None:
+    """Run ``config`` checking that each rebuild adds only its own hand's
+    bit, and only on ticks after its own, so that none lands on a tick
+    already run; then hold its log to the per-tick one."""
+    add = _HandTrack.add
     rebuilds = []
 
-    def checked_observe(self, entity, now_tick, empowered_until):
-        start = max(0, now_tick - 2 * self.lead - self._hot_strike_ticks)
-        before = bytes(self.hot[start:now_tick])
-        observe(self, entity, now_tick, empowered_until)
-        late = _late_marks(before, self.hot[start:now_tick])
-        assert late == [], [start + k for k in late]
+    def checked_add(self, plan, now_tick):
+        before = bytes(self.hot)
+        add(self, plan, now_tick)
+        after = bytes(self.hot)
+        before += bytes(len(after) - len(before))
+        changed = [k for k, (old, new) in enumerate(zip(before, after))
+                   if old != new]
+        assert all(k > now_tick for k in changed), (now_tick, changed)
+        assert all(after[k] == before[k] | self.mark for k in changed)
         rebuilds.append(now_tick)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SyntheticPlayer, "observe_spawn", checked_observe)
+        patch.setattr(_HandTrack, "add", checked_add)
         got = run_session(config).lines
     assert got == run_session_per_tick(config).lines
-    assert rebuilds or config.duration < 1.0
+    # Every virus's plan rebuilds its hand's chain.
+    assert len(rebuilds) == sum('"type":"spawn"' in line and '_virus"' in line
+                                for line in got)
 
 
 @pytest.mark.parametrize("reaction", [0.0, 0.06, 0.12, 0.18])
@@ -101,8 +95,8 @@ def _assert_no_late_marks(config: SessionConfig) -> None:
 @pytest.mark.parametrize("profile", PROFILES)
 def test_no_rebuild_marks_a_tick_already_run(profile, dt, reaction) -> None:
     quick = dataclasses.replace(load_profile(profile), reaction_time=reaction)
-    _assert_no_late_marks(SessionConfig(seed=SEED, profile=quick, dt=dt,
-                                        duration=63.0))
+    _assert_marks_after_their_rebuild(
+        SessionConfig(seed=SEED, profile=quick, dt=dt, duration=63.0))
 
 
 @pytest.mark.parametrize("own_reaction", [True, False], ids=["own", "reaction0"])
@@ -110,10 +104,9 @@ def test_no_rebuild_marks_a_tick_already_run(profile, dt, reaction) -> None:
 @pytest.mark.parametrize("profile", PROFILES)
 def test_a_virus_plan_strikes_a_reaction_after_its_spawn_tick(
         profile, dt, own_reaction) -> None:
-    # The premise of SyntheticPlayer.mark_spawn_lead's bound: a spawn lands
-    # on tick s only if its time is above (s - 1) * dt + 1e-9, so every
-    # plan, ranged or melee, strikes on tick s + floor(reaction / dt) or
-    # later.
+    # A spawn lands on tick s only if its time is above
+    # (s - 1) * dt + 1e-9, so every plan, ranged or melee, strikes on
+    # tick s + floor(reaction / dt) or later.
     loaded = load_profile(profile)
     if not own_reaction:
         loaded = dataclasses.replace(loaded, reaction_time=0.0)
@@ -140,9 +133,9 @@ def test_a_virus_plan_strikes_a_reaction_after_its_spawn_tick(
 @st.composite
 def _session_configs_with_quick_reactions(draw) -> SessionConfig:
     """``session_configs``, half of them with a reaction time cut to at
-    most 0.1 s.  The built-in profiles react in 0.18 s or more; faster, a
-    new plan can strike so soon that the hot span its chain opens reaches
-    back past its own spawn tick."""
+    most 0.1 s.  Reacting that fast, a new plan can strike so soon that
+    the velocity window of its first marked ticks reaches back past its
+    own spawn tick, into the chain it replaced."""
     config = draw(session_configs())
     if draw(st.booleans()):
         profile = dataclasses.replace(
@@ -156,7 +149,7 @@ def _session_configs_with_quick_reactions(draw) -> SessionConfig:
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=_session_configs_with_quick_reactions())
 def test_gated_log_equals_the_per_tick_log(config: SessionConfig) -> None:
-    _assert_no_late_marks(config)
+    _assert_marks_after_their_rebuild(config)
 
 
 @pytest.mark.parametrize("targeting", sorted(TARGETING))
@@ -168,8 +161,8 @@ def test_full_session_equals_the_per_tick_log(profile, targeting) -> None:
     assert sum('"type":"jab"' in line for line in lines) > 100
 
 
-# At coarse steps the velocity window is one to three ticks, so a lead
-# that starts a tick late shows at once.  At the finer steps, sessions that
+# At coarse steps the velocity window is one to three ticks, so a window
+# start a tick off shows at once.  At the finer steps, sessions that
 # end on a phase boundary (30 s, 120 s) or mid-phase (75.5 s): the drain
 # takes over right after the last gameplay tick.
 STEP_CASES = [(0.035, 126.0), (0.07, 126.0), (0.1, 126.0)] + [
@@ -189,8 +182,8 @@ def test_coarse_steps_equal_the_per_tick_log(profile, dt, duration) -> None:
 @pytest.mark.parametrize("dt", [0.02, 0.035])
 @pytest.mark.parametrize("profile", ["expert", "mid_skill"])
 def test_instant_reactions_equal_the_per_tick_log(profile, dt) -> None:
-    # With no reaction time a new plan can strike at once, so the hot
-    # span its chain opens needs lead ticks from before the spawn.
+    # With no reaction time a new plan can strike at once, so the window
+    # of its first marked ticks starts on the chain it replaced.
     instant = dataclasses.replace(load_profile(profile), reaction_time=0.0)
     _assert_same_log(SessionConfig(seed=SEED, profile=instant, dt=dt,
                                    duration=126.0))
@@ -198,13 +191,13 @@ def test_instant_reactions_equal_the_per_tick_log(profile, dt) -> None:
 
 def test_a_crossing_just_before_an_instant_strike_equals_the_per_tick_log(
         ) -> None:
-    # At seed 3 a cell crosses on tick 6046 (120.92 s), the detector's
-    # only fed tick for a while, and a red virus spawns on tick 6047 while
-    # the player is empowered.  With no reaction time and rough long-range
-    # targeting its plan strikes at once, so the hot span the new chain
-    # opens reaches back past the crossing: the ticks before it must have
-    # been fed too, or the detector's window starts at the crossing and
-    # reads the one-tick strike as a jab the per-tick loop never fires.
+    # At seed 3 a cell crosses on tick 6046 (120.92 s), a tick sampled
+    # for its head alone, and a red virus spawns on tick 6047 while the
+    # player is empowered.  With no reaction time and rough long-range
+    # targeting its plan strikes at once, so the windows of the new
+    # chain's marked ticks reach back past the crossing: their starts
+    # must come off the chain that held there, or the one-tick strike
+    # reads as a jab the per-tick loop never fires.
     instant = dataclasses.replace(load_profile("expert"), reaction_time=0.0)
     config = SessionConfig(seed=3, profile=instant, dt=0.02, duration=121.0)
     lines = _assert_same_log(config)
@@ -224,9 +217,8 @@ def test_a_hot_run_just_before_an_instant_strike_equals_the_per_tick_log(
     # At seed 2, with no reaction time and a 6 m/s mean punch, the left
     # hand's hot run for its next jab opens a tick or two before a red
     # virus spawns on tick 6087 (121.74 s) while the player is empowered.
-    # The right hand's new plan strikes at once, so the ticks before the
-    # left hand's run must have been fed, or the detector's window starts
-    # at that run and reads the strike as faster than it is.
+    # The right hand's new plan strikes at once: its speed must be read
+    # from its own window's start, not from the left hand's run.
     quick = dataclasses.replace(load_profile("expert"), reaction_time=0.0,
                                 punch_speed_mean=6.0)
     config = SessionConfig(seed=2, profile=quick, dt=0.02, duration=122.0)
@@ -243,18 +235,49 @@ def test_a_hot_run_just_before_an_instant_strike_equals_the_per_tick_log(
     assert empowered["action"] == "start" and empowered["until"] > 122.0
 
 
-class TestSampledTicks:
+def test_a_jab_whose_window_spans_the_skipped_tick_logs_as_per_tick() -> None:
+    # Log v1 never runs tick G, so a window that reaches back across it
+    # starts where a detector fed every tick but G starts it.  At seed 1
+    # of a 21 s session a jab fires on G + 3, its window from G - 2; at
+    # seed 3 of a 25.04 s session one fires on G + 1, whose speed below
+    # is the one on G - 1.
+    judge = JabDetector.judge
+    for seed, duration, after in ((1, 21.0, 3), (3, 25.04, 1)):
+        config = SessionConfig(seed=seed, profile=load_profile("mid_skill"),
+                               pid_enabled=False, duration=duration)
+        dt = config.dt
+        gameplay = round(duration / dt)
+        befores = {}
+
+        def recording_judge(self, i, now, before, *args):
+            befores[round(now / dt)] = before
+            return judge(self, i, now, before, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(JabDetector, "judge", recording_judge)
+            lines = _assert_same_log(config)
+        jab_ticks = [round(json.loads(line)["t"] / dt)
+                     for line in lines if '"type":"jab"' in line]
+        assert gameplay + after in jab_ticks, (seed, duration)
+        # The tick before G + 1 is G - 1.
+        assert befores[gameplay + 1] == (gameplay - 1) * dt
+        assert all(before == (k - 1) * dt for k, before in befores.items()
+                   if k != gameplay + 1)
+
+
+class TestJudgedTicks:
     @pytest.fixture(scope="class")
     def runs(self):
         """Each loop's sampled ticks with their phase kinds, and the ticks
-        on which the per-tick loop's detector fired; then the gated loop's
-        fed ticks and its player's final hot marks."""
+        on which its jabs fired; then the gated loop's judged ticks by
+        hand and its player's final hot marks."""
         config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"))
         dt = config.dt
         sample, feed = SyntheticPlayer.sample, JabDetector.feed
+        judge = JabDetector.judge
         calls: list[tuple[int, PhaseKind]] = []
         fired: list[int] = []
-        fed: list[int] = []
+        judged: tuple[list[int], list[int]] = ([], [])
         players: list[SyntheticPlayer] = []
 
         def recording_sample(self, tick, phase_kind):
@@ -263,11 +286,17 @@ class TestSampledTicks:
             return sample(self, tick, phase_kind)
 
         def recording_feed(self, now, left, right):
-            fed.append(round(now / dt))
             events = feed(self, now, left, right)
             if events:
                 fired.append(round(now / dt))
             return events
+
+        def recording_judge(self, i, now, *args):
+            judged[i].append(round(now / dt))
+            jab = judge(self, i, now, *args)
+            if jab is not None:
+                fired.append(round(now / dt))
+            return jab
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SyntheticPlayer, "sample", recording_sample)
@@ -276,12 +305,12 @@ class TestSampledTicks:
             oracle_calls, oracle_fired = calls[:], fired[:]
             calls.clear()
             fired.clear()
-            fed.clear()
+            patch.setattr(JabDetector, "judge", recording_judge)
             gated = run_session(config)
         assert gated.lines == oracle.lines
         marks = bytes(players[-1].hot)
         return (config, oracle, oracle_calls, oracle_fired, calls, fired,
-                fed, marks)
+                judged, marks)
 
     def test_ticks_are_sampled_once_in_order(self, runs) -> None:
         _, _, _, _, calls, _, _, _ = runs
@@ -297,40 +326,31 @@ class TestSampledTicks:
             else:
                 assert kind is PhaseKind.ENDED, tick
 
-    def test_fired_and_crossing_ticks_are_sampled(self, runs) -> None:
-        # The detector reads the hands alone: a fired tick is fed, and a
-        # tick a cell crosses on is sampled whole for its head.
-        config, oracle, _, oracle_fired, calls, fired, fed, _ = runs
-        sampled = {tick for tick, _ in calls}
+    def test_fired_ticks_are_judged_and_crossing_ticks_sampled(
+            self, runs) -> None:
+        # A jab is judged from the hands alone; a tick a cell crosses on
+        # is sampled whole for its head, and no other tick is sampled.
+        config, oracle, _, oracle_fired, calls, fired, judged, _ = runs
         assert oracle_fired and fired == oracle_fired
-        assert set(oracle_fired) <= set(fed)
+        assert set(oracle_fired) <= set(judged[0]) | set(judged[1])
         rows = [json.loads(line) for line in oracle.lines]
         cell_ticks = {round(row["t"] / config.dt) for row in rows
                       if row["type"] == "cross" and "pose" in row}
-        assert cell_ticks and cell_ticks == sampled
+        assert cell_ticks and cell_ticks == {tick for tick, _ in calls}
 
-    def test_fewer_than_half_the_ticks_are_sampled(self, runs) -> None:
-        _, _, oracle_calls, _, calls, _, fed, _ = runs
-        assert len(calls) < len(oracle_calls) / 2
-        assert len(fed) < len(oracle_calls) / 2
+    def test_each_hand_is_judged_on_its_marked_ticks_alone(self, runs) -> None:
+        config, _, _, _, _, _, judged, marks = runs
+        gameplay = round(config.duration / config.dt)
+        for ticks, mark in zip(judged, (LEFT_MARK, RIGHT_MARK)):
+            assert ticks and ticks == sorted(set(ticks))
+            # Tick G is never run.
+            assert ticks == [tick for tick in range(ticks[-1] + 1)
+                             if marks[tick] & mark and tick != gameplay]
 
-    def test_ticks_are_fed_once_in_order(self, runs) -> None:
-        _, _, _, _, _, _, fed, marks = runs
-        assert fed and fed == sorted(set(fed))
-        # Fed on exactly the ticks marked hot.
-        assert fed == [tick for tick in range(fed[-1] + 1) if marks[tick]]
-
-    def test_only_cold_crossing_ticks_are_sampled_unfed(self, runs) -> None:
-        # A tick is fed when it is marked hot, and a mark on a tick already
-        # run is never cleared; a cell crossing on an unmarked tick is
-        # sampled for its head pose alone.
-        config, oracle, _, _, calls, _, fed, marks = runs
-        rows = [json.loads(line) for line in oracle.lines]
-        cold_cell_ticks = {round(row["t"] / config.dt) for row in rows
-                           if row["type"] == "cross" and "pose" in row
-                           and not marks[round(row["t"] / config.dt)]}
-        assert cold_cell_ticks
-        assert {tick for tick, _ in calls} - set(fed) == cold_cell_ticks
+    def test_under_a_quarter_of_the_ticks_are_read(self, runs) -> None:
+        _, _, oracle_calls, _, calls, _, judged, _ = runs
+        assert len(calls) < len(oracle_calls) / 4
+        assert len(set(judged[0]) | set(judged[1])) < len(oracle_calls) / 4
 
 
 def _plans(dt: float) -> list[tuple[int, JabPlan | WeavePlan]]:
@@ -420,45 +440,91 @@ class TestSparseSampling:
         assert player._active is active and not active
 
 
-def _expert_reacting_in(reaction_time: float, **kwargs) -> SyntheticPlayer:
-    """An expert player with another reaction time.  Reacting at once, a
-    new plan can strike on the tick after its spawn, so its spawn lead is
-    the whole window."""
-    profile = dataclasses.replace(load_profile("expert"),
-                                  reaction_time=reaction_time)
-    return SyntheticPlayer(profile, Calibration(), random.Random(0), **kwargs)
+def _window_start(tick: int, dt: float, skip: int | None = None) -> int:
+    """The oldest tick a detector fed every tick but ``skip`` keeps in its
+    window on ``tick``: a plain scan from tick 0."""
+    horizon = tick * dt - VELOCITY_WINDOW - 1e-9
+    return next(j for j in itertools.count()
+                if j == tick or (j != skip and j * dt >= horizon))
 
 
-class TestHotMarks:
-    def test_a_strike_marks_its_window_and_lead(self) -> None:
+def _judged_jabs(player: SyntheticPlayer, detector: JabDetector,
+                 tick: int) -> list:
+    """The jabs of the hands ``tick`` is marked hot for, judged from the
+    ends of their windows as ``run_session`` judges them."""
+    dt = player.dt
+    if tick >= len(player.hot) or not player.hot[tick]:
+        return []
+    t = tick * dt
+    start_tick = _window_start(tick, dt)
+    events = []
+    for i, track in enumerate(player.tracks):
+        if player.hot[tick] & track.mark:
+            start, end = track.ends(start_tick, tick)
+            jab = detector.judge(i, t, (tick - 1) * dt,
+                                 t - start_tick * dt, start, end)
+            if jab is not None:
+                events.append(jab)
+    return events
+
+
+def _streams(injections: dict[int, list[JabPlan]], ticks: int,
+             **kwargs) -> tuple[list, list]:
+    """The jabs a detector fed every tick fires, and those judged on the
+    marked ticks alone, for plans injected on their ticks."""
+    streams = []
+    for marked_only in (False, True):
+        source, detector, events = _player(**kwargs), JabDetector(), []
+        for k in range(ticks):
+            for plan in injections.get(k, ()):
+                source.inject(plan, k)
+            if marked_only:
+                events += _judged_jabs(source, detector, k)
+            else:
+                events += detector.update(source.sample(k, PhaseKind.LOW))
+        streams.append(events)
+    return streams[0], streams[1]
+
+
+def _player(dt: float = 0.02, **kwargs) -> SyntheticPlayer:
+    return SyntheticPlayer(load_profile("expert"), Calibration(),
+                           random.Random(0), dt=dt, **kwargs)
+
+
+AIM = (0.1, 1.4, 0.45)
+
+
+class TestHandMarks:
+    def test_a_strike_marks_its_own_hand_after_its_rebuild(self) -> None:
         dt = 0.02
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), dt=dt)
-        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+        player = _player(dt)
+        # The left hand's mark is there beforehand and must stay alone.
+        player.inject(JabPlan(0, Hand.LEFT, 30, 2.5, (-0.1, 1.4, 0.45),
                               False, 0), 0)
+        left = bytes(player.hot)
+        assert set(left) == {0, LEFT_MARK}
+        now = 40
+        player.inject(JabPlan(1, Hand.RIGHT, 60, 2.5, AIM, False, 1), now)
         lead = player.lead
         assert lead == 5
         knots = player._right.knots
         (t0, t1), = [(a[0], b[0]) for a, b in zip(knots, knots[1:])
                      if a[1] is not b[1] and b[0] == 60 * dt]
         first = next(k for k in range(100) if k * dt > t0)
-        last = max(k for k in range(100) if (k - lead) * dt < t1)
-        marked = [k for k, byte in enumerate(player.hot) if byte]
-        assert marked == list(range(first - lead, last + 1))
-        assert all(byte == HAND_MARKS for byte in player.hot if byte)
+        last = max(k for k in range(100) if k * dt < t1)
+        right = [k for k, byte in enumerate(player.hot) if byte & RIGHT_MARK]
+        assert right == list(range(first, last + lead + 1))
+        assert first > now
+        assert bytes(byte & LEFT_MARK for byte in player.hot) == \
+            left + bytes(len(player.hot) - len(left))
 
     def test_a_rebuild_keeps_the_old_chains_marks(self) -> None:
-        def player() -> SyntheticPlayer:
-            return SyntheticPlayer(load_profile("expert"), Calibration(),
-                                   random.Random(0), horizon=200)
-
-        aim = (0.1, 1.4, 0.45)
-        fast = JabPlan(0, Hand.RIGHT, 100, 2.5, aim, False, 0)
+        fast = JabPlan(0, Hand.RIGHT, 100, 2.5, AIM, False, 0)
         # A slow strike one tick later preempts the marked one while its
         # hand holds, and the new chain marks nothing: the old chain's
         # marks stay, past the ticks whose window looks back into it too.
-        now, slow = 96, JabPlan(1, Hand.RIGHT, 101, 0.9, aim, False, 1)
-        marked = player()
+        now, slow = 96, JabPlan(1, Hand.RIGHT, 101, 0.9, AIM, False, 1)
+        marked = _player(horizon=200)
         marked.inject(fast, 0)
         before = bytes(marked.hot)
         marked.inject(slow, now)
@@ -466,166 +532,115 @@ class TestHotMarks:
         assert any(before[now:keep]) and any(before[keep:])
         assert bytes(marked.hot) == before
 
-        # Fed on those ticks, a detector fires as one fed every tick: the
-        # same jabs, up to a later fast strike on the same hand.
+        # Judged on those ticks, the jabs are a dense detector's, up to a
+        # later fast strike on the same hand drawn on the same tick.
         later = JabPlan(2, Hand.RIGHT, 140, 3.0, (0.2, 1.3, 0.6), False, 2)
-        streams = []
-        for marked_only in (False, True):
-            source, detector, events = player(), JabDetector(), []
-            for k in range(200):
-                if k == 0:
-                    source.inject(fast, k)
-                if k == now:
-                    source.inject(slow, k)
-                    source.inject(later, k)
-                if marked_only and not source.hot[k]:
-                    continue
-                events += detector.update(source.sample(k, PhaseKind.LOW))
-            streams.append(events)
-        dense, sparse = streams
+        dense, sparse = _streams({0: [fast], now: [slow, later]}, 200,
+                                 horizon=200)
         assert dense and sparse == dense
 
     def test_slow_motion_marks_nothing(self) -> None:
         # A strike below the hot speed: reposition, hold, strike and
         # retract all stay cold.
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0))
+        player = _player()
         player.inject(JabPlan(0, Hand.LEFT, 80, 0.9, (0.3, 1.6, 0.8),
                               False, 0), 0)
         assert len(player._left.knots) > 3
         assert not any(player.hot)
 
-    def test_a_spawn_lead_marks_the_ticks_before_its_spawn(self) -> None:
-        player = _expert_reacting_in(0.0)
-        spawn, lead = 40, player.lead
-        player.mark_spawn_lead(RED, spawn, 30)
-        marked = [k for k, byte in enumerate(player.hot) if byte]
-        assert marked == list(range(spawn + 1 - lead, spawn))
-        assert all(byte == SPAWN_LEAD_MARK for byte in player.hot if byte)
-
-    def test_a_spawn_lead_of_one_tick_marks_nothing(self) -> None:
-        # At dt 0.1 the window is one tick: a new chain's run needs no
-        # tick before its spawn.
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), dt=0.1)
-        assert player.lead == 1
-        player.mark_spawn_lead(RED, 40, 30)
-        assert not any(player.hot)
-
-    def test_a_spawn_lead_leaves_the_hand_marks(self) -> None:
-        player = _expert_reacting_in(0.0)
-        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
-                              False, 0), 0)
-        before = bytes(player.hot)
-        first = next(k for k, byte in enumerate(before) if byte)
-        spawn = first + 2
-        player.mark_spawn_lead(RED, spawn, 0)
-        after = bytes(player.hot)
-        assert bytes(byte & HAND_MARKS for byte in after) == before
-        lead_ticks = range(spawn + 1 - player.lead, spawn)
-        assert [k for k, byte in enumerate(after)
-                if byte & SPAWN_LEAD_MARK] == list(lead_ticks)
-
-    def test_a_lead_that_is_not_after_the_current_tick_raises(self) -> None:
-        player = _expert_reacting_in(0.0)
-        start = 40 + 1 - player.lead
-        with pytest.raises(RuntimeError, match="lead"):
-            player.mark_spawn_lead(RED, 40, start)
-        assert not any(player.hot)
-        player.mark_spawn_lead(RED, 40, start - 1)
-        assert player.hot[start]
-
-    def test_a_quarter_second_reaction_marks_no_spawn_lead(self) -> None:
-        # At dt 0.02 a new plan strikes no earlier than 12 ticks after the
-        # tick before its spawn, and a hot strike lasts at most 6 ticks:
-        # its run's lead starts on the spawn tick.  A pending strike
-        # changes nothing: the rebuild never starts it earlier.
-        player = _expert_reacting_in(0.25)
-        player.mark_spawn_lead(RED, 40, 30)
-        assert not any(player.hot)
-        player.inject(JabPlan(0, Hand.LEFT, 42, 0.9, (-0.1, 1.4, 0.5),
-                              False, 0), 0)
-        player.inject(JabPlan(1, Hand.RIGHT, 40, 2.5, (0.1, 1.4, 0.45),
-                              False, 1), 0)
-        hand_marks = bytes(player.hot)
-        player.mark_spawn_lead(RED, 40, 30)
-        assert bytes(player.hot) == hand_marks
-        assert not any(byte & SPAWN_LEAD_MARK for byte in player.hot)
-
     def test_a_relaid_chain_fires_alike_on_its_marked_ticks(self) -> None:
         # Plans A and B wait on one hand, B repositioning from where A's
         # strike ends.  On tick 100 a new plan N preempts A, which was due
-        # to strike on tick 104, and the rebuild re-lays B behind N.  Fed
-        # only the ticks marked by then, a detector fires as one fed every
-        # tick, and no tick before 100 gets a mark it lacked.
+        # to strike on tick 104, and the rebuild re-lays B behind N.
+        # Judged on the marked ticks alone, the jabs are a dense
+        # detector's.
         a = JabPlan(0, Hand.RIGHT, 104, 3.0, (0.1, 1.4, 0.45), False, 0)
         b = JabPlan(1, Hand.RIGHT, 124, 2.0, (0.2, 1.3, 0.5), False, 1)
         n = JabPlan(2, Hand.RIGHT, 111, 3.0, (0.0, 1.5, 0.5), False, 2)
-        streams = []
-        for marked_only in (False, True):
-            source = _expert_reacting_in(0.25, horizon=200)
-            detector, events = JabDetector(), []
-            for k in range(200):
-                if k == 0:
-                    source.inject(a, k)
-                    source.inject(b, k)
-                if k == 90:
-                    source.mark_spawn_lead(RED, 100, k)
-                if k == 100:
-                    before = bytes(source.hot[:k])
-                    source.inject(n, k)
-                    assert [p.entity_id for p in source._right.plans] == [2, 1]
-                    assert _late_marks(before, source.hot) == []
-                if marked_only and not source.hot[k]:
-                    continue
-                t = k * source.dt
-                events += detector.feed(t, *source.hands(t))
-            streams.append(events)
-        dense, sparse = streams
+        player = _player(horizon=200)
+        player.inject(a, 0)
+        player.inject(b, 0)
+        player.inject(n, 100)
+        assert [p.entity_id for p in player._right.plans] == [2, 1]
+        dense, sparse = _streams({0: [a, b], 100: [n]}, 200, horizon=200)
         assert [event.time for event in dense] == pytest.approx([2.22, 2.48])
         assert sparse == dense
 
-    @pytest.mark.parametrize("reaction", [0.0, None])
-    @pytest.mark.parametrize("dt", [0.02, 0.07])
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_a_relaid_strike_never_starts_earlier(self, profile, dt,
-                                                  reaction) -> None:
-        # A rebuild re-lays the pending plans of its hand behind the new
-        # one.  None of their hot strikes starts before it did in the
-        # chain it replaces, whose marks stay: so the lead before each of
-        # them is marked already, and the spawn lead need not cover it.
-        add = _HandTrack.add
-        relaid = 0
-
-        def strike_starts(track) -> dict[int, float]:
-            """Each pending hot plan's strike start, by seq: the knot
-            before the one its strike ends on."""
-            times = [t for t, _ in track.knots]
-            return {plan.seq: times[times.index(plan.strike_tick * dt) - 1]
-                    for plan in track.plans if plan.speed >= _HOT_SPEED}
-
-        def checked_add(self, plan, now_tick):
-            nonlocal relaid
-            before, marks = strike_starts(self), bytes(self.hot)
-            add(self, plan, now_tick)
-            for seq, start in strike_starts(self).items():
-                if seq not in before:
+    @pytest.mark.parametrize("dt", [0.02, 0.035, 0.1])
+    def test_a_window_start_across_a_rebuild_is_the_dense_position(
+            self, dt) -> None:
+        # A strike on the right hand, and a rebuild on each tick around
+        # it: read only from the rebuild on, every window that starts
+        # before it comes off the chain it replaced, and gives the value
+        # a densely sampled hand gave on that tick, or its very tuple on
+        # a hold.
+        strike = round(1.2 / dt)
+        first = JabPlan(0, Hand.RIGHT, strike, 2.5, AIM, False, 0)
+        preempt = JabPlan(1, Hand.RIGHT, strike + round(0.6 / dt), 3.0,
+                          (0.2, 1.3, 0.5), False, 1)
+        across = 0
+        for rebuild in range(strike - 8, strike + 3):
+            dense, sparse = _player(dt), _player(dt)
+            positions = []
+            for k in range(rebuild + 3 * dense.lead):
+                for player in (dense, sparse):
+                    if k == 0:
+                        player.inject(first, k)
+                    if k == rebuild:
+                        player.inject(preempt, k)
+                positions.append(dense.sample(k, PhaseKind.LOW).right_hand)
+                if k < rebuild:
                     continue
-                relaid += 1
-                assert start >= before[seq], (now_tick, seq)
-                first = next(k for k in itertools.count(now_tick)
-                             if k * dt > start)
-                assert all(marks[max(0, first - self.lead):first]), (
-                    now_tick, seq)
+                start = _window_start(k, dt)
+                got = sparse._right.ends(start, k)
+                want = (positions[start], positions[k])
+                assert got == want, (rebuild, k)
+                assert (got[0] is got[1]) == (want[0] is want[1])
+                across += start < rebuild and got[0] != got[1]
+        assert across >= 3
 
-        quick = load_profile(profile)
-        if reaction is not None:
-            quick = dataclasses.replace(quick, reaction_time=reaction)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_HandTrack, "add", checked_add)
-            run_session(SessionConfig(seed=SEED, profile=quick, dt=dt,
-                                      duration=63.0))
-        assert relaid
+    def test_two_rebuilds_on_one_tick_keep_the_older_chain(self) -> None:
+        # The first plan's strike ends on tick 60, after a hold from tick
+        # 53.  The chain the first rebuild on tick 60 lays never holds on
+        # any tick: a window that starts before 60 reads the chain before
+        # it, which holds still there.
+        dt = 0.02
+        plans = [JabPlan(0, Hand.RIGHT, 60, 2.5, AIM, False, 0),
+                 JabPlan(1, Hand.RIGHT, 90, 3.0, (0.2, 1.3, 0.5), False, 1),
+                 JabPlan(2, Hand.RIGHT, 120, 2.0, (0.0, 1.5, 0.5), False, 2)]
+        dense, sparse = _player(dt), _player(dt)
+        for player in (dense, sparse):
+            player.inject(plans[0], 0)
+        positions = [dense.sample(k, PhaseKind.LOW).right_hand
+                     for k in range(60)]
+        for player in (dense, sparse):
+            player.inject(plans[1], 60)
+            player.inject(plans[2], 60)
+        positions.append(dense.sample(60, PhaseKind.LOW).right_hand)
+        track = sparse._right
+        assert track._since == 60
+        start = _window_start(60, dt)
+        assert start == 55
+        got = track.ends(start, 60)
+        assert got == (positions[55], positions[60])
+        # The hold's own tuple, which the old chain holds on from tick 5.
+        assert got[0] is track._old[1][1] is not got[1]
+
+    def test_rebuilds_closer_than_the_window_raise(self) -> None:
+        # A window could then span three chains.
+        lead = _player().lead
+        plans = [JabPlan(0, Hand.RIGHT, 60, 2.5, AIM, False, 0),
+                 JabPlan(1, Hand.RIGHT, 90, 3.0, (0.2, 1.3, 0.5), False, 1)]
+        player = _player()
+        player.inject(plans[0], 40)
+        with pytest.raises(RuntimeError, match="velocity window"):
+            player.inject(plans[1], 40 + lead - 1)
+        player = _player()
+        player.inject(plans[0], 40)
+        player.inject(plans[1], 40 + lead)
+        # Either hand keeps its own count: the left hand may rebuild at once.
+        player.inject(JabPlan(2, Hand.LEFT, 70, 2.5, (-0.1, 1.4, 0.45),
+                              False, 2), 40 + lead + 1)
 
     @pytest.mark.parametrize("dt", [0.035, 0.07])
     def test_the_spawn_tick_is_the_per_tick_loops(self, dt) -> None:
@@ -638,47 +653,17 @@ class TestHotMarks:
                 assert _spawn_tick(time, dt) == want, (k, time)
 
     def test_horizon_sizes_the_marks(self) -> None:
-        player = SyntheticPlayer(load_profile("expert"), Calibration(),
-                                 random.Random(0), horizon=300)
+        player = _player(horizon=300)
         assert len(player.hot) == 300 and not any(player.hot)
 
 
-class TestGuards:
-    def test_a_jab_on_a_tick_only_a_spawn_lead_marks_raises(self) -> None:
-        # With no reaction time every virus gets its whole spawn lead, so
-        # some ticks carry that mark alone.
-        instant = dataclasses.replace(load_profile("mid_skill"),
-                                      reaction_time=0.0)
-        config = SessionConfig(seed=SEED, profile=instant, duration=30.0)
-        mark, feed = SyntheticPlayer.mark_spawn_lead, JabDetector.feed
-        players: list[SyntheticPlayer] = []
-
-        def recording_mark(self, kind, spawn_tick, now_tick):
-            players.append(self)
-            mark(self, kind, spawn_tick, now_tick)
-
-        def firing_feed(self, now, left, right):
-            events = feed(self, now, left, right)
-            tick = round(now / config.dt)
-            if players[-1].hot[tick] == SPAWN_LEAD_MARK:
-                events.append(JabEvent(now, Hand.RIGHT, 2.0, right,
-                                       (0.0, 0.0, 1.0)))
-            return events
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SyntheticPlayer, "mark_spawn_lead", recording_mark)
-            patch.setattr(JabDetector, "feed", firing_feed)
-            with pytest.raises(RuntimeError, match="no hand marks"):
-                run_session(config)
-
+class TestRebuildSpacing:
     def test_spawns_closer_than_the_velocity_window_raise(self) -> None:
-        # A virus drawn less than a window before its spawn tick leaves no
-        # time to feed its lead in order.  The per-tick loop needs no lead
-        # and runs on; the gated loop refuses rather than guess.  With no
-        # reaction time every virus has a spawn lead.
-        instant = dataclasses.replace(load_profile("mid_skill"),
-                                      reaction_time=0.0)
-        config = SessionConfig(seed=SEED, profile=instant,
+        # Two viruses for one hand less than a window apart rebuild its
+        # chain twice within the window, so a window could span three
+        # chains.  The player refuses rather than guess, under either
+        # loop.
+        config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
                                pid_enabled=False, duration=10.0)
         fast = SpawnParams(interval=0.9 * VELOCITY_WINDOW, speed=5.7)
         # The plan cache is keyed on the config alone, not on the spawn
@@ -688,9 +673,9 @@ class TestGuards:
                 patch.setattr(protocol, "LOW_INTENSITY_SPAWN", fast)
                 patch.setattr(protocol, "SPRINT_SPAWN", fast)
                 _plan.cache_clear()
-                assert run_session_per_tick(config).lines
-                with pytest.raises(RuntimeError, match="lead"):
-                    run_session(config)
+                for run in (run_session_per_tick, run_session):
+                    with pytest.raises(RuntimeError, match="velocity window"):
+                        run(config)
         finally:
             _plan.cache_clear()
 

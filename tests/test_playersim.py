@@ -87,7 +87,12 @@ class TestProfiles:
 
     @pytest.mark.parametrize("field,value", [
         ("reaction_time", -0.1),
+        ("reaction_time", math.inf),
+        ("reaction_time", math.nan),
         ("punch_speed_mean", -1.0),
+        ("punch_speed_mean", math.inf),
+        ("punch_speed_sd", math.nan),
+        ("aim_error_sd", math.inf),
         ("aim_error_sd", -0.01),
         ("correct_hand_prob", 1.5),
         ("weave_reliability", -0.2),

@@ -2,9 +2,9 @@
 
 The session writes each log row from a fixed ``%``-format template,
 ``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` decides a
-standing, resting tick without calling out, ``SyntheticPlayer.hands``
-gives the hands ``sample`` would, and a held hand is one tuple from tick
-to tick.  Each is checked here against the computation
+standing, resting tick without calling out, a hand track's ``ends``
+gives what ``sample`` gave on both ends of a velocity window, and a
+held hand is one tuple from tick to tick.  Each is checked here against the computation
 it replaces: the generic row formatter the log used to be written with,
 the dataclass interface, and a plain scan of the weave windows beside
 the player's own ``position_at`` and a plain knot scan with ``_lerp``.
@@ -29,9 +29,12 @@ from virusboxing.interaction import (
     PoseSample,
 )
 from virusboxing.playersim import (
+    LEFT_MARK,
+    RIGHT_MARK,
     EmpowerPolicy,
     JabPlan,
     SyntheticPlayer,
+    _HandTrack,
     _lerp,
     load_profile,
 )
@@ -258,19 +261,12 @@ class TestSampleFastPath:
     @pytest.mark.parametrize("profile", ["mid_skill", "novice"])
     def test_sample_equals_the_slow_path_on_every_tick(
             self, profile, dt, monkeypatch) -> None:
-        fast_sample, fast_hands = SyntheticPlayer.sample, SyntheticPlayer.hands
+        fast_sample, fast_ends = SyntheticPlayer.sample, _HandTrack.ends
         standing = PoseClass.STANDING
-        counts = {"ticks": 0, "weaving": 0, "moving": 0, "hands": 0,
-                  "hands_moving": 0}
-
-        def checked_hands(self, t):
-            got = fast_hands(self, t)
-            for track, hand in zip((self._left, self._right), got):
-                assert hand == _reference_position(track.knots, t), t
-            counts["hands"] += 1
-            counts["hands_moving"] += (t < self._left._rest_t
-                                       or t < self._right._rest_t)
-            return got
+        counts = {"ticks": 0, "weaving": 0, "moving": 0, "ends": 0,
+                  "apart": 0}
+        # Each hand's position on every tick of the per-tick loop.
+        dense: dict[int, tuple] = {}
 
         def checked(self, tick, phase_kind):
             got = fast_sample(self, tick, phase_kind)
@@ -287,24 +283,44 @@ class TestSampleFastPath:
                                  or t < self._right._rest_t)
             return got
 
+        def checked_ends(self, start, tick):
+            # The values the per-tick loop's player gave on both ticks,
+            # and one tuple wherever it gave one tuple on both.
+            got = fast_ends(self, start, tick)
+            i = (LEFT_MARK, RIGHT_MARK).index(self.mark)
+            want = (dense[start][i], dense[tick][i])
+            assert got == want, (start, tick)
+            assert (got[0] is got[1]) == (want[0] is want[1]), (start, tick)
+            counts["ends"] += 1
+            counts["apart"] += got[0] != got[1]
+            return got
+
         monkeypatch.setattr(SyntheticPlayer, "sample", checked)
-        monkeypatch.setattr(SyntheticPlayer, "hands", checked_hands)
         config = SessionConfig(seed=3, profile=load_profile(profile),
                                pid_enabled=False, dt=dt, duration=42.0)
-        # Every tick through the per-tick loop, then the ticks the gated
-        # loop samples or reads the hands on, which must give the same log.
-        lines = run_session_per_tick(config).lines
+        # Every tick through the per-tick loop, recording the hands.
+        with monkeypatch.context() as patch:
+            def recording_sample(self, tick, phase_kind):
+                got = checked(self, tick, phase_kind)
+                dense[tick] = (got.left_hand, got.right_hand)
+                return got
+
+            patch.setattr(SyntheticPlayer, "sample", recording_sample)
+            lines = run_session_per_tick(config).lines
         assert counts["ticks"] >= round(42.0 / dt)
-        assert counts["hands"] == counts["ticks"]
         assert counts["weaving"] > 0
         assert 0 < counts["moving"] < counts["ticks"]
         assert any('"type":"jab"' in line for line in lines)
-        counts.update(ticks=0, weaving=0, moving=0, hands=0, hands_moving=0)
+        # Then the ticks the gated loop samples or reads a track's ends on,
+        # which must give the same log.
+        counts.update(ticks=0, weaving=0, moving=0)
+        monkeypatch.setattr(_HandTrack, "ends", checked_ends)
         assert run_session(config).lines == lines
-        assert 0 < counts["ticks"] < counts["hands"] < round(42.0 / dt)
-        assert counts["weaving"] > 0 and counts["hands_moving"] > 0
+        assert counts["ticks"] > 0
+        assert 0 < counts["apart"] <= counts["ends"] < round(42.0 / dt)
+        assert counts["weaving"] > 0
 
-    def test_hands_are_the_samples_hands(self) -> None:
+    def test_ends_are_the_samples_hands(self) -> None:
         # On every tick, the values sample gives, and for a hand held or
         # at rest on a knot the very tuple: the detector's still-hand
         # shortcut tests identity.
@@ -319,14 +335,14 @@ class TestSampleFastPath:
             if k == 70:
                 player.inject(JabPlan(2, Hand.RIGHT, 120, 1.5,
                                       (0.2, 1.3, 0.5), False, 2), k)
-            hands = player.hands(k * player.dt)
+            ends = [track.ends(k, k) for track in player.tracks]
             sample = player.sample(k, PhaseKind.LOW)
             sampled_hands = (sample.left_hand, sample.right_hand)
-            assert hands == sampled_hands, k
-            for track, hand, sampled in zip((player._left, player._right),
-                                            hands, sampled_hands):
-                if any(hand is point for _, point in track.knots):
-                    assert hand is sampled, k
+            for track, (start, end), sampled in zip(player.tracks, ends,
+                                                    sampled_hands):
+                assert start is end and end == sampled, k
+                if any(end is point for _, point in track.knots):
+                    assert end is sampled, k
                     held += 1
         assert held > 200
 
