@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -309,6 +310,33 @@ def _strike_ticks(speed: float, dt: float) -> int:
                math.ceil(VELOCITY_WINDOW / (dt * speed) - 1e-9))
 
 
+def _point(knots: list[tuple[float, Vec3]], times: list[float],
+           t: float) -> Vec3:
+    """The point at time ``t`` on a knot chain whose knot times are
+    ``times``, lerped between the knots either side.
+
+    Before the first knot, exactly on a knot, on a hold (two knots on one
+    point, as before a strike) and from the last knot on, this is that
+    knot's own tuple, so the jab detector sees a still hand as one object.
+    """
+    i = bisect_right(times, t)
+    if i == len(times):
+        return knots[-1][1]
+    if i == 0:
+        return knots[0][1]
+    t0, p0 = knots[i - 1]
+    t1, p1 = knots[i]
+    if t <= t0 or p1 is p0:
+        return p0
+    # _lerp(p0, p1, f), term for term, without the call.
+    f = (t - t0) / (t1 - t0)
+    return (
+        p0[0] + f * (p1[0] - p0[0]),
+        p0[1] + f * (p1[1] - p0[1]),
+        p0[2] + f * (p1[2] - p0[2]),
+    )
+
+
 class _HandTrack:
     """Piecewise-linear future trajectory for one hand.
 
@@ -321,7 +349,9 @@ class _HandTrack:
     (see :meth:`_mark_hot` and :class:`SyntheticPlayer`).  The track keeps
     the chain a rebuild replaced, with the tick it was replaced on, so
     that :meth:`ends` can read a window that starts before the rebuild.
-    ``lead`` is the velocity window in ticks.
+    Every read is a bisection of a chain's knot times (``_point``), so
+    reads may come in any order.  ``lead`` is the velocity window in
+    ticks.
     """
 
     def __init__(self, guard: Vec3, dt: float, hot: bytearray,
@@ -332,106 +362,35 @@ class _HandTrack:
         self.hot = hot
         self.mark = mark
         self.knots: list[tuple[float, Vec3]] = [(0.0, guard)]
+        self.times = [0.0]
         self.plans: list[JabPlan] = []
-        self._ptr = 0
-        # From the last knot on the hand holds still.
-        self._rest_t, self._rest_pos = self.knots[-1]
         # The tick the chain took over on, set a window back for the first
-        # so that a rebuild on any tick is far enough from it; the chain
-        # it replaced; and a second forward pointer into each, for window
-        # starts.
+        # so that a rebuild on any tick is far enough from it, and the
+        # chain it replaced.
         self._since = -self.lead
-        self._old = self.knots
-        self._start_ptr = self._old_ptr = 0
-        # The positions read on the last ticks ``ends`` was asked for.
-        self._ring_ticks = [-1] * (self.lead + 2)
-        self._ring_points: list[Vec3 | None] = [None] * (self.lead + 2)
+        self._old, self._old_times = self.knots, self.times
 
     def position_at(self, t: float) -> Vec3:
-        if t >= self._rest_t:
-            return self._rest_pos
-        knots = self.knots
-        i = self._ptr
-        last = len(knots) - 1
-        while i < last and knots[i + 1][0] <= t:
-            i += 1
-        self._ptr = i
-        t0, p0 = knots[i]
-        if i == last or t <= t0:
-            return p0
-        t1, p1 = knots[i + 1]
-        if p1 is p0:
-            # Two knots on one point, as in the hold before a strike: hand
-            # back that very tuple, so the jab detector sees a still hand.
-            return p0
-        # _lerp(p0, p1, f), term for term, without the call.
-        f = (t - t0) / (t1 - t0)
-        return (
-            p0[0] + f * (p1[0] - p0[0]),
-            p0[1] + f * (p1[1] - p0[1]),
-            p0[2] + f * (p1[2] - p0[2]),
-        )
+        return _point(self.knots, self.times, t)
 
     def ends(self, start: int, tick: int) -> tuple[Vec3, Vec3]:
         """The hand on tick ``start`` and on tick ``tick``: the very values,
         and on a hold or at rest the very tuples, that ``position_at``
         gives when read on every tick.
 
-        ``tick`` is read as ``position_at`` reads it, and kept in a small
-        ring.  ``start`` comes from the ring if it was read there, else
-        from the chain that held on it (``_start_at``).  Both must
-        ascend from call to call, and ``start`` lie at most ``lead``
-        ticks before ``tick``.
-        """
-        t = tick * self.dt
-        end = self._rest_pos if t >= self._rest_t else self.position_at(t)
-        ticks, points = self._ring_ticks, self._ring_points
-        slot = tick % len(ticks)
-        ticks[slot] = tick
-        points[slot] = end
-        slot = start % len(ticks)
-        if ticks[slot] == start:
-            return points[slot], end
-        return self._start_at(start), end
-
-    def _start_at(self, tick: int) -> Vec3:
-        """``position_at`` on ``tick`` as it was read then, off the chain
-        that held on that tick, by that chain's second forward pointer.
-
         A rebuild replaces the chain after the ticks before it were run,
-        so the chain it replaced holds before ``_since`` and the current
-        one from there on.  ``add`` keeps rebuilds a window apart, so a
-        window start never reaches further back.
+        so ``start`` is read off the chain it replaced before ``_since``,
+        and off the current one from there on; ``tick`` is read off the
+        current one.  ``add`` keeps rebuilds a window apart, so a
+        ``start`` at most ``lead`` ticks before ``tick`` never reaches an
+        older chain.
         """
-        t = tick * self.dt
-        current = tick >= self._since
-        if current:
-            knots, i = self.knots, self._start_ptr
+        dt = self.dt
+        if start < self._since:
+            first = _point(self._old, self._old_times, start * dt)
         else:
-            knots, i = self._old, self._old_ptr
-        last = len(knots) - 1
-        t_rest, p_rest = knots[last]
-        if t >= t_rest:
-            return p_rest
-        # position_at's walk and lerp, term for term, on this pointer.
-        while i < last and knots[i + 1][0] <= t:
-            i += 1
-        if current:
-            self._start_ptr = i
-        else:
-            self._old_ptr = i
-        t0, p0 = knots[i]
-        if i == last or t <= t0:
-            return p0
-        t1, p1 = knots[i + 1]
-        if p1 is p0:
-            return p0
-        f = (t - t0) / (t1 - t0)
-        return (
-            p0[0] + f * (p1[0] - p0[0]),
-            p0[1] + f * (p1[1] - p0[1]),
-            p0[2] + f * (p1[2] - p0[2]),
-        )
+            first = _point(self.knots, self.times, start * dt)
+        return first, _point(self.knots, self.times, tick * dt)
 
     def add(self, plan: JabPlan, now_tick: int) -> None:
         """Schedule ``plan`` and rebuild the chain from ``now_tick`` on.
@@ -447,9 +406,8 @@ class _HandTrack:
                     f"a hand chain rebuilt on tick {self._since} is rebuilt "
                     f"again on tick {now_tick}, within the {self.lead}-tick "
                     f"velocity window")
-            self._old, self._old_ptr = self.knots, self._start_ptr
+            self._old, self._old_times = self.knots, self.times
             self._since = now_tick
-        self._start_ptr = 0
         self.plans = [p for p in self.plans if p.strike_tick > now_tick]
         self.plans.append(plan)
         self.plans.sort(key=lambda p: (p.strike_tick, p.seq))
@@ -538,8 +496,7 @@ class _HandTrack:
         if back > 1e-12:
             self._append(knots, t_free + back / RETRACT_SPEED, self.guard)
         self.knots = knots
-        self._ptr = 0
-        self._rest_t, self._rest_pos = knots[-1]
+        self.times = [knot[0] for knot in knots]
         self._mark_hot()
 
     def _mark_hot(self) -> None:
@@ -612,14 +569,15 @@ class SyntheticPlayer:
     jab threshold.  ``horizon`` sizes ``hot`` up front; it grows past
     that when a mark reaches further.
 
-    Ticks may be sampled sparsely, in ascending order: the hands and the
-    weave windows come out as if every tick had been sampled, and a held
-    hand as one tuple from tick to tick.  ``tracks``
-    holds the left and the right hand's track, in the order of their
-    bits.  On a tick its bit marks, a track's ``ends`` gives the hand's
-    position there and at the start of its velocity window, the very
-    tuples ``sample`` would have given on those ticks, for a jab
-    detector that reads nothing else.
+    Ticks may be sampled sparsely, in ascending order, for the weave
+    windows' sake: the head comes out as if every tick had been sampled.
+    The hands are read off their knot chains on any tick in any order,
+    and a held hand is one tuple from tick to tick.  ``tracks`` holds the
+    left and the right hand's track, in the order of their bits.  On a
+    tick its bit marks, a track's ``ends`` gives the hand's position
+    there and at the start of its velocity window, the very tuples
+    ``sample`` would have given on those ticks, for a jab detector that
+    reads nothing else.
     """
 
     def __init__(self, profile: PlayerProfile, calibration: Calibration,
@@ -742,9 +700,6 @@ class SyntheticPlayer:
             head = self._standing
         else:
             head = self._weave_head(tick)
-        # A hand past its last knot rests there: position_at's first test.
-        track = self._left
-        left = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        track = self._right
-        right = track._rest_pos if t >= track._rest_t else track.position_at(t)
-        return PoseSample(t, head, left, right, self.buttons(phase_kind))
+        return PoseSample(t, head, self._left.position_at(t),
+                          self._right.position_at(t),
+                          self.buttons(phase_kind))

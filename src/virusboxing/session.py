@@ -50,7 +50,9 @@ chains at that speed lies in the window, so its speed is below the
 threshold.  The speed on a marked tick needs two reads of the hand's
 track (``_HandTrack.ends``): its position on the tick, and on the
 window's first tick, which is the jab detector's own choice when fed
-every tick but G, worked out in the same floats.  The detector's
+every tick but G, worked out in the same floats.  Each read bisects the
+knot times of the chain that held on its tick, so it depends on no
+earlier read.  The detector's
 ``judge`` applies the fire rule, with the hand's speed on the tick
 before as judged there, or 0 if that tick was not marked for it.  So
 jabs fire exactly as a detector fed every tick would fire them, and no
@@ -962,14 +964,17 @@ def replay_verify(source: str | Path | Iterable[str],
     from this seed and configuration; otherwise reports the first
     diverging line, if any.
     """
-    recorded = _load_lines(source)
+    try:
+        recorded = _load_lines(source)
+    except UnicodeDecodeError as exc:
+        raise HeaderMismatchError(f"log is not UTF-8 text: {exc}") from exc
     if not recorded:
         raise HeaderMismatchError("log is empty")
     try:
         header = json.loads(recorded[0])
     except json.JSONDecodeError as exc:
         raise HeaderMismatchError(f"unparseable header line: {exc}") from exc
-    if header.get("type") != "header":
+    if not isinstance(header, dict) or header.get("type") != "header":
         raise HeaderMismatchError("first line is not a header row")
     if header.get("version") != LOG_VERSION:
         raise HeaderMismatchError(

@@ -204,6 +204,20 @@ class TestVerify:
     def test_missing_log_file(self, capsys) -> None:
         assert main(["verify", "/nonexistent/replay.jsonl"]) == 2
 
+    @pytest.mark.parametrize("content", [b"[1, 2]\n", b'"x"\n',
+                                         b"\xff\xfe{}\n"])
+    @pytest.mark.parametrize("seed", [["--seed", "0"], []])
+    def test_a_log_without_a_header_object_exits_2(
+            self, tmp_path, capsys, content, seed) -> None:
+        # A header line that is JSON but no object, or a log that is not
+        # UTF-8: a config error without --seed, for the seed cannot be
+        # read, and a header mismatch with it.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(content)
+        assert main(["verify", str(bad), "--pid", "off", *seed]) == 2
+        err = capsys.readouterr().err
+        assert ("header mismatch" if seed else "cannot read seed") in err
+
 
 def _run_with_file(tmp_path, settings: dict) -> int:
     cfg = tmp_path / "cfg.json"

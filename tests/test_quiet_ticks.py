@@ -2,7 +2,7 @@
 
 The session writes each log row from a fixed ``%``-format template,
 ``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` decides a
-standing, resting tick without calling out, a hand track's ``ends``
+standing tick without calling out, a hand track's ``ends``
 gives what ``sample`` gave on both ends of a velocity window, and a
 held hand is one tuple from tick to tick.  Each is checked here against the computation
 it replaces: the generic row formatter the log used to be written with,
@@ -36,6 +36,7 @@ from virusboxing.playersim import (
     SyntheticPlayer,
     _HandTrack,
     _lerp,
+    _point,
     load_profile,
 )
 from virusboxing.protocol import PhaseKind
@@ -279,8 +280,8 @@ class TestSampleFastPath:
                 assert hand == _reference_position(track.knots, t), tick
             counts["ticks"] += 1
             counts["weaving"] += head is not self._head_for[standing]
-            counts["moving"] += (t < self._left._rest_t
-                                 or t < self._right._rest_t)
+            counts["moving"] += (t < self._left.knots[-1][0]
+                                 or t < self._right.knots[-1][0])
             return got
 
         def checked_ends(self, start, tick):
@@ -323,7 +324,8 @@ class TestSampleFastPath:
     def test_ends_are_the_samples_hands(self) -> None:
         # On every tick, the values sample gives, and for a hand held or
         # at rest on a knot the very tuple: the detector's still-hand
-        # shortcut tests identity.
+        # shortcut tests identity.  A lerped point is built anew on each
+        # read, so only a knot's tuple is one object on both ends.
         player = SyntheticPlayer(load_profile("expert"), Calibration(),
                                  random.Random(0))
         player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
@@ -340,9 +342,9 @@ class TestSampleFastPath:
             sampled_hands = (sample.left_hand, sample.right_hand)
             for track, (start, end), sampled in zip(player.tracks, ends,
                                                     sampled_hands):
-                assert start is end and end == sampled, k
+                assert start == end == sampled, k
                 if any(end is point for _, point in track.knots):
-                    assert end is sampled, k
+                    assert start is end is sampled, k
                     held += 1
         assert held > 200
 
@@ -381,3 +383,57 @@ class TestSampleFastPath:
             for kind in PhaseKind:
                 if kind is not PhaseKind.SPRINT:
                     assert player.sample(0, kind).buttons == otherwise
+
+
+class TestHandTrackReads:
+    def test_reads_in_any_order_are_the_plain_scan(self) -> None:
+        # An expert's right hand repositions, holds, strikes and retracts,
+        # and a second plan rebuilds its chain on tick 70.  Read on
+        # shuffled ticks, every position is the plain knot scan's, off
+        # the chain that held on the tick.
+        player = SyntheticPlayer(load_profile("expert"), Calibration(),
+                                 random.Random(0))
+        track, dt, lead = player._right, player.dt, player.lead
+        player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
+                              False, 0), 0)
+        first = track.knots
+        ticks = list(range(120))
+        random.Random(7).shuffle(ticks)
+        lerped = 0
+        for k in ticks:
+            want = _reference_position(first, k * dt)
+            assert track.position_at(k * dt) == want, k
+            assert track.ends(max(0, k - lead), k) == (
+                _reference_position(first, max(0, k - lead) * dt), want), k
+            lerped += all(want is not point for _, point in first)
+        assert lerped > 20
+
+        player.inject(JabPlan(1, Hand.RIGHT, 110, 3.0, (0.2, 1.3, 0.5),
+                              False, 1), 70)
+        second = track.knots
+        assert second is not first and track._since == 70
+        random.Random(8).shuffle(ticks)
+        across = 0
+        for k in ticks:
+            if k < 70:
+                continue
+            start = k - lead
+            held = first if start < 70 else second
+            got = track.ends(start, k)
+            assert got == (_reference_position(held, start * dt),
+                           _reference_position(second, k * dt)), k
+            across += start < 70 and got[0] != got[1]
+        assert across > 0
+
+    def test_a_point_off_the_lerp_is_a_knots_own_tuple(self) -> None:
+        rest, launch, aim = (0.0, 1.0, 0.0), (0.1, 1.2, 0.3), (0.2, 1.4, 0.9)
+        knots = [(1.0, rest), (1.5, launch), (2.0, launch), (2.5, aim)]
+        times = [t for t, _ in knots]
+        assert _point(knots, times, 0.25) is rest  # before the first knot
+        assert _point(knots, times, 1.0) is rest  # on a knot
+        assert _point(knots, times, 1.5) is launch
+        assert _point(knots, times, 1.75) is launch  # on a hold
+        assert _point(knots, times, 2.5) is aim  # on the last knot
+        assert _point(knots, times, 9.0) is aim  # past it
+        assert _point(knots, times, 1.25) == _lerp(rest, launch, 0.5)
+        assert _point(knots, times, 2.25) == _lerp(launch, aim, 0.5)

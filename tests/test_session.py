@@ -330,6 +330,19 @@ class TestReplayVerify:
         with pytest.raises(HeaderMismatchError):
             replay_verify(list(result.lines[1:]), base_config)
 
+    @pytest.mark.parametrize("first", ["[1, 2]", '"x"', "3", "null"])
+    def test_non_object_header_rejected(self, base_config, result,
+                                        first) -> None:
+        # Valid JSON, but no header row: not an attribute error.
+        with pytest.raises(HeaderMismatchError, match="not a header row"):
+            replay_verify([first, *result.lines[1:]], base_config)
+
+    def test_non_utf8_log_rejected(self, base_config, tmp_path) -> None:
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(HeaderMismatchError, match="UTF-8"):
+            replay_verify(path, base_config)
+
 
 class TestConfigRejection:
     """Configs that cannot give a meaningful session fail validation."""
