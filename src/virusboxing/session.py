@@ -23,8 +23,10 @@ for byte.  The plan keeps the rounded heart rate and kcal of each
 Each spawn's interval and speed follow from the phase and the
 controller output on the tick the previous one lands, so the plan also
 holds, in the same floats, every spawn's parameters and tick, and the
-tick each flight crosses the player plane on, found by replaying its
-own ``position -= speed * dt`` steps.  The loop still draws each
+tick each flight crosses the player plane on.  That tick comes from the
+closed form of its ``position -= speed * dt`` steps when the positions
+around it lie clear of the plane by more than their rounding can move
+them, and from replaying the steps otherwise.  The loop still draws each
 spawn's kind and lane from the seed, but never steps the world: it
 resolves the crossings the plan puts on each tick, and steps the
 in-flight positions through the same sequence only on a tick a jab
@@ -41,7 +43,10 @@ starts, and the activation attempt once the energy bar is full.  The
 buttons held are fixed per phase kind by the profile, so the loop reads
 them from the player once per phase and makes no activation attempt in
 a phase that holds no button.  Each log row is written from one fixed
-``%``-format template per kind of row.
+``%``-format template per kind of row, and ``metrics_from_log`` reads
+a row back off one pattern built from those templates, so that only a
+row they would not write, such as a hand-edited one, goes through
+``json.loads``.
 
 A jab fires only when a hand's windowed speed reaches 1 m/s.  So the
 loop judges a hand only on the ticks the player marks hot for it
@@ -81,8 +86,9 @@ import json
 import math
 import os
 import random
+import re
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -138,9 +144,9 @@ from .protocol import (
     phase_boundary_ticks,
     spawn_params,
 )
-# ``_plan`` replays each flight, so nothing here calls ``advance``; it
-# stays bound because the benchmark's tracer wraps every stage function
-# in this namespace, ``world.advance`` included.
+# ``_plan`` works out each flight's crossing, so nothing here calls
+# ``advance``; it stays bound because the benchmark's tracer wraps every
+# stage function in this namespace, ``world.advance`` included.
 from .world import (
     CREATOR_DISTANCE,
     VIRUS_KINDS,
@@ -316,17 +322,33 @@ def _crossing_tick(position: float, speed: float, dt: float, spawn_tick: int,
 
     World step ``n`` (from 0) runs on tick ``n`` up to the end of the
     protocol and on tick ``n + 1`` after it, since v1 skips tick G.
+
+    The count of steps comes from the closed form ``ceil(position /
+    step)`` when the positions before and after that step, worked out
+    in one product and one difference each, lie clear of the plane by
+    more than ``margin``.  Each stepped subtraction rounds by at most
+    ``2**-53 * max(position, step)``, so ``margin`` covers that many of
+    them and the rounding of the two tests themselves, eight times over
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    ch. 4), and the stepped positions lie on the same sides of the
+    plane.  Otherwise a step lands within rounding of the plane, and the
+    steps are replayed in the world's own floats.
     """
     step = speed * dt
-    # Well short of the plane: the rounding of a whole flight's steps is
-    # far below one step, so no step skipped here can reach it.
-    steps = max(0, math.floor(position / step) - 2)
-    position = _stepped(position, speed, dt, steps)
-    while True:
-        position -= step
-        steps += 1
-        if position <= 0.0:
-            break
+    steps = math.ceil(position / step)
+    margin = (steps + 4) * max(position, step) * 2.0 ** -50
+    if not (position - (steps - 1) * step > margin
+            and position - steps * step < -margin):
+        # Well short of the plane: the rounding of a whole flight's
+        # steps is far below one step, so no step skipped here can
+        # reach it.
+        steps = max(0, math.floor(position / step) - 2)
+        position = _stepped(position, speed, dt, steps)
+        while True:
+            position -= step
+            steps += 1
+            if position <= 0.0:
+                break
     last = spawn_tick + steps - 1
     return last + 1 if last >= gameplay_ticks else last
 
@@ -371,8 +393,9 @@ def _plan(effort: float, heart: HeartRateParams,
     the kind and the lane.  So the spawn ticks, the position
     ``WorldState.spawn`` gives each entity and the tick its stepped
     flight crosses on are the same for every seed, and are worked out
-    here once, in the floats the per-tick loop would use.  The plan
-    holds:
+    here once, in the floats the per-tick loop would use; the crossing
+    tick from the closed form unless a step lands within rounding of the
+    plane (``_crossing_tick``).  The plan holds:
 
     - ``boundaries``: the phase boundary ticks before the end of the
       protocol, then the end, tick G.
@@ -589,6 +612,61 @@ _EMPOWER_END_ROW = '{"type":"empower","t":%.6f,"action":"end","until":null}'
 _END_ROW = ('{"type":"end","t":%.6f,"viruses_spawned":%d,"cells_spawned":%d,'
             '"viruses_destroyed":%d,"viruses_missed":%d,"cells_avoided":%d,'
             '"cells_collided":%d,"wrong_hand_jabs":%d,"activations":%d}')
+
+# The fields ``metrics_from_log`` reads, by row type: the string it counts
+# the row by, or an ``hr`` row's two numbers.
+_COUNTED = {"spawn": ("kind",), "jab": ("outcome",), "cross": ("status",),
+            "empower": ("action",), "hr": ("hr", "kcal")}
+# What each conversion of a template writes, as JSON: quoted, an enum
+# value; bare, a value that depends on its key.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}"
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_CONVERSIONS = {"%.6f": _FLOAT, "%d": _INT, '"%s"': '"[a-z_]+"'}
+_BARE = {"entity": "null|" + _INT, "empowered": "true|false"}
+
+
+def _row_pattern(templates: Sequence[str]) -> tuple[re.Pattern, tuple]:
+    """One pattern for the lines ``templates`` write, and the row type of
+    each group that holds a template whose row ``metrics_from_log``
+    counts (None for any other group).
+
+    Each template is a group of its own, which ``Match.lastindex``
+    gives, since it closes last.  Inside it, the values of the row
+    type's ``_COUNTED`` keys are captured in order, without quotes.
+    Every line the pattern matches is a JSON object with the template's
+    keys, and the values ``json.loads`` reads from it are the text
+    captured, with the numbers as ``float`` reads them.
+    """
+    alternatives = []
+    types: list[str | None] = [None]
+    for template in templates:
+        pairs = re.findall(r'"(\w+)":("[^"]*"|[^,}]*)', template)
+        if "{%s}" % ",".join('"%s":%s' % pair for pair in pairs) != template:
+            raise ValueError(f"not a flat JSON row template: {template!r}")
+        row_type = pairs[0][1].strip('"')
+        counted = _COUNTED.get(row_type, ())
+        types.append(row_type if counted else None)
+        values = []
+        for key, written in pairs:
+            if "%" not in written:
+                value = re.escape(written)
+            elif written == "%s":
+                value = f"(?:{_BARE[key]})"
+            else:
+                value = _CONVERSIONS[written]
+            if key in counted:
+                types.append(None)
+                value = (f'"({value[1:-1]})"' if value.startswith('"')
+                         else f"({value})")
+            values.append(f'"{key}":{value}')
+        alternatives.append("(\\{%s\\})" % ",".join(values))
+    return re.compile("|".join(alternatives)), tuple(types)
+
+
+# Every row but the header, whose digest is no enum value.
+_ROW_PATTERN, _ROW_TYPES = _row_pattern((
+    _SPAWN_ROW, _JAB_ROW, _MISSED_ROW, _CELL_ROW, _HR_ROW, _PHASE_ROW,
+    _EMPOWER_START_ROW, _EMPOWER_END_ROW, _END_ROW))
 
 # The members the tick loop reads, bound once: reading a member off its
 # class is slow in Python 3.11, as is ``.value``, so the rows read an
@@ -870,64 +948,91 @@ def run_many(configs: Sequence[SessionConfig],
         return list(pool.map(run_session, configs))
 
 
+def _counted_fields(line: str, number: int) -> tuple[str | None, tuple]:
+    """The row type and ``_COUNTED`` fields of log line ``number``, read
+    with ``json.loads``; no type for a row ``metrics_from_log`` does not
+    count."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"log line {number} is not a JSON object")
+    row_type = row.get("type")
+    keys = _COUNTED.get(row_type) if isinstance(row_type, str) else None
+    if keys is None:
+        return None, ()
+    fields = []
+    for key in keys:
+        if key not in row:
+            raise ValueError(f"log line {number}: {row_type} row has no {key!r}")
+        value = row[key]
+        if row_type == "hr":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"log line {number}: hr row's {key!r} is "
+                                 f"{value!r}, not a number")
+        elif not isinstance(value, str):
+            raise ValueError(f"log line {number}: {row_type} row's {key!r} is "
+                             f"{value!r}, not a string")
+        fields.append(value)
+    return row_type, tuple(fields)
+
+
 def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
     """Rebuild the session metrics purely from a replay log.
 
     Counts events and folds the heart-rate rows exactly the way the
     runner does, so a faithful log reproduces the reported metrics.
+
+    A line as one of the writer's templates writes it is read off
+    ``_ROW_PATTERN``'s groups, with ``float`` for the numbers, as
+    ``json.loads`` would read them; any other line, such as a hand-edited
+    one, is read with ``json.loads``.  Invalid JSON raises
+    ``json.JSONDecodeError``; a line that is not an object, or a counted
+    row whose field is missing or of the wrong type, raises
+    ``ValueError`` naming the line, from 1.
     """
-    viruses_spawned = 0
-    cells_spawned = 0
-    destroyed = 0
-    missed = 0
-    avoided = 0
-    collided = 0
-    wrong_hand = 0
-    activations = 0
+    fullmatch = _ROW_PATTERN.fullmatch
+    row_types = _ROW_TYPES
+    counts: Counter = Counter()  # rows by (row type, the string counted)
     hr_values: list[float] = []
     kcal_last: float | None = None
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        row = json.loads(line)
-        kind = row.get("type")
-        if kind == "spawn":
-            if row["kind"].endswith("_virus"):
-                viruses_spawned += 1
-            else:
-                cells_spawned += 1
-        elif kind == "jab":
-            if row["outcome"] == "destroyed":
-                destroyed += 1
-            elif row["outcome"] == "wrong_hand":
-                wrong_hand += 1
-        elif kind == "cross":
-            status = row["status"]
-            if status == "missed":
-                missed += 1
-            elif status == "avoided":
-                avoided += 1
-            elif status == "collided":
-                collided += 1
-        elif kind == "empower":
-            if row["action"] == "start":
-                activations += 1
-        elif kind == "hr":
-            hr_values.append(row["hr"])
-            kcal_last = row["kcal"]
+        match = fullmatch(line)
+        if match is None:
+            row_type, fields = _counted_fields(line, number)
+            if row_type == "hr":
+                hr_values.append(fields[0])
+                kcal_last = fields[1]
+            elif row_type is not None:
+                counts[row_type, fields[0]] += 1
+            continue
+        group = match.lastindex
+        row_type = row_types[group]
+        if row_type == "hr":
+            hr_values.append(float(match[group + 1]))
+            kcal_last = float(match[group + 2])
+        elif row_type is not None:
+            counts[row_type, match[group + 1]] += 1
+    spawned = {kind: n for (row_type, kind), n in counts.items()
+               if row_type == "spawn"}
+    viruses_spawned = sum(n for kind, n in spawned.items()
+                          if kind.endswith("_virus"))
+    cells_spawned = sum(spawned.values()) - viruses_spawned
+    missed = counts["cross", "missed"]
+    collided = counts["cross", "collided"]
     miss_pct = 100.0 * missed / viruses_spawned if viruses_spawned else None
     cell_hit_pct = 100.0 * collided / cells_spawned if cells_spawned else None
     avg_hr = round(sum(hr_values) / len(hr_values), 6) if hr_values else None
     return SummaryMetrics(
         viruses_spawned=viruses_spawned,
         cells_spawned=cells_spawned,
-        viruses_destroyed=destroyed,
+        viruses_destroyed=counts["jab", "destroyed"],
         viruses_missed=missed,
-        cells_avoided=avoided,
+        cells_avoided=counts["cross", "avoided"],
         cells_collided=collided,
-        wrong_hand_jabs=wrong_hand,
-        activations=activations,
+        wrong_hand_jabs=counts["jab", "wrong_hand"],
+        activations=counts["empower", "start"],
         miss_pct=miss_pct,
         cell_hit_pct=cell_hit_pct,
         avg_hr=avg_hr,
@@ -953,7 +1058,8 @@ def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
         return [ln for ln in text.splitlines() if ln.strip()]
-    return [ln.rstrip("\n") for ln in source if ln.strip()]
+    # An iterable's lines keep their ends, "\r\n" included.
+    return [ln.rstrip("\r\n") for ln in source if ln.strip()]
 
 
 def replay_verify(source: str | Path | Iterable[str],

@@ -296,6 +296,18 @@ class TestReplayVerify:
         result.write_log(path)
         assert replay_verify(path, base_config).ok
 
+    def test_crlf_log_verifies_by_path_and_as_lines(self, base_config, result,
+                                                    tmp_path) -> None:
+        path = tmp_path / "log.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in result.lines)
+                         .encode("utf-8"))
+        assert replay_verify(path, base_config).ok
+        # Lines read with their ends, "\r\n" included.
+        with open(path, encoding="utf-8", newline="") as handle:
+            report = replay_verify(handle, base_config)
+        assert report.ok
+        assert report.lines_checked == len(result.lines)
+
     def test_tampered_line_is_located(self, base_config, result) -> None:
         lines = list(result.lines)
         victim = next(i for i, l in enumerate(lines) if '"type":"hr"' in l

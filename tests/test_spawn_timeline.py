@@ -1,13 +1,15 @@
 """The spawn timeline: each flight's crossing worked out once per config.
 
 ``run_session`` does not step the world on every tick.  Per config,
-``_plan`` replays each entity's ``position -= speed * dt`` sequence
-once to find the tick it crosses on, and the loop steps the in-flight
-positions through the same sequence only when a jab reads them.  These
-tests hold the replay to ``world.advance`` with ``==``, the precomputed
-empowerment expiry to ``tick_empowerment``, and a few sessions whose
-empowerment ends on or after the end of the protocol to the per-tick
-loop.  ``tests/test_session.py`` tests the plan's cache.
+``_plan`` finds the tick each entity crosses on from the closed form of
+its ``position -= speed * dt`` sequence, or by replaying the sequence
+when a step lands within rounding of the plane, and the loop steps the
+in-flight positions through the same sequence only when a jab reads
+them.  These tests hold the crossing tick and the stepped positions to
+``world.advance`` with ``==``, the precomputed empowerment expiry to
+``tick_empowerment``, and a few sessions whose empowerment ends on or
+after the end of the protocol to the per-tick loop.
+``tests/test_session.py`` tests the plan's cache.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from per_tick_oracle import run_session_per_tick
+from virusboxing import session
 from virusboxing.playersim import load_profile
 from virusboxing.progression import (
     EMPOWERMENT_DURATION,
@@ -97,6 +100,32 @@ class TestCrossingReplay:
         for end in (11, (10 + free) // 2, free):
             assert _crossing_tick(15.0, speed, dt, 10, end) == free + 1
         assert _crossing_tick(15.0, speed, dt, 10, free + 1) == free
+
+    def test_a_step_onto_the_plane_is_replayed(self, monkeypatch) -> None:
+        # 0.5 m steps from 15 m: step 30 lands on 0.0 exactly, inside any
+        # rounding margin, so the closed form cannot vouch for the count.
+        replays = []
+
+        def recording(*args):
+            replays.append(args)
+            return _stepped(*args)
+
+        monkeypatch.setattr(session, "_stepped", recording)
+        assert _crossing_tick(15.0, 8.0, 0.0625, 0, 10**9) == 29
+        assert replays
+
+    def test_a_crossing_clear_of_the_plane_takes_the_closed_form(
+            self, monkeypatch) -> None:
+        position, steps = 14.93, 0
+        while position > 0.0:
+            position -= 8.0 * 0.02
+            steps += 1
+
+        def refused(*args):
+            raise AssertionError("stepped a flight the closed form resolves")
+
+        monkeypatch.setattr(session, "_stepped", refused)
+        assert _crossing_tick(14.93, 8.0, 0.02, 40, 10**9) == 40 + steps - 1
 
     def test_lazy_steps_continue_the_sequence(self) -> None:
         position = 14.93
