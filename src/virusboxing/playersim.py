@@ -342,16 +342,20 @@ class _HandTrack:
 
     Pending jab plans are kept sorted by strike tick and the knot chain is
     rebuilt on every insertion; a new plan whose choreography cannot
-    coexist with a pending one preempts it (highest seq wins).
+    coexist with a pending one preempts it (highest seq wins).  A new
+    plan is put in its place among the pending ones, and conflicts are
+    settled from there on.
 
     Each rebuild also marks, under the track's own bit ``mark`` of the
-    shared ``hot`` array, the ticks on which its hand's jab can fire
-    (see :meth:`_mark_hot` and :class:`SyntheticPlayer`).  The track keeps
-    the chain a rebuild replaced, with the tick it was replaced on, so
-    that :meth:`ends` can read a window that starts before the rebuild.
-    Every read is a bisection of a chain's knot times (``_point``), so
-    reads may come in any order.  ``lead`` is the velocity window in
-    ticks.
+    shared ``hot`` array, the ticks on which its hand's jab can fire.  It
+    looks only at the strikes the chain before did not lay, and at the
+    chain's first segment (see :meth:`_rebuild`, :meth:`_mark_hot` and
+    :class:`SyntheticPlayer`); the marks of the others are there
+    already.  The track keeps the chain a rebuild replaced, with the tick
+    it was replaced on, so that :meth:`ends` can read a window that
+    starts before the rebuild.  Every read is a bisection of a chain's
+    knot times (``_point``), so reads may come in any order.  ``lead``
+    is the velocity window in ticks.
     """
 
     def __init__(self, guard: Vec3, dt: float, hot: bytearray,
@@ -408,22 +412,37 @@ class _HandTrack:
                     f"velocity window")
             self._old, self._old_times = self.knots, self.times
             self._since = now_tick
-        self.plans = [p for p in self.plans if p.strike_tick > now_tick]
-        self.plans.append(plan)
-        self.plans.sort(key=lambda p: (p.strike_tick, p.seq))
-        survivors: list[JabPlan] = []
-        for p in self.plans:
+        plans = self.plans
+        # Plans are kept in (strike tick, seq) order, so those whose strike
+        # tick has passed come first, and the new plan goes after every
+        # plan that sorts at or before it.
+        passed = 0
+        while passed < len(plans) and plans[passed].strike_tick <= now_tick:
+            passed += 1
+        at = len(plans)
+        while at > passed and (plans[at - 1].strike_tick,
+                               plans[at - 1].seq) > (plan.strike_tick,
+                                                     plan.seq):
+            at -= 1
+        # The plans before it follow one another without conflict, as they
+        # did after the last add, so conflicts are settled from it on.
+        # ``same`` counts the leading plans the old chain laid too: those
+        # before it, fewer if it preempts one of them.
+        survivors = plans[passed:at]
+        same = len(survivors)
+        for p in [plan, *plans[at:]]:
             keep = True
             while survivors and self._conflicts(survivors[-1], p):
                 if p.seq > survivors[-1].seq:
                     survivors.pop()
+                    same = min(same, len(survivors))
                 else:
                     keep = False
                     break
             if keep:
                 survivors.append(p)
         self.plans = survivors
-        self._rebuild(now_tick)
+        self._rebuild(now_tick, same)
 
     def _conflicts(self, first: JabPlan, second: JabPlan) -> bool:
         spacing = (second.strike_tick - first.strike_tick) * self.dt
@@ -439,12 +458,24 @@ class _HandTrack:
         if t > knots[-1][0] + 1e-12:
             knots.append((t, pos))
 
-    def _rebuild(self, now_tick: int) -> None:
+    def _rebuild(self, now_tick: int, same: int) -> None:
+        """Lay the chain from ``now_tick`` on through the pending plans,
+        the first ``same`` of which the chain it replaces laid too, and
+        mark the ticks its new strikes make hot.
+
+        Repositioning and retracting stay below ``_HOT_SPEED``, so only a
+        strike can make a tick hot.  The strikes of the first ``same``
+        plans end on the knot times they had in the chain before, and
+        start there too, or later if they start on the rebuild tick, so
+        their ticks are marked already.  Such a strike cut short on the
+        rebuild tick, the chain's first segment, is still marked: it can
+        round to ``_HOT_SPEED`` where the whole strike did not.
+        """
         now_t = now_tick * self.dt
         pos_now = self.position_at(now_t)
         knots: list[tuple[float, Vec3]] = [(now_t, pos_now)]
         t_free, p_free = now_t, pos_now
-        for plan in self.plans:
+        for n, plan in enumerate(self.plans):
             k = _strike_ticks(plan.speed, self.dt)
             strike_end_t = plan.strike_tick * self.dt
             strike_start = max(t_free, strike_end_t - k * self.dt)
@@ -489,6 +520,8 @@ class _HandTrack:
                     launch[2] + travel * direction[2],
                 )
                 self._append(knots, strike_end_t, end_pos)
+                if n >= same or len(knots) == 2:
+                    self._mark_hot(knots[-2], knots[-1])
                 t_free, p_free = strike_end_t, end_pos
             else:
                 t_free, p_free = strike_start, launch
@@ -497,12 +530,13 @@ class _HandTrack:
             self._append(knots, t_free + back / RETRACT_SPEED, self.guard)
         self.knots = knots
         self.times = [knot[0] for knot in knots]
-        self._mark_hot()
 
-    def _mark_hot(self) -> None:
-        """Mark every tick whose velocity window overlaps a segment of the
-        chain at ``_HOT_SPEED`` or faster, from the first tick after the
-        segment starts to ``lead`` ticks after the last one before it ends.
+    def _mark_hot(self, start: tuple[float, Vec3],
+                  end: tuple[float, Vec3]) -> None:
+        """Mark the ticks whose velocity window overlaps the segment from
+        knot ``start`` to knot ``end``, if it is at ``_HOT_SPEED`` or
+        faster: from the first tick after the segment starts to ``lead``
+        ticks after the last one before it ends.
 
         The first marked tick comes after the chain's first knot, which
         lies on the rebuild tick, so no mark lands on a tick already run.
@@ -512,30 +546,27 @@ class _HandTrack:
         is slower than ``_HOT_SPEED``, so the hand's windowed speed is
         below the jab threshold there.
         """
-        hot, dt, lead, mark = self.hot, self.dt, self.lead, self.mark
-        knots = self.knots
-        for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
-            if p1 is p0:
-                continue
-            dx = p1[0] - p0[0]
-            dy = p1[1] - p0[1]
-            dz = p1[2] - p0[2]
-            limit = _HOT_SPEED * (t1 - t0)
-            if dx * dx + dy * dy + dz * dz < limit * limit:
-                continue
-            # The first tick past t0, and the last tick before t1, both on
-            # the player's own k * dt clock.
-            first = math.floor(t0 / dt) + 1
-            while first > 0 and (first - 1) * dt > t0:
-                first -= 1
-            while first * dt <= t0:
-                first += 1
-            last = math.ceil(t1 / dt) - 1
-            while (last + 1) * dt < t1:
-                last += 1
-            while last >= 0 and last * dt >= t1:
-                last -= 1
-            _mark(hot, first, last + lead + 1, mark)
+        (t0, p0), (t1, p1) = start, end
+        dx = p1[0] - p0[0]
+        dy = p1[1] - p0[1]
+        dz = p1[2] - p0[2]
+        limit = _HOT_SPEED * (t1 - t0)
+        if dx * dx + dy * dy + dz * dz < limit * limit:
+            return
+        # The first tick past t0, and the last tick before t1, both on the
+        # player's own k * dt clock.
+        dt = self.dt
+        first = math.floor(t0 / dt) + 1
+        while first > 0 and (first - 1) * dt > t0:
+            first -= 1
+        while first * dt <= t0:
+            first += 1
+        last = math.ceil(t1 / dt) - 1
+        while (last + 1) * dt < t1:
+            last += 1
+        while last >= 0 and last * dt >= t1:
+            last -= 1
+        _mark(self.hot, first, last + self.lead + 1, self.mark)
 
 
 @dataclass(slots=True)
@@ -562,8 +593,9 @@ class SyntheticPlayer:
     ``hot`` marks the ticks on which a jab can fire: one byte per tick,
     one bit per hand (``LEFT_MARK``, ``RIGHT_MARK``).  Each knot chain of
     a hand marks under its bit the ticks whose velocity window overlaps
-    a segment at ``_HOT_SPEED`` or faster (``_HandTrack._mark_hot``).  A
-    virus's plan rebuilds its hand's chain from its spawn tick on, and
+    a segment at ``_HOT_SPEED`` or faster (``_HandTrack._mark_hot``; a
+    rebuild marks only what the chain before did not lay).  A virus's
+    plan rebuilds its hand's chain from its spawn tick on, and
     the new marks start after that tick; marks are only ever added.  On
     a tick its bit leaves unmarked, a hand's windowed speed is below the
     jab threshold.  ``horizon`` sizes ``hot`` up front; it grows past

@@ -57,17 +57,23 @@ track (``_HandTrack.ends``): its position on the tick, and on the
 window's first tick, which is the jab detector's own choice when fed
 every tick but G, worked out in the same floats.  Each read bisects the
 knot times of the chain that held on its tick, so it depends on no
-earlier read.  The detector's
-``judge`` applies the fire rule, with the hand's speed on the tick
-before as judged there, or 0 if that tick was not marked for it.  So
-jabs fire exactly as a detector fed every tick would fire them, and no
-tick is read only to fill a window.  A plan's rebuild marks only ticks
-after its own, so no mark lands on a tick already run.  Marks are only
-ever added: when a plan replaces another, the old chain's marks stay,
-for the ticks whose window still reaches into it.  A tick on which a
-cell crosses is sampled whole (``SyntheticPlayer.sample``) for its head
-pose.  On a tick a jab fires, only the viruses' positions are stepped:
-a jab reads no cell, and the crossings come from the plan.
+earlier read.  The detector's ``judge`` applies the fire rule, with the
+hand's speed on the tick before as judged there, or 0 if that tick was
+not marked for it.  A hand that has just fired cannot fire again within
+the detector's refractory, and what it judges there feeds only the next
+judged tick's speed below.  So after a fire the loop neither reads nor
+judges the hand until its wake tick (``_wake_tick``): the tick run just
+before the first tick out of the refractory, whose speed that tick reads
+as below.  A hot tick whose marked hands all lie in such a quiet span
+costs no window arithmetic.  So jabs fire exactly as a detector fed
+every tick would fire them, and no tick is read only to fill a window.
+A plan's rebuild marks only ticks after its own, so no mark lands on a
+tick already run.  Marks are only ever added: when a plan replaces
+another, the old chain's marks stay, for the ticks whose window still
+reaches into it.  A tick on which a cell crosses is sampled whole
+(``SyntheticPlayer.sample``) for its head pose.  On a tick a jab fires,
+only the viruses' positions are stepped: a jab reads no cell, and the
+crossings come from the plan.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
 its last phase boundary: it logs the closing phase and ``hr`` rows and
@@ -363,6 +369,23 @@ def _expiry_tick(until: float, dt: float, gameplay_ticks: int) -> int:
     while k * dt < until:
         k += 1
     return k + 1 if k == gameplay_ticks else k
+
+
+def _wake_tick(fired: int, dt: float, refractory: float,
+               gameplay_ticks: int) -> int:
+    """The first tick to judge a hand on again after it fires on tick
+    ``fired``: the tick run just before the first tick ``e`` that passes
+    the detector's refractory test, ``e * dt - fired * dt >= refractory -
+    1e-9`` in its own floats.  That is ``e - 1``, or G - 1 if ``e - 1``
+    is G, which v1 skips; its speed is the one ``e`` reads as below."""
+    t = fired * dt
+    limit = refractory - 1e-9
+    e = fired + max(1, math.ceil(limit / dt))
+    while e > fired + 1 and (e - 1) * dt - t >= limit:
+        e -= 1
+    while e * dt - t < limit:
+        e += 1
+    return e - 2 if e - 1 == gameplay_ticks else e - 1
 
 
 def _schedule_key(config: SessionConfig) -> tuple:
@@ -733,6 +756,7 @@ def run_session(config: SessionConfig,
     left_track, right_track = player.tracks
     detector = JabDetector()
     judge = detector.judge
+    refractory = detector.refractory
 
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
@@ -768,6 +792,9 @@ def run_session(config: SessionConfig,
     boundaries = iter(boundaries)
     next_boundary = next(boundaries)
     next_hr = 0
+    # Each hand's wake tick: after a fire, the hand is neither read nor
+    # judged before it (see _wake_tick).
+    left_wake = right_wake = 0
 
     for k in range(gameplay_ticks + drain_cap + 1):
         if k > gameplay_ticks and not world.in_flight:
@@ -820,6 +847,11 @@ def run_session(config: SessionConfig,
         # marks, then the crossings the timeline puts on this tick.
         marks = hot[k]
         if marks:
+            if k < left_wake:
+                marks &= RIGHT_MARK
+            if k < right_wake:
+                marks &= LEFT_MARK
+        if marks:
             # The first tick of the detector's window, as its history holds
             # it when fed every tick but G, and the tick fed before this.
             horizon = t - VELOCITY_WINDOW - 1e-9
@@ -838,11 +870,14 @@ def run_session(config: SessionConfig,
                 jab = judge(0, t, before, elapsed, start, end)
                 if jab is not None:
                     jabs.append(jab)
+                    left_wake = _wake_tick(k, dt, refractory, gameplay_ticks)
             if marks & RIGHT_MARK:
                 start, end = right_track.ends(j, k)
                 jab = judge(1, t, before, elapsed, start, end)
                 if jab is not None:
                     jabs.append(jab)
+                    right_wake = _wake_tick(k, dt, refractory,
+                                            gameplay_ticks)
             if jabs:
                 # Step the virus positions the jabs read up to this tick:
                 # the world has run k steps, one fewer in the drain.
@@ -985,22 +1020,32 @@ def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
     ``_ROW_PATTERN``'s groups, with ``float`` for the numbers, as
     ``json.loads`` would read them; any other line, such as a hand-edited
     one, is read with ``json.loads``.  Invalid JSON raises
-    ``json.JSONDecodeError``; a line that is not an object, or a counted
-    row whose field is missing or of the wrong type, raises
-    ``ValueError`` naming the line, from 1.
+    ``json.JSONDecodeError`` whose ``lineno`` is the log's line, from 1,
+    and whose ``colno`` is the column in that line; a line that is not an
+    object, or a counted row whose field is missing or of the wrong type,
+    raises ``ValueError`` naming the line, from 1.
     """
     fullmatch = _ROW_PATTERN.fullmatch
     row_types = _ROW_TYPES
     counts: Counter = Counter()  # rows by (row type, the string counted)
     hr_values: list[float] = []
     kcal_last: float | None = None
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
         if not line:
             continue
         match = fullmatch(line)
         if match is None:
-            row_type, fields = _counted_fields(line, number)
+            try:
+                row_type, fields = _counted_fields(line, number)
+            except json.JSONDecodeError as exc:
+                # The same error at its place in the log: as if the line,
+                # with the blanks stripped off its start, came after
+                # ``number - 1`` newlines.
+                lead = len(raw) - len(raw.lstrip())
+                raise json.JSONDecodeError(
+                    exc.msg, "\n" * (number - 1) + " " * lead + line,
+                    number - 1 + lead + exc.pos) from None
             if row_type == "hr":
                 hr_values.append(fields[0])
                 kcal_last = fields[1]

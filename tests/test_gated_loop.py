@@ -3,7 +3,9 @@
 ``run_session`` judges a hand's jab only on the ticks the player marks
 hot for that hand: those whose velocity window overlaps a fast segment
 of one of the hand's knot chains.  Marks are only ever added, so a
-chain a rebuild replaced keeps its marks.  On a marked tick the loop
+chain a rebuild replaced keeps its marks, and a rebuild marks only the
+strikes its chain adds.  After a fire the loop leaves the hand alone
+until the tick before its refractory ends.  On a marked tick the loop
 reads the hand's position there and at the start of the detector's
 window off the hand's track (``_HandTrack.ends``).  It samples a tick a
 cell crosses on for the head pose alone.  ``per_tick_oracle`` keeps the
@@ -14,6 +16,7 @@ bargain: sampled sparsely, it answers as if sampled densely.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -28,6 +31,7 @@ from per_tick_oracle import run_session_per_tick
 from test_config_properties import session_configs
 from virusboxing import playersim, protocol
 from virusboxing.interaction import (
+    JAB_REFRACTORY,
     VELOCITY_WINDOW,
     Calibration,
     Hand,
@@ -278,6 +282,7 @@ class TestJudgedTicks:
         calls: list[tuple[int, PhaseKind]] = []
         fired: list[int] = []
         judged: tuple[list[int], list[int]] = ([], [])
+        fired_by_hand: tuple[list[int], list[int]] = ([], [])
         players: list[SyntheticPlayer] = []
 
         def recording_sample(self, tick, phase_kind):
@@ -296,6 +301,7 @@ class TestJudgedTicks:
             jab = judge(self, i, now, *args)
             if jab is not None:
                 fired.append(round(now / dt))
+                fired_by_hand[i].append(round(now / dt))
             return jab
 
         with pytest.MonkeyPatch.context() as patch:
@@ -310,15 +316,15 @@ class TestJudgedTicks:
         assert gated.lines == oracle.lines
         marks = bytes(players[-1].hot)
         return (config, oracle, oracle_calls, oracle_fired, calls, fired,
-                judged, marks)
+                judged, marks, fired_by_hand)
 
     def test_ticks_are_sampled_once_in_order(self, runs) -> None:
-        _, _, _, _, calls, _, _, _ = runs
+        _, _, _, _, calls, _, _, _, _ = runs
         ticks = [tick for tick, _ in calls]
         assert ticks == sorted(set(ticks))
 
     def test_every_sampled_tick_gets_its_phase_kind(self, runs) -> None:
-        config, _, _, _, calls, _, _, _ = runs
+        config, _, _, _, calls, _, _, _, _ = runs
         gameplay = round(config.duration / config.dt)
         for tick, kind in calls:
             if tick < gameplay:
@@ -330,7 +336,7 @@ class TestJudgedTicks:
             self, runs) -> None:
         # A jab is judged from the hands alone; a tick a cell crosses on
         # is sampled whole for its head, and no other tick is sampled.
-        config, oracle, _, oracle_fired, calls, fired, judged, _ = runs
+        config, oracle, _, oracle_fired, calls, fired, judged, _, _ = runs
         assert oracle_fired and fired == oracle_fired
         assert set(oracle_fired) <= set(judged[0]) | set(judged[1])
         rows = [json.loads(line) for line in oracle.lines]
@@ -339,18 +345,150 @@ class TestJudgedTicks:
         assert cell_ticks and cell_ticks == {tick for tick, _ in calls}
 
     def test_each_hand_is_judged_on_its_marked_ticks_alone(self, runs) -> None:
-        config, _, _, _, _, _, judged, marks = runs
-        gameplay = round(config.duration / config.dt)
-        for ticks, mark in zip(judged, (LEFT_MARK, RIGHT_MARK)):
+        # Each hand is judged on the ticks marked for it, but for tick G,
+        # which is never run, and the ticks inside a fire's quiet span.
+        # A hand that fires on tick f cannot fire before the first tick e
+        # the detector's refractory test passes on, and the ticks after f
+        # feed nothing until the tick run just before e, whose speed e
+        # reads as below.
+        config, _, _, _, _, _, judged, marks, fired_by_hand = runs
+        dt = config.dt
+        gameplay = round(config.duration / dt)
+        for ticks, mark, fired in zip(judged, (LEFT_MARK, RIGHT_MARK),
+                                      fired_by_hand):
             assert ticks and ticks == sorted(set(ticks))
-            # Tick G is never run.
+            quiet = set()
+            for f in fired:
+                e = next(e for e in itertools.count(f + 1)
+                         if e * dt - f * dt >= JAB_REFRACTORY - 1e-9)
+                wake = max(k for k in range(e) if k != gameplay)
+                quiet.update(range(f + 1, wake))
+            assert len(fired) > 50 and quiet & {k for k, byte
+                                                 in enumerate(marks)
+                                                 if byte & mark}
             assert ticks == [tick for tick in range(ticks[-1] + 1)
-                             if marks[tick] & mark and tick != gameplay]
+                             if marks[tick] & mark and tick != gameplay
+                             and tick not in quiet]
 
     def test_under_a_quarter_of_the_ticks_are_read(self, runs) -> None:
-        _, _, oracle_calls, _, calls, _, judged, _ = runs
+        _, _, oracle_calls, _, calls, _, judged, _, _ = runs
         assert len(calls) < len(oracle_calls) / 4
         assert len(set(judged[0]) | set(judged[1])) < len(oracle_calls) / 4
+
+
+def _left_strikes(config: SessionConfig, strikes: dict[int, int]):
+    """Run ``config`` with its virus plans replaced: virus ``n`` (counting
+    the viruses from 0) strikes with the left hand at 4 m/s on tick
+    ``strikes[n]``, and every other virus gets no plan.  The draws are
+    the plain plans', so both loops see the same spawns.
+
+    Holds the gated log to the per-tick one and returns the left hand's
+    jab ticks, each virus's spawn tick, and the ticks the gated loop
+    judged the left hand on.
+    """
+    plan_reaction = playersim.plan_reaction
+    judge = JabDetector.judge
+    dt = config.dt
+    spawns: list[int] = []
+    judged: list[int] = []
+
+    def strike(profile, entity, rng, **kwargs):
+        plan = plan_reaction(profile, entity, rng, **kwargs)
+        if not entity.is_virus:
+            return plan
+        spawns.append(kwargs["now_tick"])
+        tick = strikes.get(len(spawns) - 1)
+        if tick is None:
+            return None
+        return plan._replace(hand=Hand.LEFT, strike_tick=tick, speed=4.0,
+                             ranged=False)
+
+    def recording_judge(self, i, now, *args):
+        if i == 0:
+            judged.append(round(now / dt))
+        return judge(self, i, now, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(playersim, "plan_reaction", strike)
+        oracle = run_session_per_tick(config).lines
+        spawns.clear()
+        patch.setattr(JabDetector, "judge", recording_judge)
+        assert run_session(config).lines == oracle
+    jabs = [round(row["t"] / dt) for row in map(json.loads, oracle)
+            if row["type"] == "jab" and row["hand"] == "left"]
+    return jabs, spawns, judged
+
+
+def _refractory_end(fired: int, dt: float) -> int:
+    """The first tick whose jab passes the refractory after a fire on tick
+    ``fired``, by a plain scan in the detector's own floats."""
+    return next(e for e in itertools.count(fired + 1)
+                if e * dt - fired * dt >= JAB_REFRACTORY - 1e-9)
+
+
+class TestQuietSpan:
+    """After a fire the gated loop neither reads nor judges the hand until
+    the tick run just before the first tick out of the refractory.  Two
+    strikes of one hand, against the per-tick loop, which feeds a dense
+    detector: the first fires on tick f, and the second, laid by a virus
+    that spawns two ticks later, once its plan has no earlier strike to
+    conflict with, crosses 1 m/s around the refractory's end e."""
+
+    @staticmethod
+    def _config(dt: float, duration: float = 30.0) -> SessionConfig:
+        return SessionConfig(seed=SEED, profile=load_profile("mid_skill"),
+                             pid_enabled=False, dt=dt, duration=duration)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01])
+    def test_a_rising_edge_on_the_first_tick_out_of_the_refractory_fires(
+            self, dt) -> None:
+        config = self._config(dt)
+        _, spawns, _ = _left_strikes(config, {})
+        fired = spawns[2] - 2
+        end = _refractory_end(fired, dt)
+        assert end - fired == (13 if dt == 0.02 else 25)
+        jabs, _, judged = _left_strikes(config, {1: fired, 2: end})
+        assert jabs == [fired, end]
+        # Quiet from the fire to the tick before e, which is judged.
+        assert [k for k in judged if fired <= k < end] == [fired, end - 1]
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01])
+    def test_a_rising_edge_inside_the_refractory_fires_nothing(
+            self, dt) -> None:
+        # The second strike crosses on e - 1, inside the refractory, and
+        # its speed stays above the threshold on e: judged on e - 1, the
+        # hand has no rising edge on e.  Woken on e, it would fire there.
+        config = self._config(dt)
+        _, spawns, _ = _left_strikes(config, {})
+        fired = spawns[2] - 2
+        end = _refractory_end(fired, dt)
+        jabs, _, judged = _left_strikes(config, {1: fired, 2: end - 1})
+        assert jabs == [fired]
+        assert {end - 1, end} <= set(judged)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01])
+    @pytest.mark.parametrize("after", [1, -1], ids=["G+1", "G-1"])
+    def test_a_refractory_ending_on_g_wakes_the_hand_on_g_minus_1(
+            self, dt, after) -> None:
+        # The session ends so that e - 1 is G, which log v1 never runs:
+        # the hand is judged on G - 1, whose speed G + 1 reads as below.
+        # A second strike crossing on G + 1 fires there; one crossing on
+        # G - 1, inside the refractory, fires nothing on G + 1.
+        _, spawns, _ = _left_strikes(self._config(dt), {})
+        last = len(spawns) - 1
+        fired = spawns[last] - 2
+        end = _refractory_end(fired, dt)
+        gameplay = end - 1
+        config = self._config(dt, round(gameplay * dt, 9))
+        assert round(config.duration / dt) == gameplay
+        jabs, moved, judged = _left_strikes(
+            config, {last - 1: fired, last: gameplay + after})
+        assert moved[last] == spawns[last]
+        assert jabs == ([fired, gameplay + 1] if after == 1 else [fired])
+        assert not [k for k in judged if fired < k < gameplay - 1]
+        assert gameplay not in judged and gameplay + 1 in judged
+        if after == -1:
+            assert gameplay - 1 in judged
 
 
 def _plans(dt: float) -> list[tuple[int, JabPlan | WeavePlan]]:
@@ -655,6 +793,90 @@ class TestHandMarks:
     def test_horizon_sizes_the_marks(self) -> None:
         player = _player(horizon=300)
         assert len(player.hot) == 300 and not any(player.hot)
+
+
+def _mark_whole_chain(track: _HandTrack) -> None:
+    """Mark, under the track's bit, every tick whose velocity window
+    overlaps a segment of its whole chain at ``_HOT_SPEED`` or faster:
+    from the first tick after the segment starts to ``lead`` ticks after
+    the last tick before it ends.  The reference for the marks a rebuild
+    adds, which look only at its new strikes."""
+    dt, hot, knots = track.dt, track.hot, track.knots
+    for (t0, p0), (t1, p1) in zip(knots, knots[1:]):
+        dx, dy, dz = (b - a for a, b in zip(p0, p1))
+        limit = playersim._HOT_SPEED * (t1 - t0)
+        if p1 is p0 or dx * dx + dy * dy + dz * dz < limit * limit:
+            continue
+        near = range(max(0, math.floor(t0 / dt) - 2), math.ceil(t1 / dt) + 2)
+        first = min(k for k in near if k * dt > t0)
+        last = max(k for k in near if k * dt < t1)
+        stop = last + track.lead + 1
+        hot.extend(bytes(max(0, stop - len(hot))))
+        for k in range(first, stop):
+            hot[k] |= track.mark
+
+
+@contextlib.contextmanager
+def _whole_chain_marks():
+    """Mark each rebuilt chain with ``_mark_whole_chain`` alone."""
+    rebuild = _HandTrack._rebuild
+
+    def marking_rebuild(self, *args):
+        rebuild(self, *args)
+        _mark_whole_chain(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_HandTrack, "_rebuild", marking_rebuild)
+        patch.setattr(_HandTrack, "_mark_hot", lambda self, start, end: None)
+        yield
+
+
+class TestMarksOfTheWholeChain:
+    """A rebuild marks only its new strikes and its first segment; the
+    marks equal those of every fast segment of every chain."""
+
+    @pytest.mark.parametrize("pid", [True, False], ids=["pid", "no-pid"])
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 0.05])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_a_session_marks_what_the_whole_chains_mark(
+            self, profile, dt, pid) -> None:
+        config = SessionConfig(seed=SEED, profile=load_profile(profile),
+                               dt=dt, pid_enabled=pid)
+        players: list[SyntheticPlayer] = []
+        init = SyntheticPlayer.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            players.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SyntheticPlayer, "__init__", recording_init)
+            got = run_session(config).lines
+            with _whole_chain_marks():
+                want = run_session(config).lines
+        assert got == want
+        marks, reference = (bytes(player.hot) for player in players)
+        assert any(marks) and marks == reference
+
+    def test_a_strike_cut_short_on_the_rebuild_tick_is_marked(self) -> None:
+        # A strike a rounding above _HOT_SPEED tests slower whole, but
+        # as fast once a rebuild on tick 95 cuts it short: the rebuild
+        # keeps the plan, yet must mark the chain's first segment.
+        strike = JabPlan(0, Hand.RIGHT, 100, 0.9500000000000002,
+                         (-0.024520960853599005, 1.3077117909765685,
+                          0.5739981547331244), False, 0)
+        later = JabPlan(1, Hand.RIGHT, 160, 3.0, (0.2, 1.3, 0.5), False, 1)
+        marks = []
+        for reference in (False, True):
+            player = _player(horizon=300)
+            with (_whole_chain_marks() if reference
+                  else contextlib.nullcontext()):
+                player.inject(strike, 0)
+                assert not any(player.hot[:106])
+                player.inject(later, 95)
+            assert [p.seq for p in player._right.plans] == [0, 1]
+            marks.append(bytes(player.hot))
+        assert any(marks[0][96:106]) and marks[0] == marks[1]
 
 
 class TestRebuildSpacing:

@@ -186,6 +186,21 @@ def test_invalid_json_still_raises_json_errors() -> None:
         metrics_from_log(['{"type":"hr",'])
 
 
+@pytest.mark.parametrize("lines, lineno, colno", [
+    (['{}', '', '{bad'], 3, 2),
+    # Lines as a file gives them, ends kept; the column counts the
+    # leading blanks the reader strips.
+    (['{"type":"phase"}\n', '\n', '  {"type":"hr",\n'], 3, 16),
+    (['{bad'], 1, 2),
+])
+def test_a_json_error_names_its_line_and_column_in_the_log(
+        lines, lineno, colno) -> None:
+    with pytest.raises(json.JSONDecodeError) as caught:
+        metrics_from_log(lines)
+    assert (caught.value.lineno, caught.value.colno) == (lineno, colno)
+    assert f"line {lineno} column {colno} " in str(caught.value)
+
+
 @pytest.mark.parametrize("row", ['{"kind":3}', '{"type":3,"kind":3}',
                                  '{"type":["spawn"]}', '{"type":"phase"}'])
 def test_rows_that_are_not_counted_need_no_fields(row) -> None:
