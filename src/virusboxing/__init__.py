@@ -23,6 +23,7 @@ from .session import (
     ReplayReport,
     SessionConfig,
     SessionResult,
+    iter_sessions,
     metrics_from_log,
     replay_verify,
     run_many,
@@ -62,6 +63,7 @@ __all__ = [
     "TargetingRange",
     "WorldState",
     "classify_weave_pose",
+    "iter_sessions",
     "load_profile",
     "metrics_from_log",
     "phase_at",

@@ -4,6 +4,12 @@
 summaries, replay logs, and per-second traces; ``virusboxing verify``
 re-runs a config against a saved log and reports the first divergence.
 
+``run`` builds and checks every config before any session starts.  It
+then writes each session's artefacts, or prints its summary, as the
+session finishes, and keeps only the summaries, for ``sweep.csv`` after
+the last seed.  A failure part-way leaves the finished seeds' files on
+disk and writes no ``sweep.csv``.
+
 Exit codes: run returns 0 on success, 2 for configuration problems, 3
 for runtime failures.  verify returns 0 on a byte-identical match, 1 on
 divergence, 2 when the log header does not match the configuration.
@@ -28,9 +34,13 @@ from .session import (
     HeaderMismatchError,
     SessionConfig,
     SessionResult,
+    iter_sessions,
     replay_verify,
     run_many,
 )
+# ``run`` streams its sessions through ``iter_sessions``, so nothing here
+# calls ``run_many``; it stays bound because the benchmark's tracer wraps
+# it by name in this namespace.
 
 __all__ = ["main", "build_parser"]
 
@@ -274,36 +284,33 @@ def _summary_row(summary: dict) -> list[object]:
     return [_csv_value(summary[f]) for f in SUMMARY_FIELDS]
 
 
-def _write_outputs(results: list[SessionResult], out_dir: Path,
-                   fmt: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for result in results:
-        seed = result.config.seed
-        result.write_log(out_dir / f"replay_{seed}.jsonl")
-        _write_csv(out_dir / f"trace_{seed}.csv", TRACE_FIELDS, (
-            (f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}", row.phase,
-             row.energy, str(row.empowered).lower())
-            for row in result.trace))
-        summary = _summary_dict(result)
-        if fmt == "json":
-            (out_dir / f"summary_{seed}.json").write_text(
-                json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            _write_csv(out_dir / f"summary_{seed}.csv", SUMMARY_FIELDS,
-                       [_summary_row(summary)])
-    if len(results) > 1:
-        _write_sweep(results, out_dir / "sweep.csv")
+def _write_session(result: SessionResult, out_dir: Path, fmt: str) -> dict:
+    """Write one session's replay log, trace and summary; return the
+    summary."""
+    seed = result.config.seed
+    result.write_log(out_dir / f"replay_{seed}.jsonl")
+    _write_csv(out_dir / f"trace_{seed}.csv", TRACE_FIELDS, (
+        (f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}", row.phase,
+         row.energy, str(row.empowered).lower())
+        for row in result.trace))
+    summary = _summary_dict(result)
+    if fmt == "json":
+        (out_dir / f"summary_{seed}.json").write_text(
+            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+        )
+    else:
+        _write_csv(out_dir / f"summary_{seed}.csv", SUMMARY_FIELDS,
+                   [_summary_row(summary)])
+    return summary
 
 
-def _write_sweep(results: list[SessionResult], path: Path) -> None:
-    rows = [_summary_dict(r) for r in results]
+def _write_sweep(summaries: list[dict], path: Path) -> None:
     means = ["mean"]
     for field in SUMMARY_FIELDS[1:]:
-        values = [row[field] for row in rows if row[field] is not None]
+        values = [row[field] for row in summaries if row[field] is not None]
         means.append(f"{sum(values) / len(values):.6f}" if values else "")
     _write_csv(path, SUMMARY_FIELDS,
-               [_summary_row(row) for row in rows] + [means])
+               [_summary_row(row) for row in summaries] + [means])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -312,14 +319,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     seeds = _parse_seeds(args, file_cfg)
     configs = [_build_config(args, file_cfg, seed) for seed in seeds]
-    results = run_many(configs, jobs=args.jobs)
-    if args.out:
-        _write_outputs(results, Path(args.out), args.format)
-        print(f"wrote {len(results)} session(s) to {args.out}")
-    else:
-        for result in results:
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    # Each session is written, or printed, as it finishes, and dropped
+    # before the next one runs: only the summaries stay, for sweep.csv.
+    for result in iter_sessions(configs, jobs=args.jobs):
+        if out_dir is None:
             print(json.dumps(_summary_dict(result), indent=2))
+        else:
+            summaries.append(_write_session(result, out_dir, args.format))
+        del result
+    if out_dir is not None:
+        if len(summaries) > 1:
+            _write_sweep(summaries, out_dir / "sweep.csv")
+        print(f"wrote {len(summaries)} session(s) to {args.out}")
     return 0
+
+
+def _header_seed(log_path: Path) -> int:
+    """The seed of a log's header row: its first non-blank line, as
+    ``replay_verify`` reads it, whose seed must be a JSON integer."""
+    try:
+        with log_path.open(encoding="utf-8") as fh:
+            line = next((ln for ln in fh if ln.strip()), "")
+        header = json.loads(line)
+        seed = header["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"cannot read seed from log header; pass --seed ({exc})"
+        ) from exc
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(
+            f"log header seed must be an integer, got {seed!r}; pass --seed"
+        )
+    return seed
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -329,14 +364,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"no such log file: {log_path}")
     seed = args.seed
     if seed is None and "seed" not in file_cfg:
-        try:
-            with log_path.open(encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            seed = int(header["seed"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"cannot read seed from log header; pass --seed ({exc})"
-            ) from exc
+        seed = _header_seed(log_path)
     elif seed is None:
         seed = _file_seed(file_cfg)
     config = _build_config(args, file_cfg, seed)

@@ -83,6 +83,11 @@ so every spawned entity reaches a terminal state and the summary's
 conservation checks hold.  Log v1 skips tick G: the drain's first step
 is labelled ``(G + 1) * dt``, so a flight or an empowerment due to end
 on tick G ends on G + 1.
+
+A batch runs through ``iter_sessions``, which yields each result in
+config order as it finishes, in this process or from a worker pool, so
+a caller can write a session out and drop it before the next one runs.
+``run_many`` is the same batch as a list.
 """
 from __future__ import annotations
 
@@ -95,10 +100,9 @@ import random
 import re
 from array import array
 from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .interaction import (
     Calibration,
@@ -170,6 +174,7 @@ __all__ = [
     "ReplayReport",
     "config_digest",
     "run_session",
+    "iter_sessions",
     "run_many",
     "metrics_from_log",
     "replay_verify",
@@ -969,18 +974,34 @@ def run_session(config: SessionConfig,
     return result
 
 
-def run_many(configs: Sequence[SessionConfig],
-             jobs: int = 1) -> list[SessionResult]:
-    """Run a batch of sessions, across up to ``jobs`` processes.
+def iter_sessions(configs: Sequence[SessionConfig],
+                  jobs: int = 1) -> Iterator[SessionResult]:
+    """Run a batch of sessions, across up to ``jobs`` processes, and
+    yield each result in config order.
 
     The pool starts all its workers at once, so it gets no more than
     there are sessions or cores.  Results do not depend on the count.
+    Closing the generator early cancels the sessions not yet started.
+    ``concurrent.futures`` is imported only when a pool starts, so a
+    one-process run never loads ``multiprocessing``.
     """
     workers = min(jobs, len(configs), os.cpu_count() or 1)
     if workers <= 1:
-        return [run_session(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_session, configs))
+        for config in configs:
+            yield run_session(config)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(run_session, configs)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_many(configs: Sequence[SessionConfig],
+             jobs: int = 1) -> list[SessionResult]:
+    """Every result of ``iter_sessions``, in config order."""
+    return list(iter_sessions(configs, jobs))
 
 
 def _counted_fields(line: str, number: int) -> tuple[str | None, tuple]:

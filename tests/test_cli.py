@@ -2,12 +2,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import virusboxing
 from virusboxing import cli, session
 from virusboxing.cli import build_parser, main
 
@@ -219,6 +226,190 @@ class TestVerify:
         assert ("header mismatch" if seed else "cannot read seed") in err
 
 
+class TestVerifyHeaderSeed:
+    """Without --seed, the seed comes from the header row, which is the
+    log's first non-blank line, and must be a JSON integer."""
+
+    @pytest.mark.parametrize("seed", ["1e400", "true", "4.0", '"4"'])
+    def test_a_seed_that_is_no_integer_exits_2(self, out_dir, tmp_path,
+                                               capsys, seed) -> None:
+        lines = (out_dir / "replay_0.jsonl").read_text().splitlines()
+        lines[0] = lines[0].replace('"seed":0', f'"seed":{seed}')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad), "--pid", "off"]) == 2
+        assert "header seed must be an integer" in capsys.readouterr().err
+
+    def test_blank_lines_before_the_header_are_skipped(self, out_dir,
+                                                       tmp_path,
+                                                       capsys) -> None:
+        text = (out_dir / "replay_0.jsonl").read_text()
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n  \n" + text)
+        assert main(["verify", str(padded), "--pid", "off"]) == 0
+        assert capsys.readouterr().out.startswith("ok: ")
+
+    def test_a_log_of_blank_lines_exits_2(self, tmp_path, capsys) -> None:
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n\n")
+        assert main(["verify", str(blank), "--pid", "off"]) == 2
+        assert "cannot read seed" in capsys.readouterr().err
+
+
+SWEEP_SEEDS = (0, 1, 2)
+
+
+def _reference_outputs(results, out_dir, fmt: str) -> None:
+    """The artefacts of a finished batch, written as the CLI wrote them
+    when it held every result until the last seed ended."""
+
+    def write_csv(path, header, rows) -> None:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def value(v):
+        if v is None:
+            return ""
+        return f"{v:.6f}" if isinstance(v, float) else v
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for result in results:
+        seed = result.config.seed
+        result.write_log(out_dir / f"replay_{seed}.jsonl")
+        write_csv(out_dir / f"trace_{seed}.csv", cli.TRACE_FIELDS, (
+            (f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}", row.phase,
+             row.energy, str(row.empowered).lower())
+            for row in result.trace))
+        summary = _reference_summary(result)
+        summaries.append(summary)
+        if fmt == "json":
+            (out_dir / f"summary_{seed}.json").write_text(
+                json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        else:
+            write_csv(out_dir / f"summary_{seed}.csv", cli.SUMMARY_FIELDS,
+                      [[value(summary[f]) for f in cli.SUMMARY_FIELDS]])
+    means = ["mean"]
+    for field in cli.SUMMARY_FIELDS[1:]:
+        values = [row[field] for row in summaries if row[field] is not None]
+        means.append(f"{sum(values) / len(values):.6f}" if values else "")
+    write_csv(out_dir / "sweep.csv", cli.SUMMARY_FIELDS,
+              [[value(row[f]) for f in cli.SUMMARY_FIELDS]
+               for row in summaries] + [means])
+
+
+def _reference_summary(result) -> dict:
+    summary = {"seed": result.config.seed}
+    summary.update(dataclasses.asdict(result.metrics))
+    summary["config"] = result.digest
+    return summary
+
+
+@pytest.fixture(scope="module")
+def sweep_results():
+    """``run_many`` over the CLI's default config, seeds 0..2."""
+    args = build_parser().parse_args(["run"])
+    configs = [cli._build_config(args, {}, seed) for seed in SWEEP_SEEDS]
+    return session.run_many(configs, jobs=1)
+
+
+@pytest.fixture(scope="module")
+def reference_dirs(sweep_results, tmp_path_factory):
+    dirs = {}
+    for fmt in ("json", "csv"):
+        dirs[fmt] = tmp_path_factory.mktemp(f"reference_{fmt}")
+        _reference_outputs(sweep_results, dirs[fmt], fmt)
+    return dirs
+
+
+def _files(path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestStreamedRun:
+    """``run`` writes each session as it finishes, with the bytes a run
+    that held every result wrote."""
+
+    SEEDS_ARG = f"{SWEEP_SEEDS[0]}..{SWEEP_SEEDS[-1]}"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_artefacts_match_the_reference(self, reference_dirs, tmp_path,
+                                           capsys, fmt, jobs) -> None:
+        assert main(["run", "--seeds", self.SEEDS_ARG, "--format", fmt,
+                     "--jobs", jobs, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {len(SWEEP_SEEDS)} session(s) to {tmp_path}\n"
+        assert _files(tmp_path) == _files(reference_dirs[fmt])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stdout_matches_the_reference(self, sweep_results, capsys,
+                                          jobs) -> None:
+        assert main(["run", "--seeds", self.SEEDS_ARG, "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == "".join(
+            json.dumps(_reference_summary(r), indent=2) + "\n"
+            for r in sweep_results)
+
+    def test_a_failure_keeps_the_finished_seeds(self, monkeypatch,
+                                                reference_dirs, tmp_path,
+                                                capsys) -> None:
+        run_session = session.run_session
+
+        def failing(config):
+            if config.seed == SWEEP_SEEDS[1]:
+                raise RuntimeError("session exploded")
+            return run_session(config)
+
+        monkeypatch.setattr(session, "run_session", failing)
+        assert main(["run", "--seeds", self.SEEDS_ARG, "--jobs", "1",
+                     "--out", str(tmp_path)]) == 3
+        assert "RuntimeError: session exploded" in capsys.readouterr().err
+        first = SWEEP_SEEDS[0]
+        reference = _files(reference_dirs["json"])
+        assert _files(tmp_path) == {
+            name: reference[name] for name in (
+                f"replay_{first}.jsonl", f"summary_{first}.json",
+                f"trace_{first}.csv")}
+
+    def test_memory_does_not_grow_with_the_seed_count(self, tmp_path,
+                                                      capsys) -> None:
+        # Each result holds its log and trace, about 0.4 MB: a run that
+        # kept all six would peak at several times a one-seed run.
+        def peak(seeds: str, out) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["run", "--seeds", seeds, "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The first run fills the plan cache the seeds share.
+        assert main(["run", "--seed", "0", "--out", str(tmp_path / "warm")]) == 0
+        one = peak("0..0", tmp_path / "one")
+        six = peak("0..5", tmp_path / "six")
+        capsys.readouterr()
+        assert six < 1.5 * one, (one, six)
+
+    def test_one_process_run_loads_no_pool(self, tmp_path) -> None:
+        code = (
+            "import contextlib, io, sys\n"
+            "import virusboxing, virusboxing.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = virusboxing.cli.main(['run', '--seeds', '0..1',"
+            " '--pid', 'off', '--jobs', '1', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        src = str(Path(virusboxing.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert done.stdout == "0 []\n"
+
+
 def _run_with_file(tmp_path, settings: dict) -> int:
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
@@ -366,10 +557,11 @@ class TestJobs:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_a_config_error(self, jobs, monkeypatch,
                                               capsys) -> None:
-        def run_many(configs, jobs):
+        def iter_sessions(configs, jobs):
             raise AssertionError("no session may run")
+            yield
 
-        monkeypatch.setattr(cli, "run_many", run_many)
+        monkeypatch.setattr(cli, "iter_sessions", iter_sessions)
         assert main(RUN_OFF + ["--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
@@ -377,10 +569,11 @@ class TestJobs:
 class TestRuntimeFailure:
     def test_exit_3_prints_the_failure_and_its_traceback(self, monkeypatch,
                                                          capsys) -> None:
-        def run_many(configs, jobs):
+        def iter_sessions(configs, jobs):
             raise RuntimeError("worker exploded")
+            yield
 
-        monkeypatch.setattr(cli, "run_many", run_many)
+        monkeypatch.setattr(cli, "iter_sessions", iter_sessions)
         assert main(RUN_OFF) == 3
         err = capsys.readouterr().err
         assert "runtime failure: worker exploded" in err

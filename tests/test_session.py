@@ -1,6 +1,7 @@
 """Full-session orchestration: determinism, log format, replay, metrics."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -92,16 +93,15 @@ class TestRunManyWorkers:
             def __init__(self, max_workers: int) -> None:
                 requested.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc) -> None:
-                return None
-
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(session, "ProcessPoolExecutor", RecordingPool)
+            def shutdown(self, cancel_futures: bool) -> None:
+                return None
+
+        # iter_sessions imports the pool class only when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         return requested
 
     @staticmethod
@@ -126,6 +126,60 @@ class TestRunManyWorkers:
         results = run_many(self._configs(sessions), jobs=jobs)
         assert requested == []
         assert len(results) == sessions
+
+
+class TestIterSessions:
+    @staticmethod
+    def _configs(n: int) -> list[SessionConfig]:
+        profile = load_profile("mid_skill")
+        return [SessionConfig(seed=s, profile=profile, duration=30.0)
+                for s in range(n)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_yields_what_run_many_returns(self, jobs) -> None:
+        configs = self._configs(3)
+        streamed = list(session.iter_sessions(configs, jobs=jobs))
+        listed = run_many(configs, jobs=1)
+        assert [r.config for r in streamed] == configs
+        for a, b in zip(streamed, listed, strict=True):
+            assert a.lines == b.lines
+            assert a.trace == b.trace
+            assert a.metrics == b.metrics
+
+    def test_closing_in_process_runs_no_later_session(self,
+                                                      monkeypatch) -> None:
+        seeds: list[int] = []
+
+        def counted(config):
+            seeds.append(config.seed)
+            return run_session(config)
+
+        monkeypatch.setattr(session, "run_session", counted)
+        batch = session.iter_sessions(self._configs(5), jobs=1)
+        assert next(batch).config.seed == 0
+        batch.close()
+        assert seeds == [0]
+
+    def test_closing_a_pool_cancels_the_queued_sessions(self,
+                                                        monkeypatch) -> None:
+        # A one-thread pool stands in for the process pool, so the calls
+        # can be counted: after the first result its worker may have
+        # taken the second session, and no later one may start.
+        seeds: list[int] = []
+
+        def counted(config):
+            seeds.append(config.seed)
+            return run_session(config)
+
+        monkeypatch.setattr(session, "run_session", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            lambda max_workers: concurrent.futures.ThreadPoolExecutor(1))
+        batch = session.iter_sessions(self._configs(6), jobs=2)
+        assert next(batch).config.seed == 0
+        batch.close()
+        assert seeds in ([0], [0, 1])
 
 
 class TestLogFormat:
