@@ -624,11 +624,9 @@ class SyntheticPlayer:
         self.policy = policy
         self._seq = 0
         self.hot = bytearray(horizon)
-        self._left = _HandTrack(GUARD_LEFT, dt, self.hot, LEFT_MARK)
-        self._right = _HandTrack(GUARD_RIGHT, dt, self.hot, RIGHT_MARK)
-        self.tracks = (self._left, self._right)
-        self.lead = self._left.lead
-        self._hands = {_LEFT: self._left, _RIGHT: self._right}
+        self.tracks = (_HandTrack(GUARD_LEFT, dt, self.hot, LEFT_MARK),
+                       _HandTrack(GUARD_RIGHT, dt, self.hot, RIGHT_MARK))
+        self.lead = self.tracks[0].lead
         height = calibration.standing_head_height
         squat_y = (calibration.squat_ratio - SQUAT_DEPTH_MARGIN) * height
         lean_x = calibration.lean_threshold + LEAN_MARGIN
@@ -672,7 +670,7 @@ class SyntheticPlayer:
         if plan is None:
             return
         if isinstance(plan, JabPlan):
-            self._hands[plan.hand].add(plan, now_tick)
+            self.tracks[plan.hand is _RIGHT].add(plan, now_tick)
             return
         window = _WeaveWindow(
             start=plan.cross_tick - WEAVE_LEAD_TICKS,
@@ -732,6 +730,6 @@ class SyntheticPlayer:
             head = self._standing
         else:
             head = self._weave_head(tick)
-        return PoseSample(t, head, self._left.position_at(t),
-                          self._right.position_at(t),
+        left, right = self.tracks
+        return PoseSample(t, head, left.position_at(t), right.position_at(t),
                           self.buttons(phase_kind))

@@ -34,7 +34,11 @@ reads them.
 
 The phase changes only at the ticks ``phase_boundary_ticks`` lists,
 which the plan keeps, so the loop looks the phase up on those ticks
-alone and keeps the sprint flag until the next one.
+alone and keeps the sprint flag until the next one.  Its boundary stage
+writes a ``phase`` row on every boundary tick, 0 and G included: each
+boundary between them changes the phase.  Its 1 Hz stage writes every
+``hr`` row, taking the plan's rows in order, so the closing row at G is
+the plan's last.
 
 Most ticks are quiet: no spawn, no jab, no crossing and no empowerment
 change.  So the loop makes a progression call only when it could act:
@@ -76,13 +80,13 @@ only the viruses' positions are stepped: a jab reads no cell, and the
 crossings come from the plan.
 
 One loop runs the whole session.  The end of the protocol, tick G, is
-its last phase boundary: it logs the closing phase and ``hr`` rows and
-turns off spawning, the 1 Hz rows and activation.  The ticks after it
-drain the world through the same tick body until nothing is in flight,
-so every spawned entity reaches a terminal state and the summary's
-conservation checks hold.  Log v1 skips tick G: the drain's first step
-is labelled ``(G + 1) * dt``, so a flight or an empowerment due to end
-on tick G ends on G + 1.
+its last phase boundary and its last ``hr`` row: after those closing
+rows it turns off spawning, the 1 Hz rows and activation.  The ticks
+after it drain the world through the same tick body until nothing is in
+flight, so every spawned entity reaches a terminal state and the
+summary's conservation checks hold.  Log v1 skips tick G: the drain's
+first step is labelled ``(G + 1) * dt``, so a flight or an empowerment
+due to end on tick G ends on G + 1.
 
 A batch runs through ``iter_sessions``, which yields each result in
 config order as it finishes, in this process or from a worker pool, so
@@ -243,7 +247,9 @@ def _control_schedule(effort: float, heart: HeartRateParams,
     return, NaN included: a NaN controller output still clamps to -1.0.
     The ticks run in spans that start on a phase boundary or a 1 Hz
     row, so the phase and the uncontrolled heart-rate target are worked
-    out once per phase and the row once per span.
+    out once per phase and the row once per span.  Every tick runs one
+    body, in which a controlled tick's controller output only sets the
+    heart rate's aim; a free tick keeps the phase's target as its aim.
     ``tests/per_tick_oracle.py`` keeps the loop that calls the
     ``physiology`` functions on every tick, and
     ``tests/test_control_schedule.py`` holds the two to the same bytes.
@@ -280,12 +286,12 @@ def _control_schedule(effort: float, heart: HeartRateParams,
             # At most 1.0 already, so hr_step's min(1.0, intensity * 1.0)
             # is intensity itself.
             intensity = modulated_intensity(kind, effort)
-            target = hr_rest + intensity * hr_range
+            aim = hr_rest + intensity * hr_range
         if start % ticks_per_second == 0:
             hr.append(round(h, 6))
             kcal.append(round(kc, 6))
-        if controlled:
-            for _ in range(stop - start):
+        for _ in range(stop - start):
+            if controlled:
                 error = setpoint - h
                 integral += error * dt
                 if windup:
@@ -297,20 +303,14 @@ def _control_schedule(effort: float, heart: HeartRateParams,
                 u = u if u > -1.0 else -1.0
                 u = u if u < 1.0 else 1.0
                 append_control(u)
-                kc += burn * h * dt
                 # u is in [-1, 1], so apply_modulation's clamp keeps it.
                 scaled = intensity * 2.0 ** u
                 scaled = scaled if scaled < 1.0 else 1.0
                 aim = hr_rest + scaled * hr_range
-                h += dt * (aim - h) / (tau_rise if aim > h else tau_decay)
-                h = h if h > hr_rest else hr_rest
-                h = h if h < hr_max else hr_max
-        else:
-            for _ in range(stop - start):
-                kc += burn * h * dt
-                h += dt * (target - h) / (tau_rise if target > h else tau_decay)
-                h = h if h > hr_rest else hr_rest
-                h = h if h < hr_max else hr_max
+            kc += burn * h * dt
+            h += dt * (aim - h) / (tau_rise if aim > h else tau_decay)
+            h = h if h > hr_rest else hr_rest
+            h = h if h < hr_max else hr_max
     hr.append(round(h, 6))
     kcal.append(round(kc, 6))
     return controls, shifts, hr, kcal
@@ -506,6 +506,10 @@ class SessionConfig:
     duration: float = SESSION_DURATION
 
     def validate(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            # The header writes the seed with %d: seed 1.5 would run on
+            # random.Random(1.5) under the header of seed 1.
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             # random.Random seeds by absolute value: seed -3 would replay
             # seed 3 under another header.
@@ -568,6 +572,20 @@ class SessionConfig:
             raise ValueError(
                 f"hr_setpoint {self.hr_setpoint} is above hr_max {heart.hr_max}"
             )
+        # Outside these bounds, NaN and the infinities included, the poses
+        # the player holds classify as other poses, so the cells' outcomes
+        # mean nothing.
+        calibration = self.calibration
+        for label, value, high in (
+                ("standing_head_height", calibration.standing_head_height,
+                 math.inf),
+                ("squat_ratio", calibration.squat_ratio, 1.0)):
+            if not 0.0 < value < high:
+                raise ValueError(f"calibration {label} must lie in "
+                                 f"(0, {high}), got {value}")
+        if not 0.0 <= calibration.lean_threshold < math.inf:
+            raise ValueError(f"calibration lean_threshold must be finite and "
+                             f"non-negative, got {calibration.lean_threshold}")
         if not all(math.isfinite(gain) for gain in self.pid_gains):
             # A NaN output clamps to full slow-down without a word.
             raise ValueError(f"pid_gains must be finite, got {self.pid_gains}")
@@ -774,18 +792,6 @@ def run_session(config: SessionConfig,
     viruses_spawned = 0
     cells_spawned = 0
 
-    def log_hr(t: float, phase_kind: PhaseKind, index: int) -> None:
-        """The ``hr`` row with the schedule's values at row ``index``."""
-        hr_now = hr_rows[index]
-        kcal_now = kcal_rows[index]
-        row = TraceRow(t, hr_now, kcal_now, phase_kind._value_,
-                       prog.energy, is_empowered(prog, t))
-        trace.append(row)
-        lines.append(_HR_ROW % (t, hr_now, kcal_now, row.phase, row.energy,
-                                "true" if row.empowered else "false"))
-
-    phase = phase_at(0.0)
-    lines.append(_PHASE_ROW % (0.0, phase.kind._value_, phase.index))
     pending = next_spawn(rng, 0.0, params[0])
     due = dues[0]
     spawned = 0
@@ -796,7 +802,8 @@ def run_session(config: SessionConfig,
     # boundary; the ticks after it drain the world.
     boundaries = iter(boundaries)
     next_boundary = next(boundaries)
-    next_hr = 0
+    # The tick of the next hr row, and its index in the plan's rows.
+    next_hr = hr_index = 0
     # Each hand's wake tick: after a fire, the hand is neither read nor
     # judged before it (see _wake_tick).
     left_wake = right_wake = 0
@@ -806,30 +813,31 @@ def run_session(config: SessionConfig,
             break
         t = k * dt
         if k == next_boundary:
-            # The phase can change only on these ticks, and everything
-            # below that depends on the phase alone is fixed until the next.
-            current = phase_at(t)
+            # The phase changes on each of these ticks before G, and
+            # everything below that depends on the phase alone is fixed
+            # until the next.
+            phase = phase_at(t)
+            kind = phase.kind
+            lines.append(_PHASE_ROW % (t, kind._value_, phase.index))
+            presses_a = "A" in player.buttons(kind)
+            next_boundary = next(boundaries, -1)
+        if k == next_hr:
+            row = TraceRow(t, hr_rows[hr_index], kcal_rows[hr_index],
+                           kind._value_, prog.energy, is_empowered(prog, t))
+            trace.append(row)
+            lines.append(_HR_ROW % (*row[:5],
+                                    "true" if row.empowered else "false"))
+            hr_index += 1
             if k == gameplay_ticks:
-                # The end of the protocol: the closing rows, then the drain,
-                # in which nothing spawns, no 1 Hz row is due and no
+                # The end of the protocol, after its closing rows: the
+                # drain, in which nothing spawns, no 1 Hz row is due and no
                 # empowerment starts.
-                lines.append(_PHASE_ROW % (t, current.kind._value_,
-                                           current.index))
-                log_hr(t, current.kind, -1)
                 kind = PhaseKind.ENDED
-                due = next_hr = -1
+                due = -1
                 presses_a = False
                 continue  # v1 skips tick G: the drain starts at (G + 1) * dt
-            if (current.kind, current.index) != (phase.kind, phase.index):
-                lines.append(_PHASE_ROW % (t, current.kind._value_,
-                                           current.index))
-            phase = current
-            kind = phase.kind
-            presses_a = "A" in player.buttons(kind)
-            next_boundary = next(boundaries)
-        if k == next_hr:
-            log_hr(t, kind, k // ticks_per_second)
-            next_hr += ticks_per_second
+            # The plan's last row is the closing one, on tick G.
+            next_hr = min(next_hr + ticks_per_second, gameplay_ticks)
 
         while due == k:
             world.sim_time = clocks[spawned]
@@ -948,12 +956,11 @@ def run_session(config: SessionConfig,
         )
 
     base = summary(prog, viruses_spawned, cells_spawned)
-    hr_values = [row.hr for row in trace]
     metrics = replace(
         base,
-        avg_hr=round(sum(hr_values) / len(hr_values), 6),
-        max_hr=max(hr_values),
-        kcal=trace[-1].kcal,
+        avg_hr=round(sum(hr_rows) / len(hr_rows), 6),
+        max_hr=max(hr_rows),
+        kcal=kcal_rows[-1],
     )
     # t is the last tick run, or G * dt when nothing was left in flight.
     lines.append(_END_ROW % (

@@ -8,7 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from per_tick_oracle import control_schedule_per_tick
-from virusboxing.interaction import TargetingMode, TargetingPolicy, TargetingRange
+from virusboxing.interaction import (
+    Calibration,
+    TargetingMode,
+    TargetingPolicy,
+    TargetingRange,
+)
 from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import builtin_profiles, load_profile
 from virusboxing.session import (
@@ -50,6 +55,16 @@ def session_configs(draw) -> SessionConfig:
         correct_hand_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
         weave_reliability=draw(st.floats(min_value=0.0, max_value=1.0)),
     )
+    # Anywhere inside the bounds SessionConfig.validate sets: a positive
+    # standing height, a squat ratio in (0, 1) and a lean threshold of 0
+    # or more.
+    calibration = Calibration(
+        standing_head_height=draw(st.floats(min_value=0.0, max_value=2.5,
+                                            exclude_min=True)),
+        squat_ratio=draw(st.floats(min_value=0.0, max_value=1.0,
+                                   exclude_min=True, exclude_max=True)),
+        lean_threshold=draw(st.floats(min_value=0.0, max_value=0.5)),
+    )
     return SessionConfig(
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         profile=profile,
@@ -60,6 +75,7 @@ def session_configs(draw) -> SessionConfig:
         pid_gains=(draw(gain), draw(gain), draw(gain)),
         hr_setpoint=draw(st.floats(min_value=heart.hr_rest,
                                    max_value=heart.hr_max)),
+        calibration=calibration,
         dt=dt,
         duration=round(ticks * dt, 9),
     )

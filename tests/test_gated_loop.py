@@ -645,7 +645,7 @@ class TestHandMarks:
         player.inject(JabPlan(1, Hand.RIGHT, 60, 2.5, AIM, False, 1), now)
         lead = player.lead
         assert lead == 5
-        knots = player._right.knots
+        knots = player.tracks[1].knots
         (t0, t1), = [(a[0], b[0]) for a, b in zip(knots, knots[1:])
                      if a[1] is not b[1] and b[0] == 60 * dt]
         first = next(k for k in range(100) if k * dt > t0)
@@ -683,7 +683,7 @@ class TestHandMarks:
         player = _player()
         player.inject(JabPlan(0, Hand.LEFT, 80, 0.9, (0.3, 1.6, 0.8),
                               False, 0), 0)
-        assert len(player._left.knots) > 3
+        assert len(player.tracks[0].knots) > 3
         assert not any(player.hot)
 
     def test_a_relaid_chain_fires_alike_on_its_marked_ticks(self) -> None:
@@ -699,7 +699,7 @@ class TestHandMarks:
         player.inject(a, 0)
         player.inject(b, 0)
         player.inject(n, 100)
-        assert [p.entity_id for p in player._right.plans] == [2, 1]
+        assert [p.entity_id for p in player.tracks[1].plans] == [2, 1]
         dense, sparse = _streams({0: [a, b], 100: [n]}, 200, horizon=200)
         assert [event.time for event in dense] == pytest.approx([2.22, 2.48])
         assert sparse == dense
@@ -730,7 +730,7 @@ class TestHandMarks:
                 if k < rebuild:
                     continue
                 start = _window_start(k, dt)
-                got = sparse._right.ends(start, k)
+                got = sparse.tracks[1].ends(start, k)
                 want = (positions[start], positions[k])
                 assert got == want, (rebuild, k)
                 assert (got[0] is got[1]) == (want[0] is want[1])
@@ -755,7 +755,7 @@ class TestHandMarks:
             player.inject(plans[1], 60)
             player.inject(plans[2], 60)
         positions.append(dense.sample(60, PhaseKind.LOW).right_hand)
-        track = sparse._right
+        track = sparse.tracks[1]
         assert track._since == 60
         start = _window_start(60, dt)
         assert start == 55
@@ -874,7 +874,7 @@ class TestMarksOfTheWholeChain:
                 player.inject(strike, 0)
                 assert not any(player.hot[:106])
                 player.inject(later, 95)
-            assert [p.seq for p in player._right.plans] == [0, 1]
+            assert [p.seq for p in player.tracks[1].plans] == [0, 1]
             marks.append(bytes(player.hot))
         assert any(marks[0][96:106]) and marks[0] == marks[1]
 

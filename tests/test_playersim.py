@@ -272,7 +272,7 @@ class TestChoreography:
         new = JabPlan(2, Hand.RIGHT, 105, 2.0, aim, False, seq=1)
         player.inject(old, 0)
         player.inject(new, 0)
-        assert [p.entity_id for p in player._hands[Hand.RIGHT].plans] == [2]
+        assert [p.entity_id for p in player.tracks[1].plans] == [2]
 
     def test_newer_plan_wins_even_when_earlier(self) -> None:
         player = SyntheticPlayer(_machine(), Calibration(), random.Random(3),
@@ -282,7 +282,7 @@ class TestChoreography:
         new = JabPlan(2, Hand.RIGHT, 100, 2.0, aim, False, seq=1)
         player.inject(old, 0)
         player.inject(new, 0)
-        assert [p.entity_id for p in player._hands[Hand.RIGHT].plans] == [2]
+        assert [p.entity_id for p in player.tracks[1].plans] == [2]
 
     def test_spaced_plans_coexist(self) -> None:
         player = SyntheticPlayer(_machine(), Calibration(), random.Random(3),
@@ -290,7 +290,7 @@ class TestChoreography:
         aim = (0.1, 1.4, 0.4)
         player.inject(JabPlan(1, Hand.RIGHT, 100, 2.0, aim, False, seq=0), 0)
         player.inject(JabPlan(2, Hand.RIGHT, 120, 2.0, aim, False, seq=1), 0)
-        assert len(player._hands[Hand.RIGHT].plans) == 2
+        assert len(player.tracks[1].plans) == 2
 
     def test_hands_do_not_interfere(self) -> None:
         player = SyntheticPlayer(_machine(), Calibration(), random.Random(3),
@@ -298,8 +298,8 @@ class TestChoreography:
         aim = (0.1, 1.4, 0.4)
         player.inject(JabPlan(1, Hand.RIGHT, 100, 2.0, aim, False, seq=0), 0)
         player.inject(JabPlan(2, Hand.LEFT, 102, 2.0, aim, False, seq=1), 0)
-        assert len(player._hands[Hand.RIGHT].plans) == 1
-        assert len(player._hands[Hand.LEFT].plans) == 1
+        assert len(player.tracks[1].plans) == 1
+        assert len(player.tracks[0].plans) == 1
 
 
 class TestWeaving:

@@ -273,15 +273,16 @@ class TestSampleFastPath:
             got = fast_sample(self, tick, phase_kind)
             t = tick * self.dt
             head = _reference_head(self, tick)
-            left = self._left.position_at(t)
-            right = self._right.position_at(t)
+            left_track, right_track = self.tracks
+            left = left_track.position_at(t)
+            right = right_track.position_at(t)
             assert got == PoseSample(t, head, left, right, got.buttons), tick
-            for track, hand in ((self._left, left), (self._right, right)):
+            for track, hand in ((left_track, left), (right_track, right)):
                 assert hand == _reference_position(track.knots, t), tick
             counts["ticks"] += 1
             counts["weaving"] += head is not self._head_for[standing]
-            counts["moving"] += (t < self._left.knots[-1][0]
-                                 or t < self._right.knots[-1][0])
+            counts["moving"] += (t < left_track.knots[-1][0]
+                                 or t < right_track.knots[-1][0])
             return got
 
         def checked_ends(self, start, tick):
@@ -355,7 +356,7 @@ class TestSampleFastPath:
                                  random.Random(0))
         player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
                               False, 0), 0)
-        knots = player._right.knots
+        knots = player.tracks[1].knots
         holds = [(t0, t1, p0) for (t0, p0), (t1, p1) in zip(knots, knots[1:])
                  if p0 is p1]
         assert holds
@@ -393,7 +394,7 @@ class TestHandTrackReads:
         # the chain that held on the tick.
         player = SyntheticPlayer(load_profile("expert"), Calibration(),
                                  random.Random(0))
-        track, dt, lead = player._right, player.dt, player.lead
+        track, dt, lead = player.tracks[1], player.dt, player.lead
         player.inject(JabPlan(0, Hand.RIGHT, 60, 2.5, (0.1, 1.4, 0.45),
                               False, 0), 0)
         first = track.knots

@@ -7,10 +7,12 @@ import itertools
 import json
 import math
 import os
+import threading
 
 import pytest
 
 from virusboxing.interaction import (
+    Calibration,
     TargetingMode,
     TargetingPolicy,
     TargetingRange,
@@ -164,18 +166,28 @@ class TestIterSessions:
                                                         monkeypatch) -> None:
         # A one-thread pool stands in for the process pool, so the calls
         # can be counted: after the first result its worker may have
-        # taken the second session, and no later one may start.
+        # taken the second session, and no later one may start.  The
+        # sessions after the first wait until the pool is shut down, so
+        # the worker cannot run them before the close.
         seeds: list[int] = []
+        shut = threading.Event()
 
         def counted(config):
             seeds.append(config.seed)
+            if config.seed > 0:
+                shut.wait(timeout=30.0)
             return run_session(config)
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                shut.set()
+                super().shutdown(wait=wait)
 
         monkeypatch.setattr(session, "run_session", counted)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor",
-            lambda max_workers: concurrent.futures.ThreadPoolExecutor(1))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: Pool(1))
         batch = session.iter_sessions(self._configs(6), jobs=2)
         assert next(batch).config.seed == 0
         batch.close()
@@ -471,6 +483,36 @@ class TestConfigRejection:
         dataclasses.replace(base_config,
                             hr_setpoint=base_config.heart.hr_max).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("standing_head_height", float("nan")),
+        ("standing_head_height", float("inf")),
+        ("standing_head_height", 0.0), ("standing_head_height", -1.7),
+        ("squat_ratio", float("nan")), ("squat_ratio", 0.0),
+        ("squat_ratio", 1.0), ("squat_ratio", -0.5), ("squat_ratio", 1.5),
+        ("lean_threshold", float("nan")), ("lean_threshold", float("inf")),
+        ("lean_threshold", -0.5), ("lean_threshold", -1e-9),
+    ])
+    def test_bad_calibration(self, base_config, field, value) -> None:
+        # A NaN reads every pose as a squat, a negative height every
+        # standing pose as one, and a negative lean threshold a lean to
+        # one side as a lean to the other.
+        calibration = dataclasses.replace(Calibration(), **{field: value})
+        config = dataclasses.replace(base_config, calibration=calibration,
+                                     duration=10.0)
+        with pytest.raises(ValueError, match=f"calibration {field} must"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"calibration {field} must"):
+            run_session(config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("standing_head_height", 1e-9), ("squat_ratio", 1e-9),
+        ("squat_ratio", 1.0 - 1e-9), ("lean_threshold", 0.0),
+    ])
+    def test_calibration_at_its_bounds_is_accepted(self, base_config, field,
+                                                   value) -> None:
+        calibration = dataclasses.replace(Calibration(), **{field: value})
+        dataclasses.replace(base_config, calibration=calibration).validate()
+
 
 class TestDrain:
     @pytest.mark.parametrize("dt", [0.001, 0.02, 0.035, 1.0])
@@ -627,3 +669,17 @@ class TestNegativeSeeds:
 
     def test_seed_zero_is_accepted(self, base_config) -> None:
         dataclasses.replace(base_config, seed=0).validate()
+
+
+class TestNonIntegerSeeds:
+    """The header writes the seed with %d, so a seed that is not an int
+    would run under the header of another seed."""
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+    def test_a_seed_that_is_not_an_int_is_rejected(self, base_config,
+                                                   seed) -> None:
+        config = dataclasses.replace(base_config, seed=seed, duration=10.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            config.validate()
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_session(config)
