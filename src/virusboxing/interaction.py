@@ -212,9 +212,8 @@ def hand_velocity(samples: Sequence[tuple[float, Vec3]]) -> tuple[float, Vec3]:
 class JabDetector:
     """Streaming threshold-crossing detector over both hands.
 
-    Feed frames in time order, as the time and the two hand positions
-    (``feed``) or as a whole pose sample (``update``); each call returns
-    the jabs that fire on that frame (left hand reported before right).
+    Feed pose samples in time order (``update``); each call returns the
+    jabs that fire on that frame (left hand reported before right).
 
     Both hands share one window of ``(time, left, right)`` samples, and
     per-hand state sits in ``[left, right]`` slots.  Speed is the
@@ -226,7 +225,7 @@ class JabDetector:
     before a strike.
 
     ``judge`` is the fire rule for one hand on one frame, given the two
-    ends of its window.  ``feed`` calls it for both hands; a caller that
+    ends of its window.  ``update`` calls it for both hands; a caller that
     can read the window's ends itself calls it directly, and only on the
     frames where the hand can reach the threshold.
     """
@@ -246,9 +245,7 @@ class JabDetector:
         self._last_fire = [-math.inf, -math.inf]
 
     def update(self, sample: PoseSample) -> list[JabEvent]:
-        return self.feed(sample.time, sample.left_hand, sample.right_hand)
-
-    def feed(self, now: float, left: Vec3, right: Vec3) -> list[JabEvent]:
+        now, left, right = sample.time, sample.left_hand, sample.right_hand
         events: list[JabEvent] = []
         newest = (now, left, right)
         history = self._history

@@ -6,11 +6,12 @@ one difficulty scale: a positive error (heart rate below setpoint) raises
 it, which speeds up spawn cadence and entity speed alike and feeds back
 into exercise intensity.
 
-These step functions are the reference for the session's control
-schedule: ``session._control_schedule`` writes ``PidController.step``,
-``apply_modulation``, ``kcal_step`` and ``hr_step`` out on local floats,
-and ``tests/test_control_schedule.py`` holds it to a loop that calls
-them, byte for byte.  A change here must be made there too.
+These step functions are the reference for the session's plan:
+``session._plan``'s one pass over the ticks writes
+``PidController.step``, ``apply_modulation``, ``kcal_step`` and
+``hr_step`` out on local floats, and ``tests/test_control_schedule.py``
+holds it to a loop that calls them, byte for byte.  A change here must
+be made there too.
 """
 from __future__ import annotations
 

@@ -103,6 +103,12 @@ class EmpowerPolicy(Enum):
     DURING_SPRINT_ONLY = "during_sprint_only"
 
 
+# The fields of a profile that hold a number.
+_NUMBER_FIELDS = ("reaction_time", "punch_speed_mean", "punch_speed_sd",
+                  "aim_error_sd", "correct_hand_prob", "weave_reliability",
+                  "effort")
+
+
 @dataclass(frozen=True)
 class PlayerProfile:
     name: str
@@ -129,18 +135,30 @@ class PlayerProfile:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PlayerProfile":
-        return cls(
-            name=str(data["name"]),
-            reaction_time=float(data["reaction_time"]),
-            punch_speed_mean=float(data["punch_speed_mean"]),
-            punch_speed_sd=float(data["punch_speed_sd"]),
-            aim_error_sd=float(data["aim_error_sd"]),
-            correct_hand_prob=float(data["correct_hand_prob"]),
-            weave_reliability=float(data["weave_reliability"]),
-            empower_policy=EmpowerPolicy(data["empower_policy"]),
-            effort=float(data["effort"]),
-        )
+    def from_dict(cls, data: object) -> "PlayerProfile":
+        """The profile a JSON object holds.
+
+        Raises ``KeyError`` for a missing field, and ``ValueError`` naming
+        the field for a ``name`` that is not a string or a numeric field
+        that is not a JSON number (a bool is not one); or for ``data``
+        that is not an object at all.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a profile must be a JSON object, got {type(data).__name__}")
+        name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"profile field 'name' must be a string, got {name!r}")
+        numbers = {}
+        for key in _NUMBER_FIELDS:
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"profile field {key!r} must be a number, got {value!r}")
+            numbers[key] = float(value)
+        return cls(name=name,
+                   empower_policy=EmpowerPolicy(data["empower_policy"]),
+                   **numbers)
 
     def validate(self) -> None:
         for label, value in (("reaction_time", self.reaction_time),

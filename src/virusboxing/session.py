@@ -9,20 +9,21 @@ a seed plus a config fully determines the log, byte for byte.
 Heart rate, kcal, the controller output and the spawn cadence they
 drive read nothing from gameplay: they follow from the effort, the
 heart, the PID settings, dt and the duration alone.  ``_plan`` works
-them out once per such config and keeps them in one small cache, so the
-seeds of a sweep share one plan.  ``_control_schedule`` integrates the
-controller and the physiology on local floats: each tick is the
-arithmetic of the ``physiology`` step functions written out term for
-term, with ``min`` and ``max`` as the conditional expressions they
-evaluate to, so NaN clamps as before, and the 1 Hz rows are taken once
-per one-second span.  ``tests/per_tick_oracle.py`` keeps the loop that
-calls those functions, as the reference the schedule must match byte
-for byte.  The plan keeps the rounded heart rate and kcal of each
-``hr`` row; the controller output serves only to build it.
+them out once per such config, in one pass over its ticks, and keeps
+them in one small cache, so the seeds of a sweep share one plan.  The
+pass integrates the controller and the physiology on local floats:
+each tick is the arithmetic of the ``physiology`` step functions
+written out term for term, with ``min`` and ``max`` as the conditional
+expressions they evaluate to, so NaN clamps as before, and the 1 Hz
+rows are taken once per one-second span.  ``tests/per_tick_oracle.py``
+keeps the loop that calls those functions, as the reference the plan
+must match byte for byte.  The plan keeps the rounded heart rate and
+kcal of each ``hr`` row; the controller output is read only on the
+ticks spawns land, and kept nowhere.
 
 Each spawn's interval and speed follow from the phase and the
-controller output on the tick the previous one lands, so the plan also
-holds, in the same floats, every spawn's parameters and tick, and the
+controller output on the tick the previous one lands, so the same pass
+draws, in the same floats, every spawn's parameters and tick, and the
 tick each flight crosses the player plane on.  That tick comes from the
 closed form of its ``position -= speed * dt`` steps when the positions
 around it lie clear of the plane by more than their rounding can move
@@ -119,9 +120,9 @@ from .interaction import (
     resolve_cell_pass,
     resolve_jab,
 )
-# ``_control_schedule`` inlines ``hr_step`` and ``kcal_step``, so nothing
-# here calls them; they stay bound because the benchmark's tracer wraps
-# them by name, as it does ``advance`` below.
+# ``_plan`` inlines ``hr_step`` and ``kcal_step``, so nothing here calls
+# them; they stay bound because the benchmark's tracer wraps them by
+# name, as it does ``advance`` below.
 from .physiology import (
     DEFAULT_PID_GAINS,
     HEART_PRESETS,
@@ -211,109 +212,6 @@ def _spawn_tick(time: float, dt: float) -> int:
     while time > k * dt + 1e-9:
         k += 1
     return k
-
-
-def _control_schedule(effort: float, heart: HeartRateParams,
-                      pid_gains: tuple[float, float, float] | None,
-                      setpoint: float, dt: float,
-                      boundaries: tuple[int, ...],
-                      ) -> tuple[array, dict[int, int], array, array]:
-    """Controller output and physiology of one config, for every seed:
-    the part of its plan that ``_plan`` builds first, from the plan's
-    ``boundaries`` (the phase boundary ticks, then the end of the
-    protocol, tick G).
-
-    Each tick records the 1 Hz row's values if one is due, steps the
-    controller on the heart rate at the tick's start, then integrates
-    kcal and heart rate at the intensity the controller's difficulty scale
-    sets.  Returns ``(controls, shifts, hr, kcal)``:
-
-    - ``controls``: the controller output of each controlled tick (a
-      sprint tick with the PID on), in tick order.  ``shifts`` maps each
-      phase boundary tick ``b`` that starts controlled ticks to the
-      shift that finds them: until the next boundary, tick ``k``'s
-      output is ``controls[k + shifts[b]]``.
-    - ``hr``, ``kcal``: the rounded values of each 1 Hz ``hr`` row, then
-      those of the row at the end of the protocol.
-
-    Nothing caches the result: ``_plan`` keeps the rows and lets the
-    controls and shifts go once its spawn timeline is built.
-
-    The loop runs on local floats: each tick is the arithmetic of
-    ``PidController.step``, ``apply_modulation``, ``kcal_step`` and
-    ``hr_step``, term for term and in their order, with no call.  Each
-    ``min(a, b)`` there is written ``b if b < a else a`` and each
-    ``max(a, b)`` ``b if b > a else a``, which is what the builtins
-    return, NaN included: a NaN controller output still clamps to -1.0.
-    The ticks run in spans that start on a phase boundary or a 1 Hz
-    row, so the phase and the uncontrolled heart-rate target are worked
-    out once per phase and the row once per span.  Every tick runs one
-    body, in which a controlled tick's controller output only sets the
-    heart rate's aim; a free tick keeps the phase's target as its aim.
-    ``tests/per_tick_oracle.py`` keeps the loop that calls the
-    ``physiology`` functions on every tick, and
-    ``tests/test_control_schedule.py`` holds the two to the same bytes.
-    """
-    ticks_per_second = max(1, round(1.0 / dt))
-    gameplay_ticks = boundaries[-1]
-    hr_rest, hr_max = heart.hr_rest, heart.hr_max
-    tau_rise, tau_decay = heart.tau_rise, heart.tau_decay
-    hr_range = hr_max - hr_rest
-    burn = KCAL_PER_BPM_SECOND
-    if pid_gains is not None:
-        kp, ki, kd = pid_gains
-        # The anti-windup clamp, which applies only for a positive ki.
-        windup = ki > 0.0
-        if windup:
-            high, low = 1.0 / ki, -1.0 / ki
-    integral = prev_error = 0.0
-    h = hr_rest
-    kc = 0.0
-    controls = array("d")
-    append_control = controls.append
-    shifts: dict[int, int] = {}
-    hr = array("d")
-    kcal = array("d")
-    # Every span ends on the next start, the last on tick G.
-    starts = sorted(set(boundaries).union(range(0, gameplay_ticks,
-                                                ticks_per_second)))
-    for start, stop in zip(starts, starts[1:]):
-        if start in boundaries:
-            kind = phase_at(start * dt).kind
-            controlled = pid_gains is not None and kind is PhaseKind.SPRINT
-            if controlled:
-                shifts[start] = len(controls) - start
-            # At most 1.0 already, so hr_step's min(1.0, intensity * 1.0)
-            # is intensity itself.
-            intensity = modulated_intensity(kind, effort)
-            aim = hr_rest + intensity * hr_range
-        if start % ticks_per_second == 0:
-            hr.append(round(h, 6))
-            kcal.append(round(kc, 6))
-        for _ in range(stop - start):
-            if controlled:
-                error = setpoint - h
-                integral += error * dt
-                if windup:
-                    integral = integral if integral > low else low
-                    integral = integral if integral < high else high
-                derivative = (error - prev_error) / dt
-                prev_error = error
-                u = kp * error + ki * integral + kd * derivative
-                u = u if u > -1.0 else -1.0
-                u = u if u < 1.0 else 1.0
-                append_control(u)
-                # u is in [-1, 1], so apply_modulation's clamp keeps it.
-                scaled = intensity * 2.0 ** u
-                scaled = scaled if scaled < 1.0 else 1.0
-                aim = hr_rest + scaled * hr_range
-            kc += burn * h * dt
-            h += dt * (aim - h) / (tau_rise if aim > h else tau_decay)
-            h = h if h > hr_rest else hr_rest
-            h = h if h < hr_max else hr_max
-    hr.append(round(h, 6))
-    kcal.append(round(kc, 6))
-    return controls, shifts, hr, kcal
 
 
 def _stepped(position: float, speed: float, dt: float, steps: int) -> float:
@@ -413,21 +311,25 @@ def _plan(effort: float, heart: HeartRateParams,
           pid_gains: tuple[float, float, float] | None,
           setpoint: float, dt: float, gameplay_ticks: int) -> _Plan:
     """The phase boundaries, physiology and spawn timeline of one config,
-    for every seed.
+    for every seed, worked out in one pass over its ticks.
 
-    A spawn's time and speed follow from the previous spawn's tick: its
-    phase and, in a controlled sprint, the controller output there,
-    which ``_control_schedule`` fixes per config.  The seed draws only
-    the kind and the lane.  So the spawn ticks, the position
-    ``WorldState.spawn`` gives each entity and the tick its stepped
-    flight crosses on are the same for every seed, and are worked out
-    here once, in the floats the per-tick loop would use; the crossing
-    tick from the closed form unless a step lands within rounding of the
-    plane (``_crossing_tick``).  The plan holds:
+    Each tick records the 1 Hz row's values if one is due, steps the
+    controller on the heart rate at the tick's start, then integrates
+    kcal and heart rate at the intensity the controller's difficulty
+    scale sets.  A spawn's time and speed follow from the previous
+    spawn's tick: its phase and, in a controlled sprint (a sprint with
+    the PID on), the controller output just computed for that tick.  The
+    seed draws only the kind and the lane.  So the spawn ticks, the
+    position ``WorldState.spawn`` gives each entity and the tick its
+    stepped flight crosses on are the same for every seed, and are
+    worked out here once, in the floats the per-tick loop would use; the
+    crossing tick from the closed form unless a step lands within
+    rounding of the plane (``_crossing_tick``).  The plan holds:
 
     - ``boundaries``: the phase boundary ticks before the end of the
       protocol, then the end, tick G.
-    - ``hr``, ``kcal``: the rows of ``_control_schedule``.
+    - ``hr``, ``kcal``: the rounded values of each 1 Hz ``hr`` row, then
+      those of the row at the end of the protocol.
     - ``params``, ``dues``: the SpawnParams ``next_spawn`` draws spawn i
       with, and the tick it is due on.  The last spawn is due at or
       after the end of the protocol and never lands; it is drawn all
@@ -438,6 +340,23 @@ def _plan(effort: float, heart: HeartRateParams,
     - ``order``: the spawn indices in crossing order, ties in spawn
       order, then the last spawn's.
 
+    The loop runs on local floats: each tick is the arithmetic of
+    ``PidController.step``, ``apply_modulation``, ``kcal_step`` and
+    ``hr_step``, term for term and in their order, with no call.  Each
+    ``min(a, b)`` there is written ``b if b < a else a`` and each
+    ``max(a, b)`` ``b if b > a else a``, which is what the builtins
+    return, NaN included: a NaN controller output still clamps to -1.0.
+    The ticks run in spans that start on a phase boundary, on a 1 Hz row
+    and just after a spawn's tick, so the phase and the uncontrolled
+    heart-rate target are worked out once per phase, the row once per
+    span, and each spawn is drawn after its tick has run.  Every tick
+    runs one body, in which a controlled tick's controller output only
+    sets the heart rate's aim; a free tick keeps the phase's target as
+    its aim.  ``tests/per_tick_oracle.py`` keeps the loop that calls the
+    ``physiology`` functions on every tick, and
+    ``tests/test_control_schedule.py`` holds the plan to it byte for
+    byte.
+
     ``spawn_params`` reads the protocol's spawn constants, which are not
     part of the key: whatever changes them must clear the cache.  The
     cache hands the same arrays to every session of the config, so
@@ -445,45 +364,89 @@ def _plan(effort: float, heart: HeartRateParams,
     """
     boundaries = tuple(b for b in phase_boundary_ticks(dt)
                        if b < gameplay_ticks) + (gameplay_ticks,)
-    controls, shifts, hr, kcal = _control_schedule(
-        effort, heart, pid_gains, setpoint, dt, boundaries)
-    params: list[SpawnParams] = []
-    dues = array("l")
-    clocks = array("d")
-    crossings = array("l")
-    boundary_ticks = iter(boundaries)
-    next_boundary = next(boundary_ticks)
-    clock, clock_tick = 0.0, 0
-    phase = phase_at(0.0)
-    spawn = spawn_params(phase)
+    ticks_per_second = max(1, round(1.0 / dt))
+    hr_rest, hr_max = heart.hr_rest, heart.hr_max
+    tau_rise, tau_decay = heart.tau_rise, heart.tau_decay
+    hr_range = hr_max - hr_rest
+    burn = KCAL_PER_BPM_SECOND
+    if pid_gains is not None:
+        kp, ki, kd = pid_gains
+        # The anti-windup clamp, which applies only for a positive ki.
+        windup = ki > 0.0
+        if windup:
+            high, low = 1.0 / ki, -1.0 / ki
+    integral = prev_error = 0.0
+    h = hr_rest
+    kc = 0.0
+    hr = array("d")
+    kcal = array("d")
+    spawn = spawn_params(phase_at(0.0))
     time = spawn.interval  # next_spawn(rng, 0.0, spawn)
     due = _spawn_tick(time, dt)
-    while True:
-        params.append(spawn)
-        dues.append(due)
-        if due >= gameplay_ticks:
-            break
-        for _ in range(due - clock_tick):
-            clock += dt  # advance's ``world.sim_time += dt``
-        clock_tick = due
-        # Tick G, the last boundary, lies past every due tick here.
-        while next_boundary <= due:
-            phase = phase_at(next_boundary * dt)
-            shift = shifts.get(next_boundary)
-            made: dict[float, SpawnParams] = {}  # this phase's, by scale
-            next_boundary = next(boundary_ticks)
-        position = CREATOR_DISTANCE - spawn.speed * (clock - time)
-        clocks.append(clock)
-        crossings.append(_crossing_tick(position, spawn.speed, dt, due,
-                                        gameplay_ticks))
-        scale = 1.0
-        if shift is not None:
-            scale = apply_modulation(controls[due + shift])
-        spawn = made.get(scale)
-        if spawn is None:
-            spawn = made[scale] = spawn_params(phase, scale)
-        time = time + spawn.interval
-        due = _spawn_tick(time, dt)
+    params = [spawn]
+    dues = array("l", (due,))
+    clocks = array("d")
+    crossings = array("l")
+    # Each tick adds dt to the world's clock before it runs, as the
+    # tick before ran ``advance``'s ``world.sim_time += dt``; -dt + dt is
+    # exactly 0.0.
+    clock = -dt
+    row = 0  # the next 1 Hz row's tick
+    for start, end in zip(boundaries, boundaries[1:]):
+        phase = phase_at(start * dt)
+        controlled = pid_gains is not None and phase.kind is PhaseKind.SPRINT
+        # At most 1.0 already, so hr_step's min(1.0, intensity * 1.0) is
+        # intensity itself.
+        intensity = modulated_intensity(phase.kind, effort)
+        aim = hr_rest + intensity * hr_range
+        made: dict[float, SpawnParams] = {}  # this phase's, by scale
+        while start < end:
+            if start == row:
+                hr.append(round(h, 6))
+                kcal.append(round(kc, 6))
+                row += ticks_per_second
+            # Every span ends on the next start: a boundary, a row, or
+            # the tick after a spawn's.
+            stop = min(end, row, due + 1)
+            for _ in range(stop - start):
+                clock += dt
+                if controlled:
+                    error = setpoint - h
+                    integral += error * dt
+                    if windup:
+                        integral = integral if integral > low else low
+                        integral = integral if integral < high else high
+                    derivative = (error - prev_error) / dt
+                    prev_error = error
+                    u = kp * error + ki * integral + kd * derivative
+                    u = u if u > -1.0 else -1.0
+                    u = u if u < 1.0 else 1.0
+                    # u is in [-1, 1], so apply_modulation's clamp keeps it.
+                    scaled = intensity * 2.0 ** u
+                    scaled = scaled if scaled < 1.0 else 1.0
+                    aim = hr_rest + scaled * hr_range
+                kc += burn * h * dt
+                h += dt * (aim - h) / (tau_rise if aim > h else tau_decay)
+                h = h if h > hr_rest else hr_rest
+                h = h if h < hr_max else hr_max
+            start = stop
+            # The span's last tick is the due tick of every spawn landing
+            # here, and u its controller output.
+            while due < stop:
+                position = CREATOR_DISTANCE - spawn.speed * (clock - time)
+                clocks.append(clock)
+                crossings.append(_crossing_tick(position, spawn.speed, dt,
+                                                due, gameplay_ticks))
+                scale = apply_modulation(u) if controlled else 1.0
+                spawn = made.get(scale)
+                if spawn is None:
+                    spawn = made[scale] = spawn_params(phase, scale)
+                time = time + spawn.interval
+                due = _spawn_tick(time, dt)
+                params.append(spawn)
+                dues.append(due)
+    hr.append(round(h, 6))
+    kcal.append(round(kc, 6))
     landed = len(crossings)
     crossings.append(-1)
     order = array("l", sorted(range(landed), key=crossings.__getitem__))

@@ -510,6 +510,28 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {"profile": profile, "pid": False}) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        # float(None) raised TypeError, a runtime failure (exit 3).
+        ("reaction_time", None), ("punch_speed_sd", "0.1"),
+        # float(True) is 1.0, and str(None) is "None": both ran (exit 0).
+        ("effort", True), ("correct_hand_prob", False), ("name", None),
+        ("name", 7),
+    ])
+    def test_inline_profile_field_of_the_wrong_type_is_named(
+            self, tmp_path, capsys, key, value) -> None:
+        profile = dict(INLINE_PROFILE, **{key: value})
+        assert _run_with_file(tmp_path, {"profile": profile, "pid": False}) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [[1, 2], "mid_skill", 0.5, None])
+    def test_profile_file_that_is_not_an_object(self, tmp_path, capsys,
+                                                payload) -> None:
+        # A list once raised TypeError on its first field, exit 3.
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(payload))
+        assert main(RUN_OFF + ["--profile", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_a_reaction_just_below_the_longest_flight_is_accepted(self) -> None:
         profile = cli._resolve_profile(
             dict(INLINE_PROFILE, reaction_time=session._MAX_FLIGHT_SECONDS - 0.01))

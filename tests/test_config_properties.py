@@ -7,7 +7,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from per_tick_oracle import control_schedule_per_tick
+from test_control_schedule import assert_same_plan
 from virusboxing.interaction import (
     Calibration,
     TargetingMode,
@@ -18,9 +18,7 @@ from virusboxing.physiology import HEART_PRESETS
 from virusboxing.playersim import builtin_profiles, load_profile
 from virusboxing.session import (
     SessionConfig,
-    _control_schedule,
     _drain_tick_cap,
-    _plan,
     _schedule_key,
     metrics_from_log,
     replay_verify,
@@ -99,12 +97,6 @@ def test_session_invariants_hold(config: SessionConfig) -> None:
 
 @settings(max_examples=50, deadline=None)
 @given(config=session_configs())
-def test_control_schedule_matches_the_per_call_reference(
-        config: SessionConfig) -> None:
-    key = _schedule_key(config)
-    # The live schedule takes the plan's boundaries for the tick count.
-    live = _control_schedule(*key[:-1], _plan(*key).boundaries)
-    reference = control_schedule_per_tick.__wrapped__(*key)
-    assert live[1] == reference[1]
-    for i in (0, 2, 3):
-        assert live[i].tobytes() == reference[i].tobytes()
+def test_plan_matches_the_per_tick_reference(config: SessionConfig) -> None:
+    # Rows, spawn params, due ticks and world clocks, byte for byte.
+    assert_same_plan(_schedule_key(config))

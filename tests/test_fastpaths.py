@@ -175,22 +175,7 @@ class TestDetectorIdentityFastPath:
             assert hand_velocity(history) == (event.hand_speed, event.direction)
 
     @pytest.mark.parametrize("stream", [_hand_stream, _player_stream])
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"window": 0.02}, {"window": 0.2, "threshold": 0.8,
-                               "refractory": 0.1},
-    ], ids=["default", "window0.02", "custom"])
-    def test_feed_fires_as_update(self, stream, kwargs) -> None:
-        samples = stream()
-        fed, updated = JabDetector(**kwargs), JabDetector(**kwargs)
-        fired = 0
-        for s in samples:
-            events = fed.feed(s.time, s.left_hand, s.right_hand)
-            assert events == updated.update(s), s.time
-            fired += len(events)
-        assert fired
-
-    @pytest.mark.parametrize("stream", [_hand_stream, _player_stream])
-    def test_judging_the_moving_hands_fires_as_feed(self, stream) -> None:
+    def test_judging_the_moving_hands_fires_as_update(self, stream) -> None:
         # Judged from the two ends of its window, and only on the ticks
         # where the hand moved within it, a hand fires as a detector fed
         # every tick fires it.
@@ -198,7 +183,7 @@ class TestDetectorIdentityFastPath:
         fed, judged = JabDetector(), JabDetector()
         fired = 0
         for k, s in enumerate(samples):
-            want = fed.feed(s.time, s.left_hand, s.right_hand)
+            want = fed.update(s)
             horizon = s.time - VELOCITY_WINDOW - 1e-9
             j = next(j for j in range(k + 1) if samples[j].time >= horizon)
             got = []

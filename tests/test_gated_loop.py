@@ -277,7 +277,7 @@ class TestJudgedTicks:
         hand and its player's final hot marks."""
         config = SessionConfig(seed=SEED, profile=load_profile("mid_skill"))
         dt = config.dt
-        sample, feed = SyntheticPlayer.sample, JabDetector.feed
+        sample, update = SyntheticPlayer.sample, JabDetector.update
         judge = JabDetector.judge
         calls: list[tuple[int, PhaseKind]] = []
         fired: list[int] = []
@@ -290,10 +290,10 @@ class TestJudgedTicks:
             players.append(self)
             return sample(self, tick, phase_kind)
 
-        def recording_feed(self, now, left, right):
-            events = feed(self, now, left, right)
+        def recording_update(self, pose):
+            events = update(self, pose)
             if events:
-                fired.append(round(now / dt))
+                fired.append(round(pose.time / dt))
             return events
 
         def recording_judge(self, i, now, *args):
@@ -306,7 +306,7 @@ class TestJudgedTicks:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SyntheticPlayer, "sample", recording_sample)
-            patch.setattr(JabDetector, "feed", recording_feed)
+            patch.setattr(JabDetector, "update", recording_update)
             oracle = run_session_per_tick(config)
             oracle_calls, oracle_fired = calls[:], fired[:]
             calls.clear()

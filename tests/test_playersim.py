@@ -86,6 +86,35 @@ class TestProfiles:
             load_profile("nobody")
 
     @pytest.mark.parametrize("field,value", [
+        ("reaction_time", None),
+        ("reaction_time", "0.2"),
+        ("punch_speed_mean", [2.0]),
+        ("effort", True),
+        ("weave_reliability", False),
+        ("name", None),
+        ("name", 3),
+    ])
+    def test_from_dict_rejects_a_field_of_the_wrong_type(
+            self, field: str, value: object) -> None:
+        data = dict(_machine().to_dict(), **{field: value})
+        with pytest.raises(ValueError, match=repr(field)):
+            PlayerProfile.from_dict(data)
+
+    def test_from_dict_takes_json_integers(self) -> None:
+        data = dict(_machine().to_dict(), effort=1, reaction_time=0)
+        profile = PlayerProfile.from_dict(data)
+        assert profile.effort == 1.0 and type(profile.effort) is float
+        assert profile.reaction_time == 0.0
+
+    @pytest.mark.parametrize("payload", [[1, 2], "expert", None])
+    def test_a_profile_file_must_hold_an_object(self, tmp_path,
+                                                payload) -> None:
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="JSON object"):
+            load_profile(str(path))
+
+    @pytest.mark.parametrize("field,value", [
         ("reaction_time", -0.1),
         ("reaction_time", math.inf),
         ("reaction_time", math.nan),
