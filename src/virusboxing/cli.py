@@ -158,14 +158,16 @@ def _resolve_profile(ref: object) -> PlayerProfile:
         try:
             profile = PlayerProfile.from_dict(ref)
             profile.validate()
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad inline profile: {exc}") from exc
         return profile
     if isinstance(ref, str):
         try:
             return load_profile(ref)
-        except (FileNotFoundError, ValueError, KeyError) as exc:
+        except FileNotFoundError as exc:
             raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad profile {ref!r}: {exc}") from exc
     raise ConfigError(f"profile must be a name or an object, got {type(ref).__name__}")
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -138,14 +138,17 @@ class PlayerProfile:
     def from_dict(cls, data: object) -> "PlayerProfile":
         """The profile a JSON object holds.
 
-        Raises ``KeyError`` for a missing field, and ``ValueError`` naming
-        the field for a ``name`` that is not a string or a numeric field
-        that is not a JSON number (a bool is not one); or for ``data``
-        that is not an object at all.
+        Raises ``ValueError`` naming the field for a missing field, a
+        ``name`` that is not a string or a numeric field that is not a
+        JSON number (a bool is not one); or for ``data`` that is not an
+        object at all.
         """
         if not isinstance(data, dict):
             raise ValueError(
                 f"a profile must be a JSON object, got {type(data).__name__}")
+        for field in fields(cls):
+            if field.name not in data:
+                raise ValueError(f"profile field {field.name!r} is missing")
         name = data["name"]
         if not isinstance(name, str):
             raise ValueError(f"profile field 'name' must be a string, got {name!r}")
@@ -313,12 +316,6 @@ def _lerp(a: Vec3, b: Vec3, f: float) -> Vec3:
     )
 
 
-def _dist(a: Vec3, b: Vec3) -> float:
-    return math.sqrt(
-        (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-    )
-
-
 def _strike_ticks(speed: float, dt: float) -> int:
     """Ticks from strike start until the windowed speed reaches the strike
     speed's detection point, assuming a still hand beforehand."""
@@ -374,6 +371,13 @@ class _HandTrack:
     starts before the rebuild.  Every read is a bisection of a chain's
     knot times (``_point``), so reads may come in any order.  ``lead``
     is the velocity window in ticks.
+
+    A session runs ``add`` on every virus spawn, so it and ``_rebuild``
+    do their float arithmetic in place: each settles or lays in one body,
+    term for term as the plain distance, lerp and append helpers would,
+    with no call per knot.  ``tests/hand_track_reference.py`` keeps the
+    helper calls, and ``tests/test_hand_track_kernel.py`` holds the track
+    to them bit for bit.
     """
 
     def __init__(self, guard: Vec3, dt: float, hot: bytearray,
@@ -448,10 +452,24 @@ class _HandTrack:
         # before it, fewer if it preempts one of them.
         survivors = plans[passed:at]
         same = len(survivors)
-        for p in [plan, *plans[at:]]:
+        dt = self.dt
+        for p in (plan, *plans[at:]):
             keep = True
-            while survivors and self._conflicts(survivors[-1], p):
-                if p.seq > survivors[-1].seq:
+            limit = None
+            while survivors:
+                last = survivors[-1]
+                # Two strikes conflict within the refractory, or when the
+                # later one's hold window starts before the earlier strike
+                # has finished.  That preparation is p's own, so it is
+                # worked out once, when first needed.
+                spacing = (p.strike_tick - last.strike_tick) * dt
+                if spacing >= JAB_REFRACTORY - 1e-9:
+                    if limit is None:
+                        limit = (_strike_ticks(p.speed, dt) * dt
+                                 + VELOCITY_WINDOW - 1e-9)
+                    if spacing >= limit:
+                        break
+                if p.seq > last.seq:
                     survivors.pop()
                     same = min(same, len(survivors))
                 else:
@@ -462,24 +480,17 @@ class _HandTrack:
         self.plans = survivors
         self._rebuild(now_tick, same)
 
-    def _conflicts(self, first: JabPlan, second: JabPlan) -> bool:
-        spacing = (second.strike_tick - first.strike_tick) * self.dt
-        if spacing < JAB_REFRACTORY - 1e-9:
-            return True
-        # The later strike's hold window must start after the earlier
-        # strike has finished.
-        prep = _strike_ticks(second.speed, self.dt) * self.dt + VELOCITY_WINDOW
-        return spacing < prep - 1e-9
-
-    def _append(self, knots: list[tuple[float, Vec3]], t: float,
-                pos: Vec3) -> None:
-        if t > knots[-1][0] + 1e-12:
-            knots.append((t, pos))
-
     def _rebuild(self, now_tick: int, same: int) -> None:
         """Lay the chain from ``now_tick`` on through the pending plans,
         the first ``same`` of which the chain it replaces laid too, and
         mark the ticks its new strikes make hot.
+
+        The chain is laid in this one body: each distance, lerp and knot
+        append is written out on locals, in the floats and the order of
+        the plain expressions (``max(a, b)`` as ``b if b > a else a``),
+        and the knot times are kept beside the knots as they are laid.
+        A knot goes on only if it is more than 1e-12 s after the last, and
+        a point the hand holds is the one tuple on every knot it holds on.
 
         Repositioning and retracting stay below ``_HOT_SPEED``, so only a
         strike can make a tick hot.  The strikes of the first ``same``
@@ -489,65 +500,94 @@ class _HandTrack:
         rebuild tick, the chain's first segment, is still marked: it can
         round to ``_HOT_SPEED`` where the whole strike did not.
         """
-        now_t = now_tick * self.dt
-        pos_now = self.position_at(now_t)
+        sqrt = math.sqrt
+        dt = self.dt
+        now_t = now_tick * dt
+        pos_now = _point(self.knots, self.times, now_t)
         knots: list[tuple[float, Vec3]] = [(now_t, pos_now)]
-        t_free, p_free = now_t, pos_now
+        times = [now_t]
+        last_t = t_free = now_t
+        p_free = pos_now
         for n, plan in enumerate(self.plans):
-            k = _strike_ticks(plan.speed, self.dt)
-            strike_end_t = plan.strike_tick * self.dt
-            strike_start = max(t_free, strike_end_t - k * self.dt)
-            hold_start = max(t_free, strike_start - VELOCITY_WINDOW)
+            speed = plan.speed
+            ax, ay, az = plan.aim
+            fx, fy, fz = p_free
+            strike_end_t = plan.strike_tick * dt
+            start = strike_end_t - _strike_ticks(speed, dt) * dt
+            strike_start = start if start > t_free else t_free
+            start = strike_start - VELOCITY_WINDOW
+            hold_start = start if start > t_free else t_free
 
-            if plan.ranged:
-                launch = p_free
-            else:
-                d_strike = plan.speed * (strike_end_t - strike_start)
-                gap = _dist(p_free, plan.aim)
+            # The launch point lies on the way to the aim, a strike's
+            # length short of it; a ranged strike launches where it is.
+            # A hand already there, or with no time to move, stays put.
+            launch = p_free
+            if not plan.ranged:
+                d_strike = speed * (strike_end_t - strike_start)
+                gap = sqrt((fx - ax) ** 2 + (fy - ay) ** 2 + (fz - az) ** 2)
                 if gap > d_strike:
-                    launch = _lerp(p_free, plan.aim, (gap - d_strike) / gap)
-                else:
-                    launch = p_free
-            avail = hold_start - t_free
-            need = _dist(p_free, launch)
-            if need > 1e-12 and avail > 0.0:
-                duration = need / REPOSITION_SPEED
-                if duration <= avail:
-                    self._append(knots, t_free + duration, launch)
-                else:
-                    launch = _lerp(p_free, launch,
-                                   avail * REPOSITION_SPEED / need)
-                    self._append(knots, hold_start, launch)
-            else:
-                launch = p_free
-            self._append(knots, strike_start, launch)
+                    f = (gap - d_strike) / gap
+                    lx = fx + f * (ax - fx)
+                    ly = fy + f * (ay - fy)
+                    lz = fz + f * (az - fz)
+                    avail = hold_start - t_free
+                    need = sqrt((fx - lx) ** 2 + (fy - ly) ** 2
+                                + (fz - lz) ** 2)
+                    if need > 1e-12 and avail > 0.0:
+                        duration = need / REPOSITION_SPEED
+                        if duration <= avail:
+                            t = t_free + duration
+                            launch = (lx, ly, lz)
+                        else:
+                            # Cut short where the hold must start.
+                            t = hold_start
+                            f = avail * REPOSITION_SPEED / need
+                            launch = (fx + f * (lx - fx),
+                                      fy + f * (ly - fy),
+                                      fz + f * (lz - fz))
+                        if t > last_t + 1e-12:
+                            knots.append((t, launch))
+                            times.append(t)
+                            last_t = t
+            if strike_start > last_t + 1e-12:
+                knots.append((strike_start, launch))
+                times.append(strike_start)
+                last_t = strike_start
 
-            if plan.speed > 0.0 and strike_end_t > strike_start:
-                gap = _dist(launch, plan.aim)
+            if speed > 0.0 and strike_end_t > strike_start:
+                lx, ly, lz = launch
+                gap = sqrt((lx - ax) ** 2 + (ly - ay) ** 2 + (lz - az) ** 2)
                 if gap > 1e-12:
-                    direction = _lerp((0.0, 0.0, 0.0),
-                                      (plan.aim[0] - launch[0],
-                                       plan.aim[1] - launch[1],
-                                       plan.aim[2] - launch[2]), 1.0 / gap)
+                    # _lerp((0, 0, 0), aim - launch, 1 / gap): the zero
+                    # terms keep the sign of a zero component as it was.
+                    f = 1.0 / gap
+                    ux = 0.0 + f * ((ax - lx) - 0.0)
+                    uy = 0.0 + f * ((ay - ly) - 0.0)
+                    uz = 0.0 + f * ((az - lz) - 0.0)
                 else:
-                    direction = (0.0, 0.0, 1.0)
-                travel = plan.speed * (strike_end_t - strike_start)
-                end_pos = (
-                    launch[0] + travel * direction[0],
-                    launch[1] + travel * direction[1],
-                    launch[2] + travel * direction[2],
-                )
-                self._append(knots, strike_end_t, end_pos)
+                    ux, uy, uz = 0.0, 0.0, 1.0
+                travel = speed * (strike_end_t - strike_start)
+                p_free = (lx + travel * ux, ly + travel * uy, lz + travel * uz)
+                if strike_end_t > last_t + 1e-12:
+                    knots.append((strike_end_t, p_free))
+                    times.append(strike_end_t)
+                    last_t = strike_end_t
                 if n >= same or len(knots) == 2:
                     self._mark_hot(knots[-2], knots[-1])
-                t_free, p_free = strike_end_t, end_pos
+                t_free = strike_end_t
             else:
                 t_free, p_free = strike_start, launch
-        back = _dist(p_free, self.guard)
+        guard = self.guard
+        fx, fy, fz = p_free
+        back = sqrt((fx - guard[0]) ** 2 + (fy - guard[1]) ** 2
+                    + (fz - guard[2]) ** 2)
         if back > 1e-12:
-            self._append(knots, t_free + back / RETRACT_SPEED, self.guard)
+            t = t_free + back / RETRACT_SPEED
+            if t > last_t + 1e-12:
+                knots.append((t, guard))
+                times.append(t)
         self.knots = knots
-        self.times = [knot[0] for knot in knots]
+        self.times = times
 
     def _mark_hot(self, start: tuple[float, Vec3],
                   end: tuple[float, Vec3]) -> None:

@@ -532,6 +532,24 @@ class TestConfigFileValues:
         assert main(RUN_OFF + ["--profile", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_profile_file_with_a_missing_field_is_named(self, tmp_path,
+                                                         capsys) -> None:
+        # It once printed only "error: 'effort'".
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(
+            {k: v for k, v in INLINE_PROFILE.items() if k != "effort"}))
+        assert main(RUN_OFF + ["--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "profile field 'effort' is missing" in err
+        assert str(path) in err
+
+    def test_inline_profile_with_a_missing_field_is_named(self, tmp_path,
+                                                          capsys) -> None:
+        profile = {k: v for k, v in INLINE_PROFILE.items() if k != "effort"}
+        assert _run_with_file(tmp_path, {"profile": profile, "pid": False}) == 2
+        err = capsys.readouterr().err
+        assert "bad inline profile: profile field 'effort' is missing" in err
+
     def test_a_reaction_just_below_the_longest_flight_is_accepted(self) -> None:
         profile = cli._resolve_profile(
             dict(INLINE_PROFILE, reaction_time=session._MAX_FLIGHT_SECONDS - 0.01))

@@ -106,6 +106,16 @@ class TestProfiles:
         assert profile.effort == 1.0 and type(profile.effort) is float
         assert profile.reaction_time == 0.0
 
+    @pytest.mark.parametrize("field", ["name", "reaction_time", "effort",
+                                       "empower_policy"])
+    def test_from_dict_names_a_missing_field(self, field: str) -> None:
+        # It once raised a bare KeyError, whose text is only the key.
+        data = _machine().to_dict()
+        del data[field]
+        with pytest.raises(ValueError,
+                           match=f"profile field '{field}' is missing"):
+            PlayerProfile.from_dict(data)
+
     @pytest.mark.parametrize("payload", [[1, 2], "expert", None])
     def test_a_profile_file_must_hold_an_object(self, tmp_path,
                                                 payload) -> None:
