@@ -28,7 +28,12 @@ from typing import Iterable, Sequence
 
 from .interaction import TargetingMode, TargetingPolicy, TargetingRange
 from .physiology import DEFAULT_PID_GAINS, HEART_PRESETS, HeartRateParams
-from .playersim import PlayerProfile, builtin_profiles, load_profile
+from .playersim import (
+    PlayerProfile,
+    builtin_profiles,
+    load_profile,
+    read_json_object,
+)
 from .session import (
     DEFAULT_SETPOINT,
     HeaderMismatchError,
@@ -123,10 +128,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # A missing file, a directory or a file that is not UTF-8.
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
@@ -181,10 +187,9 @@ def _resolve_heart(ref: object) -> HeartRateParams:
                 f"(expected one of: {', '.join(sorted(HEART_PRESETS))})"
             ) from exc
     if isinstance(ref, dict):
-        values = {k: _number(f"heart.{k}", v) for k, v in ref.items()}
         try:
-            return HeartRateParams(**values)
-        except TypeError as exc:
+            return read_json_object(HeartRateParams, ref, "heart")
+        except ValueError as exc:
             raise ConfigError(f"bad heart parameters: {exc}") from exc
     raise ConfigError("heart must be a preset name or a parameter object")
 

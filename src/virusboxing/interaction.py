@@ -228,14 +228,13 @@ class JabDetector:
     ends of its window.  ``update`` calls it for both hands; a caller that
     can read the window's ends itself calls it directly, and only on the
     frames where the hand can reach the threshold.
+
+    The window, the threshold and the refractory are the module's
+    constants, ``VELOCITY_WINDOW``, ``JAB_SPEED_THRESHOLD`` and
+    ``JAB_REFRACTORY``: the session's hot marks assume them too.
     """
 
-    def __init__(self, window: float = VELOCITY_WINDOW,
-                 threshold: float = JAB_SPEED_THRESHOLD,
-                 refractory: float = JAB_REFRACTORY) -> None:
-        self.window = window
-        self.threshold = threshold
-        self.refractory = refractory
+    def __init__(self) -> None:
         self._history: deque[tuple[float, Vec3, Vec3]] = deque()
         # The time of the last frame fed.
         self._now: float | None = None
@@ -250,7 +249,7 @@ class JabDetector:
         newest = (now, left, right)
         history = self._history
         history.append(newest)
-        horizon = now - self.window - 1e-9
+        horizon = now - VELOCITY_WINDOW - 1e-9
         while history[0] is not newest and history[0][0] < horizon:
             history.popleft()
         oldest = history[0]
@@ -293,9 +292,8 @@ class JabDetector:
         if dist == 0.0:
             return None
         speed = self._speed[i] = dist / elapsed
-        threshold = self.threshold
-        if (speed >= threshold and below < threshold
-                and now - self._last_fire[i] >= self.refractory - 1e-9):
+        if (speed >= JAB_SPEED_THRESHOLD and below < JAB_SPEED_THRESHOLD
+                and now - self._last_fire[i] >= JAB_REFRACTORY - 1e-9):
             self._last_fire[i] = now
             return JabEvent(now, _HANDS[i], speed, end,
                             (dx / dist, dy / dist, dz / dist))

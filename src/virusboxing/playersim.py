@@ -14,15 +14,16 @@ the strike is scheduled backwards from the desired detection tick.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .interaction import (
     Calibration,
@@ -47,6 +48,7 @@ __all__ = [
     "plan_reaction",
     "load_profile",
     "builtin_profiles",
+    "read_json_object",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -103,10 +105,45 @@ class EmpowerPolicy(Enum):
     DURING_SPRINT_ONLY = "during_sprint_only"
 
 
-# The fields of a profile that hold a number.
-_NUMBER_FIELDS = ("reaction_time", "punch_speed_mean", "punch_speed_sd",
-                  "aim_error_sd", "correct_hand_prob", "weave_reliability",
-                  "effort")
+# Each dataclass's field types, its string annotations evaluated once.
+_field_types = functools.cache(get_type_hints)
+
+
+def read_json_object(cls: type, data: object, what: str):
+    """The ``cls`` dataclass a JSON object holds, read by the declared
+    type of each field: ``float`` takes a JSON number (not a bool) as a
+    float, so that ``60`` and ``60.0`` make one config and one digest,
+    ``str`` a string and an enum one of its values.  A field with a
+    default may be left out.
+
+    Raises ``ValueError`` naming the key for an unknown key, a missing
+    field with no default or a value of the wrong type, and for ``data``
+    that is not an object at all; ``what`` names the object.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a {what} must be a JSON object, got {type(data).__name__}")
+    types = _field_types(cls)
+    for key in data:
+        if key not in types:
+            raise ValueError(f"unknown {what} field {key!r}")
+    values = {}
+    for field in fields(cls):
+        name, kind = field.name, types[field.name]
+        if name not in data:
+            if field.default is MISSING:
+                raise ValueError(f"{what} field {name!r} is missing")
+            continue
+        value = data[name]
+        if kind is float and type(value) is int:
+            value = float(value)
+        elif issubclass(kind, Enum):
+            value = next((m for m in kind if m.value == value), value)
+        if type(value) is not kind:
+            raise ValueError(f"{what} field {name!r} must be of type "
+                             f"{kind.__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -122,46 +159,12 @@ class PlayerProfile:
     effort: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "reaction_time": self.reaction_time,
-            "punch_speed_mean": self.punch_speed_mean,
-            "punch_speed_sd": self.punch_speed_sd,
-            "aim_error_sd": self.aim_error_sd,
-            "correct_hand_prob": self.correct_hand_prob,
-            "weave_reliability": self.weave_reliability,
-            "empower_policy": self.empower_policy.value,
-            "effort": self.effort,
-        }
+        return dict(asdict(self), empower_policy=self.empower_policy.value)
 
     @classmethod
     def from_dict(cls, data: object) -> "PlayerProfile":
-        """The profile a JSON object holds.
-
-        Raises ``ValueError`` naming the field for a missing field, a
-        ``name`` that is not a string or a numeric field that is not a
-        JSON number (a bool is not one); or for ``data`` that is not an
-        object at all.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"a profile must be a JSON object, got {type(data).__name__}")
-        for field in fields(cls):
-            if field.name not in data:
-                raise ValueError(f"profile field {field.name!r} is missing")
-        name = data["name"]
-        if not isinstance(name, str):
-            raise ValueError(f"profile field 'name' must be a string, got {name!r}")
-        numbers = {}
-        for key in _NUMBER_FIELDS:
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"profile field {key!r} must be a number, got {value!r}")
-            numbers[key] = float(value)
-        return cls(name=name,
-                   empower_policy=EmpowerPolicy(data["empower_policy"]),
-                   **numbers)
+        """The profile a JSON object holds, read by ``read_json_object``."""
+        return read_json_object(cls, data, "profile")
 
     def validate(self) -> None:
         for label, value in (("reaction_time", self.reaction_time),

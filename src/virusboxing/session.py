@@ -105,7 +105,7 @@ import random
 import re
 from array import array
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -113,6 +113,7 @@ from .interaction import (
     Calibration,
     CellOutcome,
     HitKind,
+    JAB_REFRACTORY,
     JabDetector,
     TargetingPolicy,
     VELOCITY_WINDOW,
@@ -274,15 +275,15 @@ def _expiry_tick(until: float, dt: float, gameplay_ticks: int) -> int:
     return k + 1 if k == gameplay_ticks else k
 
 
-def _wake_tick(fired: int, dt: float, refractory: float,
-               gameplay_ticks: int) -> int:
+def _wake_tick(fired: int, dt: float, gameplay_ticks: int) -> int:
     """The first tick to judge a hand on again after it fires on tick
     ``fired``: the tick run just before the first tick ``e`` that passes
-    the detector's refractory test, ``e * dt - fired * dt >= refractory -
-    1e-9`` in its own floats.  That is ``e - 1``, or G - 1 if ``e - 1``
-    is G, which v1 skips; its speed is the one ``e`` reads as below."""
+    the detector's refractory test, ``e * dt - fired * dt >=
+    JAB_REFRACTORY - 1e-9`` in its own floats.  That is ``e - 1``, or
+    G - 1 if ``e - 1`` is G, which v1 skips; its speed is the one ``e``
+    reads as below."""
     t = fired * dt
-    limit = refractory - 1e-9
+    limit = JAB_REFRACTORY - 1e-9
     e = fired + max(1, math.ceil(limit / dt))
     while e > fired + 1 and (e - 1) * dt - t >= limit:
         e -= 1
@@ -569,34 +570,17 @@ class SessionConfig:
 
 
 def config_digest(config: SessionConfig) -> str:
-    """Hash of everything that shapes a run except the seed."""
-    payload = {
-        "version": LOG_VERSION,
-        "dt": config.dt,
-        "duration": config.duration,
-        "profile": config.profile.to_dict(),
-        "targeting": {
-            "mode": config.targeting.mode.value,
-            "range": config.targeting.range.value,
-        },
-        "heart": {
-            "hr_rest": config.heart.hr_rest,
-            "hr_max": config.heart.hr_max,
-            "tau_rise": config.heart.tau_rise,
-            "tau_decay": config.heart.tau_decay,
-        },
-        "pid": {
-            "enabled": config.pid_enabled,
-            "gains": list(config.pid_gains),
-            "setpoint": config.hr_setpoint,
-        },
-        "calibration": {
-            "standing_head_height": config.calibration.standing_head_height,
-            "squat_ratio": config.calibration.squat_ratio,
-            "lean_threshold": config.calibration.lean_threshold,
-        },
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Hash of everything that shapes a run except the seed: every other
+    field of the config, the controller's three under ``"pid"``, enums by
+    value, and the log version."""
+    payload = asdict(config)
+    del payload["seed"]
+    payload["pid"] = {"enabled": payload.pop("pid_enabled"),
+                      "gains": payload.pop("pid_gains"),
+                      "setpoint": payload.pop("hr_setpoint")}
+    payload["version"] = LOG_VERSION
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                           default=lambda member: member.value)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -742,7 +726,6 @@ def run_session(config: SessionConfig,
     left_track, right_track = player.tracks
     detector = JabDetector()
     judge = detector.judge
-    refractory = detector.refractory
 
     digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
@@ -846,14 +829,13 @@ def run_session(config: SessionConfig,
                 jab = judge(0, t, before, elapsed, start, end)
                 if jab is not None:
                     jabs.append(jab)
-                    left_wake = _wake_tick(k, dt, refractory, gameplay_ticks)
+                    left_wake = _wake_tick(k, dt, gameplay_ticks)
             if marks & RIGHT_MARK:
                 start, end = right_track.ends(j, k)
                 jab = judge(1, t, before, elapsed, start, end)
                 if jab is not None:
                     jabs.append(jab)
-                    right_wake = _wake_tick(k, dt, refractory,
-                                            gameplay_ticks)
+                    right_wake = _wake_tick(k, dt, gameplay_ticks)
             if jabs:
                 # Step the virus positions the jabs read up to this tick:
                 # the world has run k steps, one fewer in the drain.

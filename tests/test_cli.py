@@ -153,6 +153,22 @@ class TestRunErrors:
     def test_missing_config_file(self, capsys) -> None:
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_config_file_that_is_a_directory(self, tmp_path, capsys) -> None:
+        # The read's IsADirectoryError was once a runtime failure, exit 3.
+        assert main(["run", "--seed", "0", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {tmp_path}" in err
+        assert "runtime failure" not in err
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys) -> None:
+        # As was the UnicodeDecodeError of a UTF-16 file.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe" + '{"pid": false}'.encode("utf-16-le"))
+        assert main(["run", "--seed", "0", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {cfg}" in err
+        assert "runtime failure" not in err
+
     def test_nan_setpoint(self, capsys) -> None:
         assert main(["run", "--seed", "0", "--setpoint", "nan"]) == 2
         assert "hr_setpoint" in capsys.readouterr().err
@@ -477,6 +493,17 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
         assert "hr_rest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("heart, key", [
+        # Python's TypeError text once named the key only by chance.
+        ({"hr_rest": 60, "hr_max": 190, "tau_rize": 5}, "unknown heart "
+         "field 'tau_rize'"),
+        ({"hr_rest": 60}, "heart field 'hr_max' is missing"),
+    ], ids=["unknown", "missing"])
+    def test_inline_heart_with_a_bad_key_is_named(self, tmp_path, capsys,
+                                                  heart, key) -> None:
+        assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
+        assert f"bad heart parameters: {key}" in capsys.readouterr().err
+
     def test_inline_heart_with_a_negative_rest_is_a_config_error(
             self, tmp_path, capsys) -> None:
         # Accepted, it would log negative heart rates and kcal.
@@ -515,7 +542,9 @@ class TestConfigFileValues:
         ("reaction_time", None), ("punch_speed_sd", "0.1"),
         # float(True) is 1.0, and str(None) is "None": both ran (exit 0).
         ("effort", True), ("correct_hand_prob", False), ("name", None),
-        ("name", 7),
+        ("name", 7), ("empower_policy", "sometimes"),
+        # A misspelt field once ran with the field spelt right (exit 0).
+        ("reacton_time", 0.05),
     ])
     def test_inline_profile_field_of_the_wrong_type_is_named(
             self, tmp_path, capsys, key, value) -> None:
@@ -541,6 +570,16 @@ class TestConfigFileValues:
         assert main(RUN_OFF + ["--profile", str(path)]) == 2
         err = capsys.readouterr().err
         assert "profile field 'effort' is missing" in err
+        assert str(path) in err
+
+    def test_profile_file_with_an_unknown_field_is_named(self, tmp_path,
+                                                         capsys) -> None:
+        # It once ran as an ordinary mid_skill session, exit 0.
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(dict(INLINE_PROFILE, reacton_time=0.05)))
+        assert main(RUN_OFF + ["--profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown profile field 'reacton_time'" in err
         assert str(path) in err
 
     def test_inline_profile_with_a_missing_field_is_named(self, tmp_path,

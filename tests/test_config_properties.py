@@ -7,6 +7,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from digest_reference import reference_digest
 from test_control_schedule import assert_same_plan
 from virusboxing.interaction import (
     Calibration,
@@ -20,6 +21,7 @@ from virusboxing.session import (
     SessionConfig,
     _drain_tick_cap,
     _schedule_key,
+    config_digest,
     metrics_from_log,
     replay_verify,
     run_session,
@@ -100,3 +102,11 @@ def test_session_invariants_hold(config: SessionConfig) -> None:
 def test_plan_matches_the_per_tick_reference(config: SessionConfig) -> None:
     # Rows, spawn params, due ticks and world clocks, byte for byte.
     assert_same_plan(_schedule_key(config))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=session_configs())
+def test_digest_matches_the_frozen_reference(config: SessionConfig) -> None:
+    # The payload built from the config's fields is the hand-written one,
+    # byte for byte.
+    assert config_digest(config) == reference_digest(config)

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from per_tick_oracle import run_session_per_tick
+from virusboxing import interaction
 from virusboxing.interaction import (
     VELOCITY_WINDOW,
     Calibration,
@@ -138,8 +139,15 @@ def _hand_stream() -> list[PoseSample]:
             for i, (lh, rh) in enumerate(positions)]
 
 
-def _fire(samples: list[PoseSample], **kwargs: float) -> list:
-    detector = JabDetector(**kwargs)
+# The module constants a detector reads, by the name each case sets.
+_SETTINGS = {"window": "VELOCITY_WINDOW", "threshold": "JAB_SPEED_THRESHOLD",
+             "refractory": "JAB_REFRACTORY"}
+
+
+def _fire(samples: list[PoseSample], monkeypatch, **kwargs: float) -> list:
+    for key, value in kwargs.items():
+        monkeypatch.setattr(interaction, _SETTINGS[key], value)
+    detector = JabDetector()
     return [event for sample in samples for event in detector.update(sample)]
 
 
@@ -152,7 +160,8 @@ class TestDetectorIdentityFastPath:
         {"window": 0.2, "threshold": 0.8, "refractory": 0.1},
         {"window": 0.01},  # narrower than a tick: the window never fills
     ], ids=["default", "window0.06", "window0.02", "custom", "underfilled"])
-    def test_reused_and_copied_positions_fire_alike(self, stream, kwargs) -> None:
+    def test_reused_and_copied_positions_fire_alike(self, stream, kwargs,
+                                                    monkeypatch) -> None:
         samples = stream()
         copies = _copied(samples)
         reused = sum(1 for a, b in zip(samples, samples[1:])
@@ -160,8 +169,8 @@ class TestDetectorIdentityFastPath:
         assert reused > 0
         assert all(a.right_hand is not b.right_hand
                    for a, b in zip(copies, copies[1:]))
-        fast = _fire(samples, **kwargs)
-        slow = _fire(copies, **kwargs)
+        fast = _fire(samples, monkeypatch, **kwargs)
+        slow = _fire(copies, monkeypatch, **kwargs)
         assert fast == slow
         assert [(e.time, e.hand, e.hand_speed, e.direction) for e in fast] == \
             [(e.time, e.hand, e.hand_speed, e.direction) for e in slow]

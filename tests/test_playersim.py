@@ -93,6 +93,10 @@ class TestProfiles:
         ("weave_reliability", False),
         ("name", None),
         ("name", 3),
+        ("empower_policy", "sometimes"),
+        ("empower_policy", None),
+        # A misspelt field once ran with the field spelt right.
+        ("reacton_time", 0.05),
     ])
     def test_from_dict_rejects_a_field_of_the_wrong_type(
             self, field: str, value: object) -> None:

@@ -314,20 +314,29 @@ class TestConfigDigest:
         other = dataclasses.replace(base_config, seed=123)
         assert config_digest(other) == config_digest(base_config)
 
-    @pytest.mark.parametrize("field,value", [
-        ("pid_enabled", True),
-        ("hr_setpoint", 140.0),
-        ("heart", HEART_PRESETS["sedentary"]),
-        ("targeting", TargetingPolicy(TargetingMode.PRECISE,
-                                      TargetingRange.SHORT)),
-    ])
-    def test_digest_tracks_config_fields(self, base_config, field, value) -> None:
-        other = dataclasses.replace(base_config, **{field: value})
-        assert config_digest(other) != config_digest(base_config)
+    # A value other than base_config's for every field but the seed.
+    OTHER_VALUES = {
+        "profile": load_profile("expert"),
+        "targeting": TargetingPolicy(TargetingMode.PRECISE,
+                                     TargetingRange.SHORT),
+        "heart": HEART_PRESETS["sedentary"],
+        "pid_enabled": True,
+        "pid_gains": (0.06, 0.005, 0.01),
+        "hr_setpoint": 140.0,
+        "calibration": Calibration(standing_head_height=1.8),
+        "dt": 0.01,
+        "duration": 60.0,
+    }
 
-    def test_digest_tracks_profile(self, base_config) -> None:
-        other = dataclasses.replace(base_config,
-                                    profile=load_profile("expert"))
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(SessionConfig)
+        if field.name != "seed"])
+    def test_digest_tracks_config_fields(self, base_config, field) -> None:
+        # A field declared later fails here until it is given a value
+        # above, and then unless the digest tracks it.
+        value = self.OTHER_VALUES[field]
+        assert value != getattr(base_config, field)
+        other = dataclasses.replace(base_config, **{field: value})
         assert config_digest(other) != config_digest(base_config)
 
 
