@@ -328,7 +328,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     configs = [_build_config(args, file_cfg, seed) for seed in seeds]
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot make output directory {args.out}: {exc}") from exc
     summaries = []
     # Each session is written, or printed, as it finishes, and dropped
     # before the next one runs: only the summaries stay, for sweep.csv.

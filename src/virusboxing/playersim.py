@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
 from importlib import resources
@@ -200,7 +200,7 @@ def load_profile(name_or_path: str) -> PlayerProfile:
     """Load a shipped profile by name, or any profile from a JSON path."""
     candidate = resources.files(__package__) / "profiles" / f"{name_or_path}.json"
     if candidate.is_file():
-        data = json.loads(candidate.read_text())
+        data = json.loads(candidate.read_text(encoding="utf-8"))
     else:
         path = Path(name_or_path)
         if not path.is_file():
@@ -208,7 +208,7 @@ def load_profile(name_or_path: str) -> PlayerProfile:
                 f"no such profile: {name_or_path!r} "
                 f"(built-ins: {', '.join(builtin_profiles())})"
             )
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     profile = PlayerProfile.from_dict(data)
     profile.validate()
     return profile
@@ -630,17 +630,6 @@ class _HandTrack:
         _mark(self.hot, first, last + self.lead + 1, self.mark)
 
 
-@dataclass(slots=True)
-class _WeaveWindow:
-    start: int
-    end: int
-    cross_tick: int
-    pose: PoseClass
-    head: Vec3
-    entity_id: int
-    tilted: bool
-
-
 _BUTTON_A = frozenset({"A"})
 _NO_BUTTONS: frozenset[str] = frozenset()
 # Bound once: reading an enum member off its class is slow in Python 3.11,
@@ -662,15 +651,14 @@ class SyntheticPlayer:
     jab threshold.  ``horizon`` sizes ``hot`` up front; it grows past
     that when a mark reaches further.
 
-    Ticks may be sampled sparsely, in ascending order, for the weave
-    windows' sake: the head comes out as if every tick had been sampled.
-    The hands are read off their knot chains on any tick in any order,
-    and a held hand is one tuple from tick to tick.  ``tracks`` holds the
-    left and the right hand's track, in the order of their bits.  On a
-    tick its bit marks, a track's ``ends`` gives the hand's position
-    there and at the start of its velocity window, the very tuples
-    ``sample`` would have given on those ticks, for a jab detector that
-    reads nothing else.
+    Ticks may be sampled sparsely and in any order.  The head is read off
+    the weave plans held, found by their cross ticks, and the hands off
+    their knot chains; a held head or hand is one tuple from tick to tick.
+    ``tracks`` holds the left and the right hand's track, in the order of
+    their bits.  On a tick its bit marks, a track's ``ends`` gives the
+    hand's position there and at the start of its velocity window, the
+    very tuples ``sample`` would have given on those ticks, for a jab
+    detector that reads nothing else.
     """
 
     def __init__(self, profile: PlayerProfile, calibration: Calibration,
@@ -707,9 +695,11 @@ class SyntheticPlayer:
             _BUTTON_A if policy is EmpowerPolicy.ACTIVATE_IMMEDIATELY
             else _NO_BUTTONS
         )
-        self._weaves: list[_WeaveWindow] = []
-        self._active: list[_WeaveWindow] = []
-        self._wptr = 0
+        # Every weave plan injected, in cross-tick order with ties in the
+        # order they came, and beside them their cross ticks.  A plan that
+        # log v1 never shows is held as None (see inject).
+        self._weaves: list[WeavePlan | None] = []
+        self._crosses: list[int] = []
 
     def buttons(self, phase_kind: PhaseKind) -> frozenset[str]:
         """The buttons held in a phase of this kind, on every tick of it."""
@@ -728,69 +718,42 @@ class SyntheticPlayer:
         self.inject(plan, now_tick)
 
     def inject(self, plan: JabPlan | WeavePlan | None, now_tick: int) -> None:
+        """Schedule a plan drawn on tick ``now_tick``: a jab plan on its
+        hand's track, a weave plan among the weave plans held.  Neither
+        depends on which ticks were sampled before, and ticks may be
+        sampled in any order after.
+        """
         if plan is None:
             return
         if isinstance(plan, JabPlan):
             self.tracks[plan.hand is _RIGHT].add(plan, now_tick)
             return
-        window = _WeaveWindow(
-            start=plan.cross_tick - WEAVE_LEAD_TICKS,
-            end=plan.cross_tick + WEAVE_LAG_TICKS,
-            cross_tick=plan.cross_tick,
-            pose=plan.pose,
-            head=self._head_for[plan.pose],
-            entity_id=plan.entity_id,
-            tilted=plan.pose is not _SQUAT,
-        )
-        # Consume the windows due by the last tick first, as sampling
-        # every tick up to now would have: where the new window lands
-        # against the activation pointer must not depend on which ticks
-        # were sampled.
-        weaves = self._weaves
-        while self._wptr < len(weaves) and weaves[self._wptr].start < now_tick:
-            self._active.append(weaves[self._wptr])
-            self._wptr += 1
-        # A window starts after every consumed one unless its cell crosses
-        # within WEAVE_LEAD_TICKS of now; then it lands among them.
-        weaves.append(window)
-        i = len(weaves) - 1
-        while i > 0 and weaves[i - 1].start > window.start:
-            weaves[i] = weaves[i - 1]
-            i -= 1
-        weaves[i] = window
-
-    def _weave_head(self, tick: int) -> Vec3:
-        """The head position the weave windows active at ``tick`` ask for."""
-        weaves = self._weaves
-        active = self._active
-        while self._wptr < len(weaves) and weaves[self._wptr].start <= tick:
-            active.append(weaves[self._wptr])
-            self._wptr += 1
-        best: _WeaveWindow | None = None
-        best_key = None
-        kept = 0
-        for w in active:
-            if w.end < tick:
-                continue
-            active[kept] = w
-            kept += 1
-            key = (not w.tilted, abs(tick - w.cross_tick), w.entity_id)
-            if best_key is None or key < best_key:
-                best, best_key = w, key
-        del active[kept:]
-        # A tilted duck also clears flat cells, so it can stand in for a
-        # plain squat, never the other way round.
-        return self._standing if best is None else best.head
+        crosses = self._crosses
+        i = bisect_right(crosses, plan.cross_tick)
+        crosses.insert(i, plan.cross_tick)
+        # Log v1 fault (ROADMAP item 4): a window starting before now_tick
+        # and before another held window that starts before now_tick is
+        # never shown.  It is held as None all the same, for this same
+        # test on the windows drawn after it.
+        hidden = i + 1 < bisect_left(crosses, now_tick + WEAVE_LEAD_TICKS)
+        self._weaves.insert(i, None if hidden else plan)
 
     def sample(self, tick: int, phase_kind: PhaseKind) -> PoseSample:
         t = tick * self.dt
-        weaves = self._weaves
-        if not self._active and (self._wptr == len(weaves)
-                                 or weaves[self._wptr].start > tick):
-            # No weave window is active or due: the common tick.
-            head = self._standing
-        else:
-            head = self._weave_head(tick)
+        # The weave plans whose window, from WEAVE_LEAD_TICKS before the
+        # cross tick to WEAVE_LAG_TICKS after it, holds this tick.  A
+        # tilted duck also clears flat cells, so it wins over a plain
+        # squat, never the other way round; then the nearest crossing.
+        crosses = self._crosses
+        head = self._standing
+        best = None
+        for plan in self._weaves[bisect_left(crosses, tick - WEAVE_LAG_TICKS):
+                                 bisect_right(crosses, tick + WEAVE_LEAD_TICKS)]:
+            if plan is not None:
+                key = (plan.pose is _SQUAT, abs(tick - plan.cross_tick),
+                       plan.entity_id)
+                if best is None or key < best:
+                    best, head = key, self._head_for[plan.pose]
         left, right = self.tracks
         return PoseSample(t, head, left.position_at(t), right.position_at(t),
                           self.buttons(phase_kind))

@@ -485,7 +485,7 @@ class SessionConfig:
                 f"reaction_time {self.profile.reaction_time} is not below "
                 f"the longest flight, {_MAX_FLIGHT_SECONDS:.6g} s"
             )
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:  # NaN too
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt > VELOCITY_WINDOW + 1e-9:
             # The jab detector's window would never hold two samples, so
@@ -550,6 +550,10 @@ class SessionConfig:
         if not 0.0 <= calibration.lean_threshold < math.inf:
             raise ValueError(f"calibration lean_threshold must be finite and "
                              f"non-negative, got {calibration.lean_threshold}")
+        if len(self.pid_gains) != 3:
+            raise ValueError(
+                f"pid_gains must be three numbers (kp, ki, kd), got "
+                f"{self.pid_gains}")
         if not all(math.isfinite(gain) for gain in self.pid_gains):
             # A NaN output clamps to full slow-down without a word.
             raise ValueError(f"pid_gains must be finite, got {self.pid_gains}")

@@ -169,6 +169,18 @@ class TestRunErrors:
         assert f"cannot read config file {cfg}" in err
         assert "runtime failure" not in err
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_is_a_file(self, tmp_path, capsys, below) -> None:
+        # mkdir's FileExistsError, or NotADirectoryError for a path below
+        # the file, was a runtime failure, exit 3.
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / below if below else taken
+        assert main(["run", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot make output directory {out}" in err
+        assert "runtime failure" not in err
+
     def test_nan_setpoint(self, capsys) -> None:
         assert main(["run", "--seed", "0", "--setpoint", "nan"]) == 2
         assert "hr_setpoint" in capsys.readouterr().err
@@ -424,6 +436,34 @@ class TestStreamedRun:
                               capture_output=True, text=True, env=env,
                               check=True)
         assert done.stdout == "0 []\n"
+
+
+class TestTextEncoding:
+    def test_profiles_and_logs_name_their_encoding(self, tmp_path) -> None:
+        # Under -X warn_default_encoding, each text read or write that
+        # leaves its encoding to the locale warns, and -W makes that an
+        # error.  Only this subprocess runs so: the tests' own files do
+        # not all name an encoding.
+        profile = tmp_path / "tweak.json"
+        profile.write_text(json.dumps(INLINE_PROFILE), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "from virusboxing import cli, playersim\n"
+            "for name in playersim.builtin_profiles():\n"
+            "    playersim.load_profile(name)\n"
+            "playersim.load_profile(sys.argv[1])\n"
+            "out = sys.argv[2]\n"
+            "assert cli.main(['run', '--seed', '0', '--out', out]) == 0\n"
+            "assert cli.main(['verify', out + '/replay_0.jsonl']) == 0\n"
+        )
+        src = str(Path(virusboxing.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-c", code, str(profile),
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
 
 
 def _run_with_file(tmp_path, settings: dict) -> int:

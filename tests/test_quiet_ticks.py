@@ -1,13 +1,14 @@
 """The quiet-tick fast paths agree with the general computations.
 
 The session writes each log row from a fixed ``%``-format template,
-``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` decides a
-standing tick without calling out, a hand track's ``ends``
+``PoseSample`` is a named tuple, ``SyntheticPlayer.sample`` finds the
+head by bisecting the weave plans' cross ticks, a hand track's ``ends``
 gives what ``sample`` gave on both ends of a velocity window, and a
-held hand is one tuple from tick to tick.  Each is checked here against the computation
-it replaces: the generic row formatter the log used to be written with,
-the dataclass interface, and a plain scan of the weave windows beside
-the player's own ``position_at`` and a plain knot scan with ``_lerp``.
+held hand is one tuple from tick to tick.  Each is checked here against
+the computation it replaces: the generic row formatter the log used to
+be written with, the dataclass interface, and a plain scan of the weave
+plans injected beside the player's own ``position_at`` and a plain knot
+scan with ``_lerp``.
 """
 from __future__ import annotations
 
@@ -31,9 +32,12 @@ from virusboxing.interaction import (
 from virusboxing.playersim import (
     LEFT_MARK,
     RIGHT_MARK,
+    WEAVE_LAG_TICKS,
+    WEAVE_LEAD_TICKS,
     EmpowerPolicy,
     JabPlan,
     SyntheticPlayer,
+    WeavePlan,
     _HandTrack,
     _lerp,
     _point,
@@ -246,14 +250,34 @@ def _reference_position(knots, t: float):
     return _lerp(p0, p1, (t - t0) / (t1 - t0))
 
 
-def _reference_head(player: SyntheticPlayer, tick: int):
-    """The head a weave window asks for at ``tick``, by a plain scan of
-    every window: tilted ducks first, then the nearest crossing."""
-    due = [w for w in player._weaves if w.start <= tick <= w.end]
+def _recording_weaves(monkeypatch) -> dict:
+    """Wrap ``SyntheticPlayer.inject`` to record, per player, every weave
+    plan it is given, in order."""
+    weaves: dict[SyntheticPlayer, list[WeavePlan]] = {}
+    inject = SyntheticPlayer.inject
+
+    def recording_inject(self, plan, now_tick):
+        if isinstance(plan, WeavePlan):
+            weaves.setdefault(self, []).append(plan)
+        inject(self, plan, now_tick)
+
+    monkeypatch.setattr(SyntheticPlayer, "inject", recording_inject)
+    return weaves
+
+
+def _reference_head(player: SyntheticPlayer, plans: list[WeavePlan],
+                    tick: int):
+    """The head the weave plans ``plans`` ask for at ``tick``, by a plain
+    scan of every plan whose window, from ``WEAVE_LEAD_TICKS`` before its
+    cross tick to ``WEAVE_LAG_TICKS`` after, holds ``tick``: tilted ducks
+    first, then the nearest crossing."""
+    due = [p for p in plans
+           if p.cross_tick - WEAVE_LEAD_TICKS <= tick
+           <= p.cross_tick + WEAVE_LAG_TICKS]
     if not due:
         return player._head_for[PoseClass.STANDING]
-    best = min(due, key=lambda w: (not w.tilted, abs(tick - w.cross_tick),
-                                   w.entity_id))
+    best = min(due, key=lambda p: (p.pose is PoseClass.SQUAT,
+                                   abs(tick - p.cross_tick), p.entity_id))
     return player._head_for[best.pose]
 
 
@@ -268,11 +292,12 @@ class TestSampleFastPath:
                   "apart": 0}
         # Each hand's position on every tick of the per-tick loop.
         dense: dict[int, tuple] = {}
+        weaves = _recording_weaves(monkeypatch)
 
         def checked(self, tick, phase_kind):
             got = fast_sample(self, tick, phase_kind)
             t = tick * self.dt
-            head = _reference_head(self, tick)
+            head = _reference_head(self, weaves.get(self, []), tick)
             left_track, right_track = self.tracks
             left = left_track.position_at(t)
             right = right_track.position_at(t)

@@ -342,8 +342,10 @@ class TestConfigDigest:
 
 class TestValidation:
     def test_bad_dt(self, base_config) -> None:
-        with pytest.raises(ValueError):
-            dataclasses.replace(base_config, dt=0.0).validate()
+        # NaN once failed later, in round(), with a message naming no field.
+        for dt in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                dataclasses.replace(base_config, dt=dt).validate()
 
     def test_duration_off_grid(self, base_config) -> None:
         with pytest.raises(ValueError):
@@ -459,9 +461,11 @@ class TestConfigRejection:
 
     @pytest.mark.parametrize("gains", [
         (float("nan"), 0.005, 0.0), (0.06, float("inf"), 0.0),
+        # Not three long: these once failed unpacking the gains.
+        (), (0.06, 0.005), (0.06, 0.005, 0.0, 0.0),
     ])
     def test_bad_pid_gains(self, base_config, gains) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pid_gains must be"):
             dataclasses.replace(base_config, pid_gains=gains).validate()
 
     @pytest.mark.parametrize("gains", [
