@@ -178,6 +178,10 @@ _WRONG_HAND = HitResult(HitKind.WRONG_HAND)
 _NO_TARGET = HitResult(HitKind.NO_TARGET)
 # Bound once: reading a member off its class is slow in Python 3.11.
 _PRECISE = TargetingMode.PRECISE
+_DESTROYED = HitKind.DESTROYED
+# Builds a record as its class's own ``__new__`` does, without that call's
+# Python frame: ``_new(JabEvent, fields)`` is ``JabEvent(*fields)``.
+_new = tuple.__new__
 
 
 class CellOutcome(Enum):
@@ -295,8 +299,8 @@ class JabDetector:
         if (speed >= JAB_SPEED_THRESHOLD and below < JAB_SPEED_THRESHOLD
                 and now - self._last_fire[i] >= JAB_REFRACTORY - 1e-9):
             self._last_fire[i] = now
-            return JabEvent(now, _HANDS[i], speed, end,
-                            (dx / dist, dy / dist, dz / dist))
+            return _new(JabEvent, (now, _HANDS[i], speed, end,
+                                   (dx / dist, dy / dist, dz / dist)))
         return None
 
 
@@ -355,7 +359,7 @@ def resolve_jab(jab: JabEvent, world: WorldState, policy: TargetingPolicy,
         bucket.append((distance, entity.id, entity))
     if matching:
         _, _, target = min(matching, key=lambda item: (item[0], item[1]))
-        return HitResult(HitKind.DESTROYED, target)
+        return _new(HitResult, (_DESTROYED, target))
     return _WRONG_HAND if off_colour else _NO_TARGET
 
 

@@ -37,7 +37,7 @@ from .interaction import (
     VELOCITY_WINDOW,
 )
 from .protocol import PhaseKind
-from .world import Entity, EntityKind, FLIGHT_HEIGHT, arrival_time
+from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, arrival_time
 
 __all__ = [
     "EmpowerPolicy",
@@ -260,6 +260,13 @@ def _other_hand(hand: Hand) -> Hand:
     return _LEFT if hand is _RIGHT else _RIGHT
 
 
+# Builds a record as its class's own ``__new__`` does, without that call's
+# Python frame: ``_new(JabPlan, fields)`` is ``JabPlan(*fields)``.
+_new = tuple.__new__
+_log = math.log
+_NV_MAGICCONST = random.NV_MAGICCONST
+
+
 def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
                   now_tick: int, dt: float = 0.02,
                   policy: TargetingPolicy = TargetingPolicy(),
@@ -269,16 +276,37 @@ def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
 
     Draw order per virus is fixed (hand, speed, three aim axes) and per
     cell is one reliability draw, so replay streams stay aligned whatever
-    the plan turns into.
+    the plan turns into.  A virus's draws are made in place on
+    ``rng.random``: the hand is one ``random()``, and the speed and the
+    x, y and z aim errors are four normals drawn, in that order, by the
+    loop ``rng.normalvariate`` runs (Kinderman and Monahan's ratio of
+    uniforms, ACM TOMS 3, 1977), each ``mu + z * sigma``.  So they are
+    the floats ``rng.normalvariate(profile.punch_speed_mean,
+    profile.punch_speed_sd)`` and three ``rng.normalvariate(0.0,
+    profile.aim_error_sd)`` give, from the same ``random()`` calls.
     """
     now_t = now_tick * dt
-    if entity.is_virus:
-        u_hand = rng.random()
-        speed = max(0.0, rng.normalvariate(profile.punch_speed_mean,
-                                           profile.punch_speed_sd))
-        err_x = rng.normalvariate(0.0, profile.aim_error_sd)
-        err_y = rng.normalvariate(0.0, profile.aim_error_sd)
-        err_z = rng.normalvariate(0.0, profile.aim_error_sd)
+    if entity.kind in VIRUS_KINDS:
+        draw = rng.random
+        u_hand = draw()
+        normals = []
+        for _ in range(4):
+            while True:
+                u1 = draw()
+                u2 = 1.0 - draw()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            normals.append(z)
+        z_speed, z_x, z_y, z_z = normals
+        speed = max(0.0, profile.punch_speed_mean
+                    + z_speed * profile.punch_speed_sd)
+        sd = profile.aim_error_sd
+        # The mean 0.0 is added as normalvariate adds it: it turns a -0.0
+        # error into 0.0.
+        err_x = 0.0 + z_x * sd
+        err_y = 0.0 + z_y * sd
+        err_z = 0.0 + z_z * sd
         correct = HAND_FOR_VIRUS[entity.kind]
         hand = correct if u_hand < profile.correct_hand_prob else _other_hand(correct)
 
@@ -303,12 +331,13 @@ def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
             FLIGHT_HEIGHT + err_y,
             z_pred + err_z,
         )
-        return JabPlan(entity.id, hand, strike_tick, speed, aim, ranged, seq)
+        return _new(JabPlan, (entity.id, hand, strike_tick, speed, aim, ranged,
+                              seq))
 
     if rng.random() >= profile.weave_reliability:
         return None
     cross_tick = math.ceil(arrival_time(entity) / dt - 1e-9) - 1
-    return WeavePlan(entity.id, _AVOIDANCE_POSE[entity.kind], cross_tick)
+    return _new(WeavePlan, (entity.id, _AVOIDANCE_POSE[entity.kind], cross_tick))
 
 
 def _lerp(a: Vec3, b: Vec3, f: float) -> Vec3:
@@ -755,5 +784,5 @@ class SyntheticPlayer:
                 if best is None or key < best:
                     best, head = key, self._head_for[plan.pose]
         left, right = self.tracks
-        return PoseSample(t, head, left.position_at(t), right.position_at(t),
-                          self.buttons(phase_kind))
+        return _new(PoseSample, (t, head, left.position_at(t),
+                                 right.position_at(t), self.buttons(phase_kind)))

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 from .world import EntityKind
@@ -147,15 +149,17 @@ KIND_MIX: tuple[tuple[EntityKind, float], ...] = (
 )
 
 
+# The mix's running sums, added up weight by weight in its order, and its
+# kinds with the last one repeated: a uniform draw ``u`` picks the kind of
+# the first sum above it, ``_KIND_AT[bisect_right(_CUMULATIVE, u)]``, or
+# the last kind if no sum is above it.
+_CUMULATIVE = tuple(accumulate(weight for _, weight in KIND_MIX))
+_KIND_AT = tuple(kind for kind, _ in KIND_MIX) + (KIND_MIX[-1][0],)
+
+
 def sample_kind(rng: random.Random) -> EntityKind:
     """Draw an entity kind from the fixed mix using one uniform."""
-    u = rng.random()
-    cumulative = 0.0
-    for kind, weight in KIND_MIX:
-        cumulative += weight
-        if u < cumulative:
-            return kind
-    return KIND_MIX[-1][0]
+    return _KIND_AT[bisect_right(_CUMULATIVE, rng.random())]
 
 
 class SpawnEvent(NamedTuple):
@@ -170,13 +174,25 @@ class SpawnEvent(NamedTuple):
     lane_offset: float
 
 
+# Builds a record as its class's own ``__new__`` does, without that call's
+# Python frame: ``_new(SpawnEvent, fields)`` is ``SpawnEvent(*fields)``.
+_new = tuple.__new__
+
+# ``rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)`` is ``a + (b - a) *
+# rng.random()`` with these.
+_LANE_LOW = -LANE_HALF_WIDTH
+_LANE_SPAN = LANE_HALF_WIDTH - -LANE_HALF_WIDTH
+
+
 def next_spawn(rng: random.Random, now: float, params: SpawnParams) -> SpawnEvent:
     """Schedule the spawn that follows ``now`` under ``params``.
 
     Consumes exactly two draws, kind then lane, so the stream layout is
-    stable for replay.  The first spawn of a session comes from calling
-    this with now = 0.0: nothing spawns at t = 0 itself.
+    stable for replay: the lane as ``rng.uniform(-LANE_HALF_WIDTH,
+    LANE_HALF_WIDTH)`` would draw it, from ``rng.random()`` in place.
+    The first spawn of a session comes from calling this with now = 0.0:
+    nothing spawns at t = 0 itself.
     """
     kind = sample_kind(rng)
-    lane = rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)
-    return SpawnEvent(now + params.interval, kind, params.speed, lane)
+    return _new(SpawnEvent, (now + params.interval, kind, params.speed,
+                             _LANE_LOW + _LANE_SPAN * rng.random()))

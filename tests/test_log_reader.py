@@ -161,6 +161,56 @@ def test_hand_edited_whole_numbers_keep_their_type() -> None:
     assert type(metrics_from_log(lines[:1]).kcal) is int
 
 
+# --- Lines with blanks around them: stripped, then read as the template
+# rows they are.
+
+WRAPPINGS = {
+    "file lines": lambda line: line + "\n",
+    "CRLF endings": lambda line: line + "\r\n",
+    "leading blanks": lambda line: " \t" + line,
+    "trailing blanks": lambda line: line + " \t ",
+    "blanks both sides, CRLF": lambda line: "  " + line + "\t\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPINGS))
+def test_rows_with_blanks_around_read_as_bare_rows(full_log, name) -> None:
+    wrap = WRAPPINGS[name]
+    lines = [wrap(line) for line in full_log]
+    # Every wrapped row still takes the pattern once stripped.
+    assert not any(session._ROW_PATTERN.fullmatch(line) for line in lines)
+    assert repr(metrics_from_log(lines)) == repr(metrics_from_log(full_log))
+    _same(lines)
+    # With blank lines, and hand-edited rows among them.
+    edited = PERTURBATIONS["space after a colon"]
+    mixed = [wrap(edited(line)) if i % 7 == 3 else wrap(line)
+             for i, line in enumerate(full_log)]
+    for i in range(0, len(mixed), 50):
+        mixed.insert(i, wrap(""))
+    _same(mixed)
+    assert repr(metrics_from_log(mixed)) == repr(metrics_from_log(full_log))
+
+
+@pytest.mark.parametrize("lines, error", [
+    (['{"type":"phase"}\r\n', '\r\n', ' \t{"type":"hr",\r\n'],
+     (3, 16, 17)),
+    (['\t{"type":"phase","t":0.000000,"phase":"low","index":0}  \r\n',
+      '{bad \r\n'], (2, 2, 2)),
+    (['  {"type":"hr","hr":"60","kcal":0.0}\r\n'],
+     "log line 1: hr row's 'hr' is '60', not a number"),
+    (['\r\n', '[1]\r\n'], "log line 2 is not a JSON object"),
+])
+def test_errors_in_lines_with_blanks_around(lines, error) -> None:
+    # As the reader that stripped every line first raised them.
+    if isinstance(error, str):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            metrics_from_log(lines)
+        return
+    with pytest.raises(json.JSONDecodeError) as caught:
+        metrics_from_log(lines)
+    assert (caught.value.lineno, caught.value.colno, caught.value.pos) == error
+
+
 # --- Rows that cannot be counted.
 
 @pytest.mark.parametrize("lines, number, message", [

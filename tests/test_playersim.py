@@ -7,9 +7,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from virusboxing import playersim
 from virusboxing.interaction import (
     Calibration,
+    HAND_FOR_VIRUS,
     Hand,
     JabDetector,
     PoseClass,
@@ -31,7 +35,13 @@ from virusboxing.playersim import (
     plan_reaction,
 )
 from virusboxing.protocol import PhaseKind
-from virusboxing.world import EntityKind, WorldState
+from virusboxing.world import (
+    EntityKind,
+    FLIGHT_HEIGHT,
+    VIRUS_KINDS,
+    WorldState,
+    arrival_time,
+)
 
 
 DT = 0.02
@@ -405,3 +415,97 @@ class TestButtons:
                                      dt=DT, policy=LONG_RANGE)
             assert set(player.sample(0, phase).buttons) == expected
 
+
+
+# --- Each virus's draws, made in place.
+
+def _reference_plan(profile, entity, rng, *, now_tick, dt, policy,
+                    empowered_until, seq):
+    """``plan_reaction`` as it drew through ``rng.normalvariate``, kept as
+    the reference the in-place draws must match bit for bit."""
+    now_t = now_tick * dt
+    if entity.kind in VIRUS_KINDS:
+        u_hand = rng.random()
+        speed = max(0.0, rng.normalvariate(profile.punch_speed_mean,
+                                           profile.punch_speed_sd))
+        err_x = rng.normalvariate(0.0, profile.aim_error_sd)
+        err_y = rng.normalvariate(0.0, profile.aim_error_sd)
+        err_z = rng.normalvariate(0.0, profile.aim_error_sd)
+        correct = HAND_FOR_VIRUS[entity.kind]
+        hand = correct if u_hand < profile.correct_hand_prob else (
+            Hand.LEFT if correct is Hand.RIGHT else Hand.RIGHT)
+        enter = entity.spawn_time + max(
+            0.0, (entity.spawn_z - policy.range_m) / entity.speed)
+        strike_t = max(enter + profile.reaction_time, now_t + dt)
+        strike_tick = math.ceil(strike_t / dt - 1e-9)
+        ranged = (empowered_until is not None
+                  and strike_tick * dt < empowered_until)
+        if not ranged:
+            reach_t = entity.spawn_time + (
+                (entity.spawn_z - playersim.CONTACT_REACH) / entity.speed)
+            strike_t = max(reach_t, now_t + profile.reaction_time, now_t + dt)
+            strike_tick = math.ceil(strike_t / dt - 1e-9)
+        aim_time = strike_tick * dt
+        z_pred = entity.spawn_z - entity.speed * (aim_time - entity.spawn_time)
+        aim = (entity.lane_offset + err_x, FLIGHT_HEIGHT + err_y,
+               z_pred + err_z)
+        return JabPlan(entity.id, hand, strike_tick, speed, aim, ranged, seq)
+    if rng.random() >= profile.weave_reliability:
+        return None
+    cross_tick = math.ceil(arrival_time(entity) / dt - 1e-9) - 1
+    return WeavePlan(entity.id, playersim._AVOIDANCE_POSE[entity.kind],
+                     cross_tick)
+
+
+SDS = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.0, 12.0), sd=SDS,
+       aim_sd=SDS, hand_prob=st.floats(0.0, 1.0),
+       reliability=st.floats(0.0, 1.0),
+       kind=st.sampled_from(list(EntityKind)),
+       spawn_time=st.floats(0.0, 420.0), lane=st.floats(-0.5, 0.5),
+       speed=st.floats(2.85, 16.0), now_tick=st.integers(0, 21_000),
+       empowered_until=st.one_of(st.none(), st.floats(0.0, 440.0)),
+       range_=st.sampled_from(list(TargetingRange)), seq=st.integers(0, 999))
+@example(seed=0, mean=2.0, sd=0.0, aim_sd=0.0, hand_prob=0.9,
+         reliability=0.9, kind=EntityKind.RED_VIRUS, spawn_time=1.0,
+         lane=0.0, speed=5.7, now_tick=50, empowered_until=None,
+         range_=TargetingRange.LONG, seq=0)
+def test_plan_draws_as_normalvariate_draws(seed, mean, sd, aim_sd, hand_prob,
+                                           reliability, kind, spawn_time,
+                                           lane, speed, now_tick,
+                                           empowered_until, range_,
+                                           seq) -> None:
+    profile = _machine(punch_speed_mean=mean, punch_speed_sd=sd,
+                       aim_error_sd=aim_sd, correct_hand_prob=hand_prob,
+                       weave_reliability=reliability)
+    entity = _entity(kind=kind, spawn_time=spawn_time, lane=lane, speed=speed)
+    kwargs = dict(now_tick=now_tick, dt=DT,
+                  policy=TargetingPolicy(TargetingMode.ROUGH, range_),
+                  empowered_until=empowered_until, seq=seq)
+    rng, reference = random.Random(seed), random.Random(seed)
+    plan = plan_reaction(profile, entity, rng, **kwargs)
+    want = _reference_plan(profile, entity, reference, **kwargs)
+    assert repr(plan) == repr(want)  # -0.0 and 0.0 apart
+    assert type(plan) is type(want)
+    # The generator is where normalvariate leaves it.
+    assert [rng.random() for _ in range(3)] == [
+        reference.random() for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mean=st.floats(0.0, 1e6), sd=SDS)
+@example(seed=7, mean=3.0, sd=0.0)
+def test_the_speed_is_normalvariates_float(seed, mean, sd) -> None:
+    # With the mean far above the spread the clamp at 0 never acts, so
+    # the speed is the normal itself.
+    profile = _machine(punch_speed_mean=mean + 100.0, punch_speed_sd=sd)
+    rng, reference = random.Random(seed), random.Random(seed)
+    plan = plan_reaction(profile, _entity(), rng, now_tick=0)
+    reference.random()
+    assert plan.speed == reference.normalvariate(mean + 100.0, sd)
+    for _ in range(3):
+        reference.normalvariate(0.0, 0.0)
+    assert rng.random() == reference.random()

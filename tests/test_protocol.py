@@ -1,6 +1,7 @@
 """Phase timeline and spawn scheduling."""
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from virusboxing.physiology import apply_modulation
 from virusboxing.protocol import (
     KIND_MIX,
+    LANE_HALF_WIDTH,
     LOW_INTENSITY_SPAWN,
     MODULATION_MAX,
     MODULATION_MIN,
@@ -148,6 +150,51 @@ def test_kind_mix_cumulative_order() -> None:
 ])
 def test_sample_kind_bucket_edges(u: float, kind: EntityKind) -> None:
     assert sample_kind(_FixedRng(u)) is kind
+
+
+def _reference_kind(u: float) -> EntityKind:
+    """``sample_kind`` as it walked the mix, adding weight by weight."""
+    cumulative = 0.0
+    for kind, weight in KIND_MIX:
+        cumulative += weight
+        if u < cumulative:
+            return kind
+    return KIND_MIX[-1][0]
+
+
+def _cuts() -> list[float]:
+    """Each running sum of the mix, as the reference's walk sums it."""
+    cuts, cumulative = [], 0.0
+    for _, weight in KIND_MIX:
+        cumulative += weight
+        cuts.append(cumulative)
+    return cuts
+
+
+def test_the_cuts_are_the_walks_running_sums() -> None:
+    assert _cuts() == [0.35, 0.7, 0.8999999999999999, 0.95, 1.0]
+
+
+@pytest.mark.parametrize("u", sorted(
+    {0.0, 0.5, math.nextafter(1.0, 0.0)}
+    | {math.nextafter(cut, side) for cut in _cuts() for side in (0.0, 2.0)}
+    | set(_cuts())))
+def test_sample_kind_bisects_as_the_walk_picks(u: float) -> None:
+    # At each cut and one float either side of it; 1.0 and past it
+    # cannot come from random(), and take the last kind both ways.
+    assert sample_kind(_FixedRng(u)) is _reference_kind(u)
+    assert next_spawn(_FixedRng(u, 0.5), 0.0,
+                      LOW_INTENSITY_SPAWN).kind is _reference_kind(u)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_next_spawn_draws_as_sample_kind_and_uniform(seed: int) -> None:
+    rng, reference = random.Random(seed), random.Random(seed)
+    event = next_spawn(rng, 1.0, SPRINT_SPAWN)
+    assert event.kind is _reference_kind(reference.random())
+    assert event.lane_offset == reference.uniform(-LANE_HALF_WIDTH,
+                                                  LANE_HALF_WIDTH)
+    assert rng.random() == reference.random()
 
 
 def test_next_spawn_consumes_kind_then_lane() -> None:

@@ -9,21 +9,30 @@ from __future__ import annotations
 
 import pytest
 
+from virusboxing import playersim, session
 from virusboxing.interaction import (
     CellOutcome,
     Hand,
     HitKind,
     HitResult,
+    JabDetector,
     JabEvent,
     PoseClass,
+    PoseSample,
     TargetingMode,
     TargetingPolicy,
     TargetingRange,
     resolve_jab,
 )
-from virusboxing.playersim import JabPlan, WeavePlan
+from virusboxing.playersim import (
+    JabPlan,
+    SyntheticPlayer,
+    WeavePlan,
+    builtin_profiles,
+    load_profile,
+)
 from virusboxing.protocol import PhaseKind, SpawnEvent
-from virusboxing.session import TraceRow
+from virusboxing.session import SessionConfig, TraceRow, run_session
 from virusboxing.world import EntityKind, EntityStatus, WorldState
 
 # Each record with its fields in order, its defaults and one instance.
@@ -77,6 +86,43 @@ def test_the_results_without_a_target_are_shared() -> None:
     none = resolve_jab(far, world, policy)
     assert none == HitResult(HitKind.NO_TARGET)
     assert resolve_jab(far, world, policy) is none
+
+
+@pytest.mark.parametrize("name", builtin_profiles())
+def test_the_session_builds_each_record_as_its_class_does(monkeypatch,
+                                                          name) -> None:
+    # Every site on the session path that builds a record through
+    # ``tuple.__new__``, recorded through a wrapper over one short session.
+    built = []
+
+    def recorded(function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            built.append(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(session, "next_spawn", recorded(session.next_spawn))
+    monkeypatch.setattr(session, "resolve_jab", recorded(session.resolve_jab))
+    monkeypatch.setattr(playersim, "plan_reaction",
+                        recorded(playersim.plan_reaction))
+    monkeypatch.setattr(SyntheticPlayer, "sample",
+                        recorded(SyntheticPlayer.sample))
+    monkeypatch.setattr(JabDetector, "judge", recorded(JabDetector.judge))
+    result = run_session(SessionConfig(seed=2, profile=load_profile(name),
+                                       duration=60.0))
+    built += result.trace
+    records = [record for record in built if record is not None]
+    seen = {type(record) for record in records}
+    assert seen == {SpawnEvent, JabPlan, WeavePlan, PoseSample, JabEvent,
+                    HitResult, TraceRow}
+    destroyed = [r for r in records if type(r) is HitResult
+                 and r.kind is HitKind.DESTROYED]
+    assert destroyed
+    for record in records:
+        cls = type(record)
+        assert len(record) == len(cls._fields)
+        assert record == cls(**dict(zip(cls._fields, record)))
 
 
 @pytest.mark.parametrize("enum", [

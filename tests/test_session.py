@@ -463,10 +463,23 @@ class TestConfigRejection:
         (float("nan"), 0.005, 0.0), (0.06, float("inf"), 0.0),
         # Not three long: these once failed unpacking the gains.
         (), (0.06, 0.005), (0.06, 0.005, 0.0, 0.0),
+        # Not three numbers: these once raised TypeError.
+        None, 5, ("a", 0.0, 0.0), (0.06, None, 0.0), "abc",
+        {0.06: 0, 0.005: 0, 0.0: 0},
+        # A bool gain runs as 1 or 0 under a digest that writes true or
+        # false.
+        (True, 0.0, 0.0), (0.06, 0.005, False),
+        # An int past the float range once raised OverflowError.
+        (10**400, 0.0, 0.0),
     ])
     def test_bad_pid_gains(self, base_config, gains) -> None:
         with pytest.raises(ValueError, match="pid_gains must be"):
             dataclasses.replace(base_config, pid_gains=gains).validate()
+
+    @pytest.mark.parametrize("gains", [[0.06, 0.005, 0.0], (1, 0, 0)])
+    def test_int_and_list_gains_are_accepted(self, base_config,
+                                             gains) -> None:
+        dataclasses.replace(base_config, pid_gains=gains).validate()
 
     @pytest.mark.parametrize("gains", [
         (1e308, 0.0, -1e308), (-1e307, 0.0, 0.0), (0.06, 0.005, 1e306),
