@@ -33,6 +33,7 @@ from .playersim import (
     builtin_profiles,
     load_profile,
     read_json_object,
+    read_number,
 )
 from .session import (
     DEFAULT_SETPOINT,
@@ -128,11 +129,11 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         # A missing file, a directory or a file that is not UTF-8.
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # an integer past json's digit limit too
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
@@ -143,13 +144,6 @@ def _load_config_file(path: str | None) -> dict:
             f"(expected: {', '.join(CONFIG_KEYS)})"
         )
     return data
-
-
-def _number(key: str, value: object) -> float:
-    """A config-file value that must be a JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
 
 
 def _file_seed(file_cfg: dict) -> int:
@@ -241,23 +235,26 @@ def _build_config(args: argparse.Namespace, file_cfg: dict,
                 f"config key 'pid' must be true or false, got {pid_enabled!r}"
             )
     setpoint = args.setpoint
-    if setpoint is None:
-        setpoint = _number("setpoint",
-                           file_cfg.get("setpoint", DEFAULT_SETPOINT))
     gains = file_cfg.get("pid_gains", DEFAULT_PID_GAINS)
     if not (isinstance(gains, (list, tuple)) and len(gains) == 3):
         raise ConfigError("pid_gains must be a list of three numbers")
 
-    config = SessionConfig(
-        seed=seed,
-        profile=profile,
-        targeting=targeting,
-        heart=heart,
-        pid_enabled=pid_enabled,
-        pid_gains=tuple(_number("pid_gains", g) for g in gains),
-        hr_setpoint=setpoint,
-    )
+    # A file's value that is no number, or a number outside its field's
+    # interval, is a configuration error naming it.
     try:
+        if setpoint is None:
+            setpoint = read_number(file_cfg.get("setpoint", DEFAULT_SETPOINT),
+                                   "config key 'setpoint'")
+        config = SessionConfig(
+            seed=seed,
+            profile=profile,
+            targeting=targeting,
+            heart=heart,
+            pid_enabled=pid_enabled,
+            pid_gains=tuple(read_number(gain, "config key 'pid_gains'")
+                            for gain in gains),
+            hr_setpoint=setpoint,
+        )
         config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -92,11 +92,16 @@ class PoseSample(NamedTuple):
 
 @dataclass(frozen=True)
 class Calibration:
-    """Per-player reference captured standing upright at session start."""
+    """Per-player reference captured standing upright at session start.
+    Outside the interval each field's metadata declares, NaN and the
+    infinities included, the poses the player holds classify as other
+    poses, so the cells' outcomes mean nothing."""
 
-    standing_head_height: float = 1.70
-    squat_ratio: float = 0.75
-    lean_threshold: float = 0.20
+    standing_head_height: float = field(default=1.70,
+                                        metadata={"interval": "(0, inf)"})
+    squat_ratio: float = field(default=0.75, metadata={"interval": "(0, 1)"})
+    lean_threshold: float = field(default=0.20,
+                                  metadata={"interval": "[0, inf)"})
 
 
 class PoseClass(Enum):

@@ -15,7 +15,7 @@ be made there too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .protocol import PhaseKind
 
@@ -44,10 +44,14 @@ KCAL_PER_BPM_SECOND = 44.0 / (126.0 * 420.0)
 
 @dataclass(frozen=True)
 class HeartRateParams:
-    hr_rest: float
-    hr_max: float
-    tau_rise: float = 30.0
-    tau_decay: float = 60.0
+    """A heart model: resting and maximum rate in bpm, and the time
+    constants in seconds.  Each field's ``"interval"`` metadata bounds it,
+    checked by ``SessionConfig.validate``."""
+
+    hr_rest: float = field(metadata={"interval": "(0, inf)"})
+    hr_max: float = field(metadata={"interval": "(0, inf)"})
+    tau_rise: float = field(default=30.0, metadata={"interval": "(0, inf)"})
+    tau_decay: float = field(default=60.0, metadata={"interval": "(0, inf)"})
 
 
 HEART_PRESETS = {

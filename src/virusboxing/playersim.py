@@ -19,7 +19,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -37,7 +37,8 @@ from .interaction import (
     VELOCITY_WINDOW,
 )
 from .protocol import PhaseKind
-from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, arrival_time
+from .world import (CREATOR_DISTANCE, Entity, EntityKind, FLIGHT_HEIGHT,
+                    VIRUS_KINDS, arrival_time)
 
 __all__ = [
     "EmpowerPolicy",
@@ -49,6 +50,9 @@ __all__ = [
     "load_profile",
     "builtin_profiles",
     "read_json_object",
+    "read_number",
+    "declared_intervals",
+    "check_bounds",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -109,12 +113,23 @@ class EmpowerPolicy(Enum):
 _field_types = functools.cache(get_type_hints)
 
 
+def read_number(value: object, name: str) -> float:
+    """``value`` as a float: it must be a number, not a bool, within the
+    float range.  Raises ``ValueError`` naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
 def read_json_object(cls: type, data: object, what: str):
     """The ``cls`` dataclass a JSON object holds, read by the declared
-    type of each field: ``float`` takes a JSON number (not a bool) as a
-    float, so that ``60`` and ``60.0`` make one config and one digest,
-    ``str`` a string and an enum one of its values.  A field with a
-    default may be left out.
+    type of each field: ``float`` takes a JSON number (not a bool) within
+    the float range as a float, through ``read_number``, so that ``60``
+    and ``60.0`` make one config and one digest, ``str`` a string and an
+    enum one of its values.  A field with a default may be left out.
 
     Raises ``ValueError`` naming the key for an unknown key, a missing
     field with no default or a value of the wrong type, and for ``data``
@@ -128,15 +143,15 @@ def read_json_object(cls: type, data: object, what: str):
         if key not in types:
             raise ValueError(f"unknown {what} field {key!r}")
     values = {}
-    for field in fields(cls):
-        name, kind = field.name, types[field.name]
+    for spec in fields(cls):
+        name, kind = spec.name, types[spec.name]
         if name not in data:
-            if field.default is MISSING:
+            if spec.default is MISSING:
                 raise ValueError(f"{what} field {name!r} is missing")
             continue
         value = data[name]
-        if kind is float and type(value) is int:
-            value = float(value)
+        if kind is float:
+            value = read_number(value, f"{what} field {name!r}")
         elif issubclass(kind, Enum):
             value = next((m for m in kind if m.value == value), value)
         if type(value) is not kind:
@@ -146,17 +161,60 @@ def read_json_object(cls: type, data: object, what: str):
     return cls(**values)
 
 
+@functools.cache
+def declared_intervals(cls: type) -> dict[str, tuple[str, float, float]]:
+    """Each field of the ``cls`` dataclass that declares an interval in
+    its ``"interval"`` metadata, by name: the interval as declared, such
+    as ``"(0, 1]"``, and its low and high ends."""
+    return {spec.name: (text, *map(float, text[1:-1].split(",")))
+            for spec in fields(cls)
+            if (text := spec.metadata.get("interval")) is not None}
+
+
+def check_bounds(obj, what: str = "") -> None:
+    """Hold each field of the ``obj`` dataclass to the interval it
+    declares (``declared_intervals``), and each field that holds a
+    dataclass to its own, the field's name as a prefix (``heart
+    hr_rest``).  A bounded value must be a number that ``read_number``
+    reads, so an integer past the float range fails; NaN lies in no
+    interval, and every end at ``inf`` is open.
+
+    Raises ``ValueError`` naming the first field that does not hold,
+    after ``what``.
+    """
+    intervals = declared_intervals(type(obj))
+    for spec in fields(obj):
+        value = getattr(obj, spec.name)
+        if hasattr(value, "__dataclass_fields__"):
+            check_bounds(value, f"{what}{spec.name} ")
+        elif spec.name in intervals:
+            interval, low, high = intervals[spec.name]
+            number = read_number(value, what + spec.name)
+            if not ((low <= number if interval[0] == "[" else low < number)
+                    and (number <= high if interval[-1] == "]"
+                         else number < high)):
+                raise ValueError(f"{what}{spec.name} must lie in {interval}, "
+                                 f"got {number}")
+
+
 @dataclass(frozen=True)
 class PlayerProfile:
+    """A player's skill.  Each number's ``"interval"`` metadata bounds it,
+    checked by ``validate``."""
+
     name: str
-    reaction_time: float
-    punch_speed_mean: float
-    punch_speed_sd: float
-    aim_error_sd: float
-    correct_hand_prob: float
-    weave_reliability: float
+    reaction_time: float = field(metadata={"interval": "[0, inf)"})
+    punch_speed_mean: float = field(metadata={"interval": "[0, inf)"})
+    punch_speed_sd: float = field(metadata={"interval": "[0, inf)"})
+    # An aim error past the corridor's length models no player aiming
+    # down it (the shipped profiles use 0.03-0.25), and from about 1e154
+    # a jab plan's squared distances overflow.
+    aim_error_sd: float = field(
+        metadata={"interval": f"[0, {CREATOR_DISTANCE:g}]"})
+    correct_hand_prob: float = field(metadata={"interval": "[0, 1]"})
+    weave_reliability: float = field(metadata={"interval": "[0, 1]"})
     empower_policy: EmpowerPolicy
-    effort: float
+    effort: float = field(metadata={"interval": "(0, 1]"})
 
     def to_dict(self) -> dict:
         return dict(asdict(self), empower_policy=self.empower_policy.value)
@@ -167,26 +225,7 @@ class PlayerProfile:
         return read_json_object(cls, data, "profile")
 
     def validate(self) -> None:
-        for label, value in (("reaction_time", self.reaction_time),
-                             ("punch_speed_mean", self.punch_speed_mean),
-                             ("punch_speed_sd", self.punch_speed_sd),
-                             ("aim_error_sd", self.aim_error_sd)):
-            if not math.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value}")
-        if self.reaction_time < 0:
-            raise ValueError(f"reaction_time must be >= 0, got {self.reaction_time}")
-        if self.punch_speed_mean < 0 or self.punch_speed_sd < 0:
-            raise ValueError("punch speed mean and sd must be >= 0")
-        if self.aim_error_sd < 0:
-            raise ValueError(f"aim_error_sd must be >= 0, got {self.aim_error_sd}")
-        for label, p in (
-            ("correct_hand_prob", self.correct_hand_prob),
-            ("weave_reliability", self.weave_reliability),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {p}")
-        if not 0.0 < self.effort <= 1.0:
-            raise ValueError(f"effort must lie in (0, 1], got {self.effort}")
+        check_bounds(self)
 
 
 def builtin_profiles() -> list[str]:
@@ -353,8 +392,12 @@ def _strike_ticks(speed: float, dt: float) -> int:
     speed's detection point, assuming a still hand beforehand."""
     if speed <= 0.0:
         return 1
-    return min(math.ceil(_MAX_STRIKE_SECONDS / dt - 1e-9),
-               math.ceil(VELOCITY_WINDOW / (dt * speed) - 1e-9))
+    cap = math.ceil(_MAX_STRIKE_SECONDS / dt - 1e-9)
+    # A speed so slow that a tick's step underflows to 0, or the ticks
+    # overflow, strikes at the cap too.
+    step = dt * speed
+    ticks = VELOCITY_WINDOW / step - 1e-9 if step else math.inf
+    return cap if ticks >= cap else math.ceil(ticks)
 
 
 def _point(knots: list[tuple[float, Vec3]], times: list[float],

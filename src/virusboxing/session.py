@@ -110,7 +110,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from . import protocol
+from . import playersim, protocol
 from .interaction import (
     Calibration,
     CellOutcome,
@@ -468,12 +468,20 @@ class SessionConfig:
     heart: HeartRateParams = HEART_PRESETS["regular"]
     pid_enabled: bool = True
     pid_gains: tuple[float, float, float] = DEFAULT_PID_GAINS
-    hr_setpoint: float = DEFAULT_SETPOINT
+    hr_setpoint: float = dataclasses.field(default=DEFAULT_SETPOINT,
+                                           metadata={"interval": "(0, inf)"})
     calibration: Calibration = Calibration()
     dt: float = 0.02
-    duration: float = SESSION_DURATION
+    # The protocol has no phase after its end to spawn from.
+    duration: float = dataclasses.field(default=SESSION_DURATION, metadata={
+        "interval": f"(0, {SESSION_DURATION:g}]"})
 
     def validate(self) -> None:
+        """Hold every field to the interval it declares, the profile's,
+        heart's and calibration's included (``playersim.check_bounds``),
+        then check the rules that relate a field to another or to a
+        constant.  Raises ``ValueError`` naming the first field that
+        fails."""
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             # The header writes the seed with %d: seed 1.5 would run on
             # random.Random(1.5) under the header of seed 1.
@@ -482,7 +490,7 @@ class SessionConfig:
             # random.Random seeds by absolute value: seed -3 would replay
             # seed 3 under another header.
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self.profile.validate()
+        playersim.check_bounds(self)
         if self.profile.reaction_time >= _MAX_FLIGHT_SECONDS:
             # Every virus would cross before the player could strike it.
             raise ValueError(
@@ -498,11 +506,6 @@ class SessionConfig:
                 f"dt {self.dt} is longer than the {VELOCITY_WINDOW} s jab "
                 f"velocity window"
             )
-        if not 0.0 < self.duration <= SESSION_DURATION:
-            # The protocol has no phase after its end to spawn from.
-            raise ValueError(
-                f"duration must lie in (0, {SESSION_DURATION}], got {self.duration}"
-            )
         ticks = self.duration / self.dt
         if abs(ticks - round(ticks)) > 1e-9:
             raise ValueError(
@@ -516,44 +519,16 @@ class SessionConfig:
                 f"duration {self.duration} is shorter than one {self.dt} s step"
             )
         heart = self.heart
-        for label, value in (("hr_rest", heart.hr_rest), ("hr_max", heart.hr_max),
-                             ("tau_rise", heart.tau_rise),
-                             ("tau_decay", heart.tau_decay)):
-            if not math.isfinite(value):
-                raise ValueError(f"heart {label} must be finite, got {value}")
-        if heart.tau_rise <= 0.0 or heart.tau_decay <= 0.0:
-            raise ValueError(
-                f"heart time constants must be positive, got tau_rise "
-                f"{heart.tau_rise} and tau_decay {heart.tau_decay}"
-            )
-        # Which also keeps the heart-rate range, hr_max - hr_rest, finite.
+        # The heart-rate range, hr_max - hr_rest, must be positive.
         if not 0.0 < heart.hr_rest < heart.hr_max:
             raise ValueError(
                 f"hr_rest must lie in (0, hr_max), got {heart.hr_rest} "
                 f"with hr_max {heart.hr_max}"
             )
-        if not math.isfinite(self.hr_setpoint) or self.hr_setpoint <= 0.0:
-            raise ValueError(
-                f"hr_setpoint must be positive and finite, got {self.hr_setpoint}"
-            )
         if self.hr_setpoint > heart.hr_max:
             raise ValueError(
                 f"hr_setpoint {self.hr_setpoint} is above hr_max {heart.hr_max}"
             )
-        # Outside these bounds, NaN and the infinities included, the poses
-        # the player holds classify as other poses, so the cells' outcomes
-        # mean nothing.
-        calibration = self.calibration
-        for label, value, high in (
-                ("standing_head_height", calibration.standing_head_height,
-                 math.inf),
-                ("squat_ratio", calibration.squat_ratio, 1.0)):
-            if not 0.0 < value < high:
-                raise ValueError(f"calibration {label} must lie in "
-                                 f"(0, {high}), got {value}")
-        if not 0.0 <= calibration.lean_threshold < math.inf:
-            raise ValueError(f"calibration lean_threshold must be finite and "
-                             f"non-negative, got {calibration.lean_threshold}")
         gains = self.pid_gains
         # A bool gain would run as 1 or 0 under a digest that writes true
         # or false.
@@ -589,26 +564,29 @@ class SessionConfig:
 def _fields_payload(obj) -> dict:
     """``dataclasses.asdict(obj)`` as ``json.dumps`` writes it, with no
     copies: each field's value by name, a dataclass as a dict of its own
-    fields, and any other value as it stands."""
+    fields, a ``float`` field's value as a float, so that ``150`` and
+    ``150.0`` write alike, and any other value as it stands."""
     payload = {}
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         # What ``is_dataclass`` tests, read off the value: enum classes
         # answer a missing class attribute slowly.
-        payload[field.name] = (_fields_payload(value)
-                               if hasattr(value, "__dataclass_fields__")
-                               else value)
+        if hasattr(value, "__dataclass_fields__"):
+            value = _fields_payload(value)
+        elif field.type == "float":  # every module postpones annotations
+            value = float(value)
+        payload[field.name] = value
     return payload
 
 
 def config_digest(config: SessionConfig) -> str:
     """Hash of everything that shapes a run except the seed: every other
-    field of the config, the controller's three under ``"pid"``, enums by
-    value, and the log version."""
+    field of the config, the controller's three under ``"pid"`` with each
+    gain as a float, enums by value, and the log version."""
     payload = _fields_payload(config)
     del payload["seed"]
-    payload["pid"] = {"enabled": payload.pop("pid_enabled"),
-                      "gains": payload.pop("pid_gains"),
+    gains = [float(gain) for gain in payload.pop("pid_gains")]
+    payload["pid"] = {"enabled": payload.pop("pid_enabled"), "gains": gains,
                       "setpoint": payload.pop("hr_setpoint")}
     payload["version"] = LOG_VERSION
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
@@ -1131,8 +1109,9 @@ def replay_verify(source: str | Path | Iterable[str],
     """Re-run the session for ``config`` and compare against a saved log.
 
     Raises HeaderMismatchError when the log does not even claim to come
-    from this seed and configuration; otherwise reports the first
-    diverging line, if any.
+    from this seed and configuration, and ValueError for a config that
+    ``validate`` rejects; otherwise reports the first diverging line, if
+    any.
     """
     try:
         recorded = _load_lines(source)
@@ -1154,6 +1133,7 @@ def replay_verify(source: str | Path | Iterable[str],
         raise HeaderMismatchError(
             f"log seed {header.get('seed')}, expected {config.seed}"
         )
+    config.validate()  # before its digest reads each number as a float
     expected_digest = config_digest(config)
     if header.get("config") != expected_digest:
         raise HeaderMismatchError(

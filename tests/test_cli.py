@@ -194,7 +194,7 @@ class TestRunErrors:
             "hr_rest": 60, "hr_max": 190, "tau_rise": 0, "tau_decay": 60,
         }}))
         assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
-        assert "time constants" in capsys.readouterr().err
+        assert "heart tau_rise must lie in (0, inf)" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -496,6 +496,10 @@ class TestConfigFileValues:
         ("setpoint", "high"), ("setpoint", True), ("setpoint", None),
         ("pid_gains", [0.06, "x", 0.0]), ("pid_gains", [0.06, 0.005, None]),
         ("seed", "zero"), ("seed", 1.5), ("seed", False),
+        # Past the float range: float() once raised OverflowError, a
+        # runtime failure (exit 3).
+        pytest.param("setpoint", 10**400, id="setpoint-10**400"),
+        ("pid_gains", [10**400, 0.0, 0.0]),
     ])
     def test_non_numeric_value_is_named(self, tmp_path, capsys, key,
                                         value) -> None:
@@ -525,7 +529,8 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {key: value}) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [True, "60", None, [60]])
+    @pytest.mark.parametrize("value", [
+        True, "60", None, [60], pytest.param(10**400, id="10**400")])
     def test_inline_heart_values_must_be_numbers(self, tmp_path, capsys,
                                                  value) -> None:
         # float(True) is 1.0: read loosely, it would mean a 1 bpm resting rate.
@@ -565,17 +570,30 @@ class TestConfigFileValues:
         ("reaction_time", math.inf), ("reaction_time", math.nan),
         ("punch_speed_mean", math.inf), ("punch_speed_sd", math.nan),
         ("aim_error_sd", math.inf),
+        # Past the float range: float() once raised OverflowError.
+        pytest.param("reaction_time", 10**400, id="reaction_time-10**400"),
         # Negative, and checked inside the config error handling.
         ("reaction_time", -1.0),
         # At or past the longest flight no virus can be struck, and the
         # player's hot marks would grow with the reaction time.
         ("reaction_time", session._MAX_FLIGHT_SECONDS), ("reaction_time", 1e4),
+        # Past the corridor's 15 m; from 1e154 run_session once raised
+        # OverflowError.
+        ("aim_error_sd", 1e200),
     ])
     def test_inline_profile_that_cannot_run_is_a_config_error(
             self, tmp_path, capsys, key, value) -> None:
         profile = dict(INLINE_PROFILE, **{key: value})
         assert _run_with_file(tmp_path, {"profile": profile, "pid": False}) == 2
         assert key in capsys.readouterr().err
+
+    def test_an_integer_past_the_json_digit_limit_is_a_config_error(
+            self, tmp_path, capsys) -> None:
+        # json.loads raises a ValueError that is no JSONDecodeError.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"setpoint": ' + "1" * 5000 + "}")
+        assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         # float(None) raised TypeError, a runtime failure (exit 3).

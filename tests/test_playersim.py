@@ -147,6 +147,12 @@ class TestProfiles:
         ("punch_speed_sd", math.nan),
         ("aim_error_sd", math.inf),
         ("aim_error_sd", -0.01),
+        # Past the corridor's 15 m: from 1e154 run_session once raised
+        # OverflowError.
+        ("aim_error_sd", math.nextafter(15.0, 16.0)),
+        ("aim_error_sd", 1e154),
+        # Past the float range: math.isfinite once raised OverflowError.
+        pytest.param("reaction_time", 10**400, id="reaction_time-10**400"),
         ("correct_hand_prob", 1.5),
         ("weave_reliability", -0.2),
         ("effort", 0.0),

@@ -328,6 +328,17 @@ class TestConfigDigest:
         "duration": 60.0,
     }
 
+    @pytest.mark.parametrize("ints, floats", [
+        ({"pid_gains": (1, 0, 0)}, {"pid_gains": (1.0, 0.0, 0.0)}),
+        ({"hr_setpoint": 150}, {"hr_setpoint": 150.0}),
+        ({"duration": 60}, {"duration": 60.0}),
+    ])
+    def test_an_int_and_its_float_share_a_digest(self, base_config, ints,
+                                                 floats) -> None:
+        # Both configs run alike, so they are one config.
+        assert (config_digest(dataclasses.replace(base_config, **ints))
+                == config_digest(dataclasses.replace(base_config, **floats)))
+
     @pytest.mark.parametrize("field", [
         field.name for field in dataclasses.fields(SessionConfig)
         if field.name != "seed"])
@@ -411,6 +422,13 @@ class TestReplayVerify:
         with pytest.raises(HeaderMismatchError):
             replay_verify(result.lines, other)
 
+    def test_config_that_cannot_run_is_rejected_by_name(self, base_config,
+                                                        result) -> None:
+        # It once failed as a header mismatch, naming no field.
+        other = dataclasses.replace(base_config, hr_setpoint=10**400)
+        with pytest.raises(ValueError, match="hr_setpoint"):
+            replay_verify(result.lines, other)
+
     def test_empty_log_rejected(self, base_config) -> None:
         with pytest.raises(HeaderMismatchError):
             replay_verify([], base_config)
@@ -440,6 +458,9 @@ class TestConfigRejection:
         ("tau_rise", 0.0), ("tau_decay", 0.0), ("tau_rise", -5.0),
         ("tau_decay", float("nan")), ("hr_max", float("inf")),
         ("hr_rest", -50.0), ("hr_rest", 0.0),
+        # Past the float range: math.isfinite once raised OverflowError.
+        pytest.param("hr_rest", 10**400, id="hr_rest-10**400"),
+        pytest.param("tau_rise", 10**400, id="tau_rise-10**400"),
     ])
     def test_bad_heart(self, base_config, field, value) -> None:
         heart = dataclasses.replace(base_config.heart, **{field: value})
@@ -454,6 +475,7 @@ class TestConfigRejection:
 
     @pytest.mark.parametrize("setpoint", [
         float("nan"), float("inf"), -float("inf"), 190.5,
+        pytest.param(10**400, id="10**400"),
     ])
     def test_bad_setpoint(self, base_config, setpoint) -> None:
         with pytest.raises(ValueError):
@@ -584,8 +606,11 @@ class TestFineSteps:
 
     @pytest.mark.parametrize("dt", [0.001, 0.002, 0.02])
     def test_slow_strike_cap_is_half_a_second(self, dt) -> None:
-        # The cap binds only for a strike slower than 0.2 m/s.
-        assert _strike_ticks(0.01, dt) == round(0.5 / dt)
+        # The cap binds only for a strike slower than 0.2 m/s.  Slower
+        # still, a strike's ticks once overflowed, or its step underflowed
+        # to 0 and was divided by.
+        for speed in (0.01, 1e-310, 5e-324):
+            assert _strike_ticks(speed, dt) == round(0.5 / dt)
         assert _strike_ticks(2.0, dt) == math.ceil(0.05 / dt - 1e-9)
 
     def test_miss_rate_does_not_depend_on_dt(self) -> None:
