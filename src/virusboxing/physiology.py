@@ -48,8 +48,12 @@ class HeartRateParams:
     constants in seconds.  Each field's ``"interval"`` metadata bounds it,
     checked by ``SessionConfig.validate``."""
 
-    hr_rest: float = field(metadata={"interval": "(0, inf)"})
-    hr_max: float = field(metadata={"interval": "(0, inf)"})
+    # No human heart beats 300 times a minute, and any end below about
+    # 4e305 keeps the sum of a session's 421 ``hr`` rows, which its
+    # ``avg_hr`` divides, finite.  One end for both rates, so that any
+    # two rates in it, sorted, are a valid rest and max.
+    hr_rest: float = field(metadata={"interval": "(0, 300]"})
+    hr_max: float = field(metadata={"interval": "(0, 300]"})
     tau_rise: float = field(default=30.0, metadata={"interval": "(0, inf)"})
     tau_decay: float = field(default=60.0, metadata={"interval": "(0, inf)"})
 

@@ -36,7 +36,7 @@ from .interaction import (
     TargetingPolicy,
     VELOCITY_WINDOW,
 )
-from .protocol import PhaseKind
+from .protocol import PhaseKind, first_tick
 from .world import (CREATOR_DISTANCE, Entity, EntityKind, FLIGHT_HEIGHT,
                     VIRUS_KINDS, arrival_time)
 
@@ -687,18 +687,11 @@ class _HandTrack:
         if dx * dx + dy * dy + dz * dz < limit * limit:
             return
         # The first tick past t0, and the last tick before t1, both on the
-        # player's own k * dt clock.
+        # player's own k * dt clock: k * dt > t0 is k * dt >= the next
+        # float above t0.
         dt = self.dt
-        first = math.floor(t0 / dt) + 1
-        while first > 0 and (first - 1) * dt > t0:
-            first -= 1
-        while first * dt <= t0:
-            first += 1
-        last = math.ceil(t1 / dt) - 1
-        while (last + 1) * dt < t1:
-            last += 1
-        while last >= 0 and last * dt >= t1:
-            last -= 1
+        first = first_tick(math.nextafter(t0, math.inf), dt)
+        last = first_tick(t1, dt) - 1
         _mark(self.hot, first, last + self.lead + 1, self.mark)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "LANE_HALF_WIDTH",
     "SpawnEvent",
     "phase_at",
+    "first_tick",
     "phase_boundary_ticks",
     "sprint_windows",
     "spawn_params",
@@ -93,27 +94,37 @@ def phase_at(t: float) -> ProtocolPhase:
     return ProtocolPhase(PhaseKind.ENDED, 0, t - SESSION_DURATION)
 
 
+def first_tick(x: float, dt: float, slack: float = 0.0) -> int:
+    """The first tick ``k >= 0`` with ``k * dt + slack >= x``, in floats
+    as written: the v1 clock's one search from a time to a tick.
+
+    ``k * dt`` never decreases as ``k`` grows, so neither does the test's
+    left side.  The seed ``ceil((x - slack) / dt)`` lies within rounding
+    of the answer, and the two loops step it there.
+    """
+    k = math.ceil((x - slack) / dt)
+    if k < 0:  # cheaper than max(0, k) on the per-strike path
+        k = 0
+    while k > 0 and (k - 1) * dt + slack >= x:
+        k -= 1
+    while k * dt + slack < x:
+        k += 1
+    return k
+
+
 def phase_boundary_ticks(dt: float) -> tuple[int, ...]:
     """Ticks ``k`` at which ``phase_at(k * dt)`` can differ from tick ``k - 1``.
 
-    For every phase start, and for the end of the session, this is the
-    first ``k`` with ``k * dt >= start``: the comparison ``phase_at``
-    makes, so a boundary that falls between ticks resolves exactly as
-    a per-tick lookup would.  Between two listed ticks the phase is
-    constant.  Ascending, without repeats, and starting with 0.
+    For every phase start, and for the end of the session, this is
+    ``first_tick(start, dt)``: the comparison ``phase_at`` makes, so a
+    boundary that falls between ticks resolves exactly as a per-tick
+    lookup would.  Between two listed ticks the phase is constant.
+    Ascending, without repeats, and starting with 0.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ticks = []
-    for start in [row[0] for row in _TIMELINE] + [SESSION_DURATION]:
-        k = math.ceil(start / dt)
-        while k > 0 and (k - 1) * dt >= start:
-            k -= 1
-        while k * dt < start:
-            k += 1
-        if not ticks or k > ticks[-1]:
-            ticks.append(k)
-    return tuple(ticks)
+    starts = [row[0] for row in _TIMELINE] + [SESSION_DURATION]
+    return tuple(sorted({first_tick(start, dt) for start in starts}))
 
 
 @dataclass(frozen=True, slots=True)

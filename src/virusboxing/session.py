@@ -206,16 +206,6 @@ def _drain_tick_cap(dt: float) -> int:
     return math.ceil(_MAX_FLIGHT_SECONDS / dt) + _DRAIN_MARGIN_TICKS
 
 
-def _spawn_tick(time: float, dt: float) -> int:
-    """The tick a spawn due at ``time`` lands on: the first ``k`` with
-    ``time <= k * dt + 1e-9``, in floats as written."""
-    # One below the floor is below that tick whatever the rounding.
-    k = max(0, math.floor((time - 1e-9) / dt) - 1)
-    while time > k * dt + 1e-9:
-        k += 1
-    return k
-
-
 def _stepped(position: float, speed: float, dt: float, steps: int) -> float:
     """``position`` after ``steps`` world steps: ``advance``'s own
     ``position -= speed * dt``, in the same floats."""
@@ -268,11 +258,7 @@ def _expiry_tick(until: float, dt: float, gameplay_ticks: int) -> int:
     """The tick whose ``tick_empowerment`` ends a window open until
     ``until``: the first ``k`` with ``k * dt >= until``, or G + 1 if that
     is G, which v1 skips."""
-    k = math.ceil(until / dt)
-    while k > 0 and (k - 1) * dt >= until:
-        k -= 1
-    while k * dt < until:
-        k += 1
+    k = protocol.first_tick(until, dt)
     return k + 1 if k == gameplay_ticks else k
 
 
@@ -283,13 +269,7 @@ def _wake_tick(fired: int, dt: float, gameplay_ticks: int) -> int:
     JAB_REFRACTORY - 1e-9`` in its own floats.  That is ``e - 1``, or
     G - 1 if ``e - 1`` is G, which v1 skips; its speed is the one ``e``
     reads as below."""
-    t = fired * dt
-    limit = JAB_REFRACTORY - 1e-9
-    e = fired + max(1, math.ceil(limit / dt))
-    while e > fired + 1 and (e - 1) * dt - t >= limit:
-        e -= 1
-    while e * dt - t < limit:
-        e += 1
+    e = protocol.first_tick(JAB_REFRACTORY - 1e-9, dt, -(fired * dt))
     return e - 2 if e - 1 == gameplay_ticks else e - 1
 
 
@@ -387,7 +367,7 @@ def _plan(effort: float, heart: HeartRateParams,
     kcal = array("d")
     spawn = spawn_params(phase_at(0.0))
     time = spawn.interval  # next_spawn(rng, 0.0, spawn)
-    due = _spawn_tick(time, dt)
+    due = protocol.first_tick(time, dt, 1e-9)
     params = [spawn]
     dues = array("l", (due,))
     clocks = array("d")
@@ -447,7 +427,7 @@ def _plan(effort: float, heart: HeartRateParams,
                 if spawn is None:
                     spawn = made[scale] = spawn_params(phase, scale)
                 time = time + spawn.interval
-                due = _spawn_tick(time, dt)
+                due = protocol.first_tick(time, dt, 1e-9)
                 params.append(spawn)
                 dues.append(due)
     hr.append(round(h, 6))
@@ -827,6 +807,9 @@ def run_session(config: SessionConfig,
         if marks:
             # The first tick of the detector's window, as its history holds
             # it when fed every tick but G, and the tick fed before this.
+            # The window's start is protocol.first_tick(horizon, dt),
+            # searched inline from the tick ``lead`` back: a call per
+            # judged tick costs more than the search.
             horizon = t - VELOCITY_WINDOW - 1e-9
             j = k - lead if k > lead else 0
             while j > 0 and (j - 1) * dt >= horizon:
@@ -1129,10 +1112,10 @@ def replay_verify(source: str | Path | Iterable[str],
         raise HeaderMismatchError(
             f"log version {header.get('version')!r}, expected {LOG_VERSION!r}"
         )
-    if header.get("seed") != config.seed:
-        raise HeaderMismatchError(
-            f"log seed {header.get('seed')}, expected {config.seed}"
-        )
+    # A JSON true or 1.0 equals the seed 1, but no log v1 writes it.
+    seed = header.get("seed")
+    if type(seed) is not int or seed != config.seed:
+        raise HeaderMismatchError(f"log seed {seed!r}, expected {config.seed}")
     config.validate()  # before its digest reads each number as a float
     expected_digest = config_digest(config)
     if header.get("config") != expected_digest:

@@ -268,6 +268,24 @@ class TestVerifyHeaderSeed:
         assert main(["verify", str(bad), "--pid", "off"]) == 2
         assert "header seed must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["false", "0.0"])
+    def test_a_seed_that_is_no_integer_is_a_mismatch_before_any_rerun(
+            self, out_dir, tmp_path, capsys, seed) -> None:
+        # false and 0.0 equal 0, but neither is the integer a log writes.
+        lines = (out_dir / "replay_0.jsonl").read_text().splitlines()
+        lines[0] = lines[0].replace('"seed":0', f'"seed":{seed}')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+
+        def no_rerun(config):
+            raise AssertionError("verify re-ran the session")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(session, "run_session", no_rerun)
+            assert main(["verify", str(bad), "--seed", "0",
+                         "--pid", "off"]) == 2
+        assert "header mismatch" in capsys.readouterr().err
+
     def test_blank_lines_before_the_header_are_skipped(self, out_dir,
                                                        tmp_path,
                                                        capsys) -> None:
@@ -548,6 +566,14 @@ class TestConfigFileValues:
                                                   heart, key) -> None:
         assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
         assert f"bad heart parameters: {key}" in capsys.readouterr().err
+
+    def test_a_heart_rate_past_any_human_heart_is_a_config_error(
+            self, tmp_path, capsys) -> None:
+        # Accepted, the sum of the hr rows overflowed: avg_hr printed
+        # Infinity, which is not JSON.
+        heart = {"hr_rest": 1, "hr_max": 1.79e308}
+        assert _run_with_file(tmp_path, {"heart": heart, "pid": False}) == 2
+        assert "heart hr_max" in capsys.readouterr().err
 
     def test_inline_heart_with_a_negative_rest_is_a_config_error(
             self, tmp_path, capsys) -> None:

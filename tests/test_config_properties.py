@@ -83,14 +83,30 @@ def declared(cls: type, **fixed: st.SearchStrategy) -> st.SearchStrategy:
                              **fixed})
 
 
-@st.composite
-def session_configs(draw) -> SessionConfig:
-    dt = draw(st.sampled_from(STEPS))
-    # About half the sessions end inside the first sprint.  Snapped to
-    # the step grid: a whole number of steps, at least one.
+# The shortest step a drawn config has.  validate takes any positive
+# step, but the drain after the last spawn lasts up to the longest
+# flight, about 5.3 s, whatever the step, so a much shorter one makes
+# the drain longer than a property can wait for.
+MIN_STEP = 0.001
+# Each session's gameplay ticks, capped so that the property stays
+# within seconds: MAX_DURATION at the shortest of STEPS.
+MAX_TICKS = round(MAX_DURATION / min(STEPS))
+
+
+def steps_and_ticks(draw) -> tuple[float, int]:
+    """A step, one of ``STEPS`` or any float in [MIN_STEP, 0.1], and a
+    whole number of gameplay ticks, at least one and at most MAX_TICKS.
+    About half the sessions end inside the first sprint."""
+    dt = draw(st.one_of(st.sampled_from(STEPS),
+                        st.floats(min_value=MIN_STEP, max_value=0.1)))
     seconds = draw(st.one_of(st.floats(min_value=0.0, max_value=30.0),
                              st.floats(min_value=30.0, max_value=MAX_DURATION)))
-    ticks = max(1, min(round(seconds / dt), round(MAX_DURATION / dt)))
+    return dt, max(1, min(round(seconds / dt), MAX_TICKS))
+
+
+@st.composite
+def session_configs(draw) -> SessionConfig:
+    dt, ticks = steps_and_ticks(draw)
     heart = HEART_PRESETS[draw(st.sampled_from(sorted(HEART_PRESETS)))]
     gain = st.floats(min_value=0.0, max_value=0.5)
     # A built-in profile's effort and policy, with the rest drawn: punch
@@ -117,31 +133,15 @@ def session_configs(draw) -> SessionConfig:
                                    max_value=heart.hr_max)),
         calibration=draw(declared(Calibration)),
         dt=dt,
-        duration=round(ticks * dt, 9),
+        duration=ticks * dt,
     )
-
-
-# The shortest step a declared config is drawn with.  validate takes
-# any positive step, but the drain after the last spawn lasts up to the
-# longest flight, about 5.3 s, whatever the step, so a much shorter one
-# makes the drain longer than a property can wait for.
-MIN_STEP = 0.001
-# Each session's gameplay ticks, capped so that the property stays
-# within seconds.
-MAX_TICKS = 1500
 
 
 @st.composite
 def declared_configs(draw) -> SessionConfig:
     """Any config the declared intervals and ``validate``'s rules that
     relate a field to another, or to a constant, accept."""
-    dt = draw(st.one_of(st.sampled_from(STEPS),
-                        st.floats(min_value=MIN_STEP, max_value=0.1)))
-    # As in session_configs, about half the sessions end inside the
-    # first sprint.
-    seconds = draw(st.one_of(st.floats(min_value=0.0, max_value=30.0),
-                             st.floats(min_value=30.0, max_value=MAX_DURATION)))
-    ticks = max(1, min(round(seconds / dt), MAX_TICKS))
+    dt, ticks = steps_and_ticks(draw)
     hr_rest, hr_max = sorted(draw(st.lists(
         bounded(HeartRateParams, "hr_rest"), min_size=2, max_size=2,
         unique=True)))
@@ -202,7 +202,7 @@ def test_every_declared_config_runs(config: SessionConfig) -> None:
     assert_sound(config)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(config=session_configs())
 def test_run_session_matches_the_per_tick_oracle(config: SessionConfig) -> None:
     # Every fast path of the live loop against the plain per-tick loop,
@@ -271,8 +271,10 @@ def _rejects(check, errors) -> bool:
     return False
 
 
-# The cap on the aim error: the reference took any finite one.
+# The caps on the aim error and the heart rates: the reference took any
+# finite ones.
 AIM_CAP = declared_intervals(PlayerProfile)["aim_error_sd"][2]
+HEART_CAP = declared_intervals(HeartRateParams)["hr_max"][2]
 
 
 @settings(deadline=None)
@@ -281,9 +283,10 @@ def test_validate_rejects_what_the_frozen_reference_rejects(
         config: SessionConfig) -> None:
     # The reference's OverflowError, from an integer past the float
     # range, is a rejection too; the live checks raise ValueError alone.
-    # Beside the aim error's cap, the live checks reject one more value
-    # the reference took: a calibration integer past the float range,
-    # with which run_session raised OverflowError.
+    # Beside the aim error's cap and the heart rates' cap, the live
+    # checks reject one more value the reference took: a calibration
+    # integer past the float range, with which run_session raised
+    # OverflowError.
     profile = config.profile
     reference = (ValueError, OverflowError)
     assert _rejects(profile.validate, ValueError) == (
@@ -293,6 +296,7 @@ def test_validate_rejects_what_the_frozen_reference_rejects(
     assert _rejects(config.validate, ValueError) == (
         _rejects(lambda: reference_config_validate(config), reference)
         or profile.aim_error_sd > AIM_CAP
+        or max(config.heart.hr_rest, config.heart.hr_max) > HEART_CAP
         or HUGE in (calibration.standing_head_height,
                     calibration.lean_threshold))
 

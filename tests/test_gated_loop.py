@@ -52,8 +52,8 @@ from virusboxing.playersim import (
     _HandTrack,
     load_profile,
 )
-from virusboxing.protocol import PhaseKind, SpawnParams, phase_at
-from virusboxing.session import SessionConfig, _plan, _spawn_tick, run_session
+from virusboxing.protocol import PhaseKind, SpawnParams, first_tick, phase_at
+from virusboxing.session import SessionConfig, _plan, run_session
 
 # Not a seed the golden logs pin (they use 0, 1 and 2).
 SEED = 5
@@ -125,7 +125,7 @@ def test_a_virus_plan_strikes_a_reaction_after_its_spawn_tick(
         plan = plan_reaction(profile, entity, rng, **kwargs)
         if isinstance(plan, JabPlan):
             spawn_tick = kwargs["now_tick"]
-            assert spawn_tick == _spawn_tick(entity.spawn_time, dt)
+            assert spawn_tick == first_tick(entity.spawn_time, dt, 1e-9)
             slack.append(plan.strike_tick - (spawn_tick + reaction))
         return plan
 
@@ -839,7 +839,7 @@ class TestHandMarks:
             for time in (k * dt - 1e-9, k * dt, k * dt + 1e-9):
                 want = next(j for j in itertools.count()
                             if time <= j * dt + 1e-9)
-                assert _spawn_tick(time, dt) == want, (k, time)
+                assert first_tick(time, dt, 1e-9) == want, (k, time)
 
     def test_horizon_sizes_the_marks(self) -> None:
         player = _player(horizon=300)

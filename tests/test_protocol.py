@@ -18,6 +18,7 @@ from virusboxing.protocol import (
     PhaseKind,
     SESSION_DURATION,
     SPRINT_SPAWN,
+    first_tick,
     next_spawn,
     phase_at,
     sample_kind,
@@ -226,3 +227,51 @@ def test_session_grid_hits_boundaries_exactly() -> None:
     for boundary in (30.0, 120.0, 150.0, 240.0, 270.0, 360.0, 420.0):
         k = round(boundary / DT)
         assert k * DT == boundary
+
+
+# The steps a config may take, down to the shortest the config
+# properties draw, and up to validate's bound.
+STEP_RANGE = st.floats(min_value=0.001, max_value=0.1)
+# Tick counts and times of up to a million ticks at the longest step:
+# far past a session, and still exact in a float.
+TICKS = st.integers(min_value=0, max_value=10**6)
+TIMES = st.floats(min_value=-1e5, max_value=1e5)
+
+
+def _near(value: float) -> st.SearchStrategy[float]:
+    """``value`` and the floats either side of it."""
+    return st.sampled_from((math.nextafter(value, -math.inf), value,
+                            math.nextafter(value, math.inf)))
+
+
+@st.composite
+def tick_searches(draw) -> tuple[float, float, float]:
+    """A time, a step and a slack for ``first_tick``: the slack one its
+    callers pass, and the time on a tick's ``k * dt + slack``, a float
+    either side of it, or anywhere."""
+    dt = draw(STEP_RANGE)
+    slack = draw(st.one_of(st.just(0.0), st.just(1e-9),
+                           TICKS.map(lambda j: -(j * dt))))
+    k = draw(TICKS)
+    x = draw(st.one_of(_near(k * dt + slack), TIMES))
+    return x, dt, slack
+
+
+@given(search=tick_searches())
+def test_first_tick_is_the_first_tick_at_or_past_the_time(search) -> None:
+    x, dt, slack = search
+    k = first_tick(x, dt, slack)
+    assert k >= 0
+    assert k * dt + slack >= x
+    assert k == 0 or (k - 1) * dt + slack < x
+
+
+@given(dt=STEP_RANGE, k=TICKS, data=st.data())
+def test_first_tick_past_the_next_float_is_the_first_tick_past(
+        dt, k, data) -> None:
+    # _HandTrack._mark_hot's strict start: a float is above t0 exactly
+    # when it is at or above the next float up.
+    t0 = data.draw(st.one_of(_near(k * dt), TIMES))
+    first = first_tick(math.nextafter(t0, math.inf), dt)
+    assert first * dt > t0
+    assert first == 0 or (first - 1) * dt <= t0
