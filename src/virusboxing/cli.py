@@ -22,12 +22,12 @@ import csv
 import json
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .interaction import TargetingMode, TargetingPolicy, TargetingRange
-from .physiology import DEFAULT_PID_GAINS, HEART_PRESETS, HeartRateParams
+from .physiology import HEART_PRESETS, HeartRateParams
 from .playersim import (
     PlayerProfile,
     builtin_profiles,
@@ -35,12 +35,13 @@ from .playersim import (
     read_json_object,
     read_number,
 )
+from .progression import SummaryMetrics
 from .session import (
-    DEFAULT_SETPOINT,
     HeaderMismatchError,
     SessionConfig,
     SessionResult,
     iter_sessions,
+    read_header,
     replay_verify,
     run_many,
 )
@@ -50,19 +51,16 @@ from .session import (
 
 __all__ = ["main", "build_parser"]
 
-_TARGETING_MODES = {"pt": TargetingMode.PRECISE, "rt": TargetingMode.ROUGH}
-_RANGES = {
-    "short": TargetingRange.SHORT,
-    "medium": TargetingRange.MEDIUM,
-    "long": TargetingRange.LONG,
+# Each targeting key: the TargetingPolicy field it sets, and the member
+# each of its values names.
+_TARGETING = {
+    "targeting": ("mode", {"pt": TargetingMode.PRECISE,
+                           "rt": TargetingMode.ROUGH}),
+    "range": ("range", {member.value: member for member in TargetingRange}),
 }
 
 TRACE_FIELDS = ("time", "hr", "kcal", "phase", "energy", "empowered")
-SUMMARY_FIELDS = (
-    "seed", "viruses_spawned", "cells_spawned", "viruses_destroyed",
-    "viruses_missed", "cells_avoided", "cells_collided", "wrong_hand_jabs",
-    "activations", "miss_pct", "cell_hit_pct", "avg_hr", "max_hr", "kcal",
-)
+SUMMARY_FIELDS = ("seed", *(field.name for field in fields(SummaryMetrics)))
 
 
 # Every key a --config file may hold.
@@ -74,10 +72,19 @@ class ConfigError(Exception):
     """Bad flag combination, config file, or profile reference."""
 
 
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
 def _session_flags() -> argparse.ArgumentParser:
-    """The flags that choose a session, shared by run and verify."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", metavar="FILE",
+    """The flags that choose a session, shared by run and verify.  Each
+    but --config is stored under the config-file key it overrides, and
+    only when it is given."""
+    flags = argparse.ArgumentParser(add_help=False,
+                                    argument_default=argparse.SUPPRESS)
+    flags.add_argument("--config", metavar="FILE", default=None,
                        help="JSON file with session settings; flags override it")
     flags.add_argument("--seed", type=int,
                        help="session seed (default: the config file's; "
@@ -85,14 +92,14 @@ def _session_flags() -> argparse.ArgumentParser:
     flags.add_argument("--profile", metavar="NAME",
                        help="built-in profile name or JSON path "
                             f"(built-ins: {', '.join(builtin_profiles())})")
-    flags.add_argument("--targeting", choices=sorted(_TARGETING_MODES),
+    flags.add_argument("--targeting", choices=sorted(_TARGETING["targeting"][1]),
                        help="empowered targeting mode: pt (precise) or rt (rough)")
-    flags.add_argument("--range", choices=sorted(_RANGES), dest="range_",
+    flags.add_argument("--range", choices=sorted(_TARGETING["range"][1]),
                        metavar="RANGE",
                        help="empowered targeting range: short, medium, or long")
     flags.add_argument("--heart", metavar="PRESET",
                        help=f"heart model preset ({', '.join(sorted(HEART_PRESETS))})")
-    flags.add_argument("--pid", choices=("on", "off"),
+    flags.add_argument("--pid", type=_on_off, metavar="{on,off}",
                        help="difficulty controller during sprints")
     flags.add_argument("--setpoint", type=float,
                        help="controller heart-rate target in bpm")
@@ -124,9 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
+def _settings(args: argparse.Namespace) -> dict:
+    """The session settings: the config file's object, if any, with each
+    session flag given laid over its key."""
+    given = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS}
+    path = args.config
     if path is None:
-        return {}
+        return given
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -143,11 +155,11 @@ def _load_config_file(path: str | None) -> dict:
             f"{', '.join(repr(key) for key in unknown)} "
             f"(expected: {', '.join(CONFIG_KEYS)})"
         )
-    return data
+    return {**data, **given}
 
 
-def _file_seed(file_cfg: dict) -> int:
-    seed = file_cfg["seed"]
+def _seed(settings: dict) -> int:
+    seed = settings["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"config key 'seed' must be an integer, got {seed!r}")
     return seed
@@ -156,11 +168,9 @@ def _file_seed(file_cfg: dict) -> int:
 def _resolve_profile(ref: object) -> PlayerProfile:
     if isinstance(ref, dict):
         try:
-            profile = PlayerProfile.from_dict(ref)
-            profile.validate()
+            return PlayerProfile.from_dict(ref)
         except ValueError as exc:
             raise ConfigError(f"bad inline profile: {exc}") from exc
-        return profile
     if isinstance(ref, str):
         try:
             return load_profile(ref)
@@ -188,9 +198,9 @@ def _resolve_heart(ref: object) -> HeartRateParams:
     raise ConfigError("heart must be a preset name or a parameter object")
 
 
-def _parse_seeds(args: argparse.Namespace, file_cfg: dict) -> list[int]:
-    if getattr(args, "seeds", None):
-        if args.seed is not None:
+def _parse_seeds(args: argparse.Namespace, settings: dict) -> list[int]:
+    if args.seeds:
+        if "seed" in args:
             raise ConfigError("--seed and --seeds cannot be combined")
         text = args.seeds
         parts = text.split("..")
@@ -203,58 +213,45 @@ def _parse_seeds(args: argparse.Namespace, file_cfg: dict) -> list[int]:
         if hi < lo:
             raise ConfigError(f"--seeds range is empty: {text}")
         return list(range(lo, hi + 1))
-    if args.seed is not None:
-        return [args.seed]
-    if "seed" in file_cfg:
-        return [_file_seed(file_cfg)]
-    return [0]
+    return [_seed(settings)] if "seed" in settings else [0]
 
 
-def _build_config(args: argparse.Namespace, file_cfg: dict,
-                  seed: int) -> SessionConfig:
-    profile_ref = args.profile or file_cfg.get("profile", "mid_skill")
-    profile = _resolve_profile(profile_ref)
+def _build_config(settings: dict, seed: int) -> SessionConfig:
+    """The config ``settings`` chooses at ``seed``: each key read by one
+    rule, whichever of the flags and the file set it, and each field no
+    key sets left at its declared default."""
+    profile = _resolve_profile(settings.get("profile", "mid_skill"))
+    targeting = {}
+    for key, (field, members) in _TARGETING.items():
+        if key in settings:
+            value = settings[key]
+            if not isinstance(value, str) or value not in members:
+                raise ConfigError(f"unknown targeting {field} {value!r}")
+            targeting[field] = members[value]
+    chosen = {}
+    if "heart" in settings:
+        chosen["heart"] = _resolve_heart(settings["heart"])
+    if "pid" in settings:
+        if not isinstance(settings["pid"], bool):
+            raise ConfigError(f"config key 'pid' must be true or false, "
+                              f"got {settings['pid']!r}")
+        chosen["pid_enabled"] = settings["pid"]
 
-    mode_key = args.targeting or file_cfg.get("targeting", "rt")
-    if not isinstance(mode_key, str) or mode_key not in _TARGETING_MODES:
-        raise ConfigError(f"unknown targeting mode {mode_key!r}")
-    range_key = args.range_ or file_cfg.get("range", "long")
-    if not isinstance(range_key, str) or range_key not in _RANGES:
-        raise ConfigError(f"unknown targeting range {range_key!r}")
-    targeting = TargetingPolicy(mode=_TARGETING_MODES[mode_key],
-                                range=_RANGES[range_key])
-
-    heart = _resolve_heart(args.heart or file_cfg.get("heart", "regular"))
-
-    if args.pid is not None:
-        pid_enabled = args.pid == "on"
-    else:
-        pid_enabled = file_cfg.get("pid", True)
-        if not isinstance(pid_enabled, bool):
-            raise ConfigError(
-                f"config key 'pid' must be true or false, got {pid_enabled!r}"
-            )
-    setpoint = args.setpoint
-    gains = file_cfg.get("pid_gains", DEFAULT_PID_GAINS)
-    if not (isinstance(gains, (list, tuple)) and len(gains) == 3):
-        raise ConfigError("pid_gains must be a list of three numbers")
-
-    # A file's value that is no number, or a number outside its field's
+    # A value that is no number, or a number outside its field's
     # interval, is a configuration error naming it.
     try:
-        if setpoint is None:
-            setpoint = read_number(file_cfg.get("setpoint", DEFAULT_SETPOINT),
-                                   "config key 'setpoint'")
-        config = SessionConfig(
-            seed=seed,
-            profile=profile,
-            targeting=targeting,
-            heart=heart,
-            pid_enabled=pid_enabled,
-            pid_gains=tuple(read_number(gain, "config key 'pid_gains'")
-                            for gain in gains),
-            hr_setpoint=setpoint,
-        )
+        if "setpoint" in settings:
+            chosen["hr_setpoint"] = read_number(settings["setpoint"],
+                                                "config key 'setpoint'")
+        if "pid_gains" in settings:
+            gains = settings["pid_gains"]
+            if not (isinstance(gains, (list, tuple)) and len(gains) == 3):
+                raise ConfigError("pid_gains must be a list of three numbers")
+            chosen["pid_gains"] = tuple(
+                read_number(gain, "config key 'pid_gains'") for gain in gains)
+        config = SessionConfig(seed=seed, profile=profile,
+                               targeting=TargetingPolicy(**targeting),
+                               **chosen)
         config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -279,6 +276,8 @@ def _write_csv(path: Path, header: Sequence[str],
 def _csv_value(value: object) -> object:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
     return value
@@ -293,10 +292,8 @@ def _write_session(result: SessionResult, out_dir: Path, fmt: str) -> dict:
     summary."""
     seed = result.config.seed
     result.write_log(out_dir / f"replay_{seed}.jsonl")
-    _write_csv(out_dir / f"trace_{seed}.csv", TRACE_FIELDS, (
-        (f"{row.t:.6f}", f"{row.hr:.6f}", f"{row.kcal:.6f}", row.phase,
-         row.energy, str(row.empowered).lower())
-        for row in result.trace))
+    _write_csv(out_dir / f"trace_{seed}.csv", TRACE_FIELDS,
+               ([_csv_value(value) for value in row] for row in result.trace))
     summary = _summary_dict(result)
     if fmt == "json":
         (out_dir / f"summary_{seed}.json").write_text(
@@ -320,9 +317,9 @@ def _write_sweep(summaries: list[dict], path: Path) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    file_cfg = _load_config_file(args.config)
-    seeds = _parse_seeds(args, file_cfg)
-    configs = [_build_config(args, file_cfg, seed) for seed in seeds]
+    settings = _settings(args)
+    configs = [_build_config(settings, seed)
+               for seed in _parse_seeds(args, settings)]
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         try:
@@ -347,35 +344,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _header_seed(log_path: Path) -> int:
-    """The seed of a log's header row: its first non-blank line, as
-    ``replay_verify`` reads it, whose seed must be a JSON integer."""
+    """The seed of a log's header row, its first non-blank line, as
+    ``replay_verify`` reads it (``session.read_header``)."""
     try:
         with log_path.open(encoding="utf-8") as fh:
             line = next((ln for ln in fh if ln.strip()), "")
-        header = json.loads(line)
-        seed = header["seed"]
-    except (KeyError, TypeError, ValueError) as exc:
+        return read_header(line)["seed"]
+    except (HeaderMismatchError, ValueError) as exc:  # not UTF-8 too
         raise ConfigError(
             f"cannot read seed from log header; pass --seed ({exc})"
         ) from exc
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(
-            f"log header seed must be an integer, got {seed!r}; pass --seed"
-        )
-    return seed
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
+    settings = _settings(args)
     log_path = Path(args.log)
     if not log_path.is_file():
         raise ConfigError(f"no such log file: {log_path}")
-    seed = args.seed
-    if seed is None and "seed" not in file_cfg:
-        seed = _header_seed(log_path)
-    elif seed is None:
-        seed = _file_seed(file_cfg)
-    config = _build_config(args, file_cfg, seed)
+    seed = _seed(settings) if "seed" in settings else _header_seed(log_path)
+    config = _build_config(settings, seed)
     try:
         report = replay_verify(log_path, config)
     except HeaderMismatchError as exc:

@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple, get_origin, get_type_hints
 
 from .interaction import (
     Calibration,
@@ -172,28 +172,40 @@ def declared_intervals(cls: type) -> dict[str, tuple[str, float, float]]:
 
 
 def check_bounds(obj, what: str = "") -> None:
-    """Hold each field of the ``obj`` dataclass to the interval it
-    declares (``declared_intervals``), and each field that holds a
-    dataclass to its own, the field's name as a prefix (``heart
-    hr_rest``).  A bounded value must be a number that ``read_number``
-    reads, so an integer past the float range fails; NaN lies in no
-    interval, and every end at ``inf`` is open.
+    """Hold each field of the ``obj`` dataclass to its declared type and
+    to the interval it declares (``declared_intervals``), and each field
+    that holds a dataclass to its own, the field's name as a prefix
+    (``heart hr_rest``).  A dataclass-typed field must hold an instance
+    of its class, a ``float`` field a number that ``read_number`` reads
+    (so an integer past the float range fails), and a field of any other
+    plain type a value of exactly that type, as ``read_json_object``
+    asks; a generic field, such as a tuple of gains, is left to its
+    owner.  NaN lies in no interval, and every end at ``inf`` is open.
 
     Raises ``ValueError`` naming the first field that does not hold,
     after ``what``.
     """
     intervals = declared_intervals(type(obj))
+    types = _field_types(type(obj))
     for spec in fields(obj):
+        name, kind = what + spec.name, types[spec.name]
         value = getattr(obj, spec.name)
-        if hasattr(value, "__dataclass_fields__"):
-            check_bounds(value, f"{what}{spec.name} ")
+        nested = hasattr(kind, "__dataclass_fields__")
+        if kind is float:
+            value = read_number(value, name)
+        elif get_origin(kind) is None and not (
+                isinstance(value, kind) if nested else type(value) is kind):
+            raise ValueError(
+                f"{name} must be of type {kind.__name__}, got {value!r}")
+        if nested:
+            check_bounds(value, name + " ")
         elif spec.name in intervals:
             interval, low, high = intervals[spec.name]
-            number = read_number(value, what + spec.name)
+            number = read_number(value, name)
             if not ((low <= number if interval[0] == "[" else low < number)
                     and (number <= high if interval[-1] == "]"
                          else number < high)):
-                raise ValueError(f"{what}{spec.name} must lie in {interval}, "
+                raise ValueError(f"{name} must lie in {interval}, "
                                  f"got {number}")
 
 

@@ -185,6 +185,7 @@ __all__ = [
     "run_many",
     "metrics_from_log",
     "replay_verify",
+    "read_header",
 ]
 
 LOG_VERSION = "1"
@@ -1079,6 +1080,27 @@ class ReplayReport:
     actual: str | None = None
 
 
+def read_header(line: str) -> dict:
+    """The header row ``line`` holds: a JSON object of type ``"header"``
+    and of this ``LOG_VERSION``, whose seed is a JSON integer.  Raises
+    ``HeaderMismatchError`` for any other line."""
+    try:
+        header = json.loads(line)
+    except ValueError as exc:  # an integer past json's digit limit too
+        raise HeaderMismatchError(f"unparseable header line: {exc}") from exc
+    if not isinstance(header, dict) or header.get("type") != "header":
+        raise HeaderMismatchError("first line is not a header row")
+    if header.get("version") != LOG_VERSION:
+        raise HeaderMismatchError(
+            f"log version {header.get('version')!r}, expected {LOG_VERSION!r}"
+        )
+    # A JSON true or 1.0 equals the seed 1, but no log v1 writes it.
+    if type(header.get("seed")) is not int:
+        raise HeaderMismatchError(
+            f"header seed must be an integer, got {header.get('seed')!r}")
+    return header
+
+
 def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
@@ -1102,20 +1124,10 @@ def replay_verify(source: str | Path | Iterable[str],
         raise HeaderMismatchError(f"log is not UTF-8 text: {exc}") from exc
     if not recorded:
         raise HeaderMismatchError("log is empty")
-    try:
-        header = json.loads(recorded[0])
-    except json.JSONDecodeError as exc:
-        raise HeaderMismatchError(f"unparseable header line: {exc}") from exc
-    if not isinstance(header, dict) or header.get("type") != "header":
-        raise HeaderMismatchError("first line is not a header row")
-    if header.get("version") != LOG_VERSION:
+    header = read_header(recorded[0])
+    if header["seed"] != config.seed:
         raise HeaderMismatchError(
-            f"log version {header.get('version')!r}, expected {LOG_VERSION!r}"
-        )
-    # A JSON true or 1.0 equals the seed 1, but no log v1 writes it.
-    seed = header.get("seed")
-    if type(seed) is not int or seed != config.seed:
-        raise HeaderMismatchError(f"log seed {seed!r}, expected {config.seed}")
+            f"log seed {header['seed']!r}, expected {config.seed}")
     config.validate()  # before its digest reads each number as a float
     expected_digest = config_digest(config)
     if header.get("config") != expected_digest:

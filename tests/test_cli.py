@@ -356,8 +356,7 @@ def _reference_summary(result) -> dict:
 @pytest.fixture(scope="module")
 def sweep_results():
     """``run_many`` over the CLI's default config, seeds 0..2."""
-    args = build_parser().parse_args(["run"])
-    configs = [cli._build_config(args, {}, seed) for seed in SWEEP_SEEDS]
+    configs = [cli._build_config({}, seed) for seed in SWEEP_SEEDS]
     return session.run_many(configs, jobs=1)
 
 
@@ -685,6 +684,35 @@ class TestConfigFileValues:
         assert main(["verify", str(out_dir / "replay_0.jsonl"),
                      "--config", str(cfg)]) == 2
         assert "'seed'" in capsys.readouterr().err
+
+
+class TestFlagsOverFile:
+    """A flag given lies over its config-file key, an empty value too."""
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--profile", "no such profile: ''"),
+        ("--heart", "unknown heart preset ''"),
+    ])
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_an_empty_flag_is_a_config_error(self, tmp_path, capsys, flag,
+                                             message, with_file) -> None:
+        # Read as "not given", it once ran the file's value or the
+        # default, exit 0.
+        argv = RUN_OFF + [flag, ""]
+        if with_file:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"profile": "expert",
+                                       "heart": "sedentary"}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["yes", "true", ""])
+    def test_pid_flag_takes_only_on_or_off(self, capsys, value) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seed", "0", "--pid", value])
+        assert exc.value.code == 2
+        assert "--pid" in capsys.readouterr().err
 
 
 class TestSharedFlags:

@@ -27,6 +27,7 @@ from virusboxing.session import (
     TraceRow,
     config_digest,
     metrics_from_log,
+    read_header,
     replay_verify,
     run_many,
     run_session,
@@ -449,6 +450,85 @@ class TestReplayVerify:
         path.write_bytes(b"\xff\xfe{}\n")
         with pytest.raises(HeaderMismatchError, match="UTF-8"):
             replay_verify(path, base_config)
+
+
+class TestReadHeader:
+    """``read_header``, which ``replay_verify`` and ``cli verify`` share."""
+
+    def test_a_log_header_reads_as_its_row(self, result) -> None:
+        assert read_header(result.lines[0]) == json.loads(result.lines[0])
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "unparseable header line"), ("{", "unparseable header line"),
+        # Past json's digit limit: a ValueError that is no JSONDecodeError.
+        ('{"seed":' + "1" * 5000 + "}", "unparseable header line"),
+        ("[1, 2]", "not a header row"), ('{"type":"end"}', "not a header row"),
+        ('{"type":"header","version":"2","seed":0}', "log version '2'"),
+        ('{"type":"header","version":"1"}', "header seed must be an integer"),
+        ('{"type":"header","version":"1","seed":true}',
+         "header seed must be an integer"),
+        ('{"type":"header","version":"1","seed":1e400}',
+         "header seed must be an integer"),
+    ])
+    def test_any_other_line_is_a_header_mismatch(self, line,
+                                                 message) -> None:
+        with pytest.raises(HeaderMismatchError, match=message):
+            read_header(line)
+
+
+# A config whose every field holds a value of its declared type.
+TYPED = SessionConfig(seed=0, profile=load_profile("mid_skill"))
+
+
+def _field_paths(config) -> list[str]:
+    """Each field of ``config`` and of each dataclass it holds, by the
+    name ``validate`` gives it (``heart hr_rest``)."""
+    paths = []
+    for field in dataclasses.fields(config):
+        paths.append(field.name)
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            paths += [f"{field.name} {inner.name}"
+                      for inner in dataclasses.fields(value)]
+    return paths
+
+
+def _with(config, path: str, value):
+    """``config`` with the field ``path`` names set to ``value``."""
+    part, _, name = path.partition(" ")
+    if name:
+        value = dataclasses.replace(getattr(config, part), **{name: value})
+    return dataclasses.replace(config, **{part: value})
+
+
+class TestFieldTypes:
+    """Each field holds a value of its declared type, or the config is
+    rejected by a ``ValueError`` naming it, before any session runs: not
+    an ``AttributeError`` or ``TypeError`` from deep in the run, and not
+    a session run on a value read loosely."""
+
+    @pytest.mark.parametrize("path", _field_paths(TYPED))
+    def test_none_in_any_field_is_named(self, path) -> None:
+        with pytest.raises(ValueError, match=f"^{path} must"):
+            run_session(_with(TYPED, path, None))
+
+    @pytest.mark.parametrize("path, value", [
+        # bool("off") is True: the session ran with the PID on, under a
+        # digest of its own.
+        ("pid_enabled", "off"), ("pid_enabled", 1), ("pid_enabled", 0),
+        ("pid_enabled", ""),
+        ("dt", "0.02"), ("dt", True), ("duration", "420"),
+        ("hr_setpoint", True), ("heart", "regular"),
+        ("profile", {"name": "mid_skill"}), ("profile name", 7),
+        ("profile empower_policy", "never"), ("targeting mode", "rough"),
+        ("targeting range", "long"), ("calibration squat_ratio", "0.75"),
+    ])
+    def test_a_value_of_another_type_is_named(self, path, value) -> None:
+        config = _with(TYPED, path, value)
+        with pytest.raises(ValueError, match=f"^{path} must"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{path} must"):
+            run_session(config)
 
 
 class TestConfigRejection:
