@@ -12,7 +12,8 @@ disk and writes no ``sweep.csv``.
 
 Exit codes: run returns 0 on success, 2 for configuration problems, 3
 for runtime failures.  verify returns 0 on a byte-identical match, 1 on
-divergence, 2 when the log header does not match the configuration.
+divergence, 2 when the log header does not match the configuration or
+the log cannot be read.
 Either command prints a runtime failure's traceback to standard error.
 """
 from __future__ import annotations
@@ -176,6 +177,9 @@ def _resolve_profile(ref: object) -> PlayerProfile:
             return load_profile(ref)
         except FileNotFoundError as exc:
             raise ConfigError(str(exc)) from exc
+        except OSError as exc:  # a file that is there but cannot be read
+            raise ConfigError(
+                f"cannot read profile file {ref}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad profile {ref!r}: {exc}") from exc
     raise ConfigError(f"profile must be a name or an object, got {type(ref).__name__}")
@@ -350,6 +354,8 @@ def _header_seed(log_path: Path) -> int:
         with log_path.open(encoding="utf-8") as fh:
             line = next((ln for ln in fh if ln.strip()), "")
         return read_header(line)["seed"]
+    except OSError as exc:
+        raise ConfigError(f"cannot read log file {log_path}: {exc}") from exc
     except (HeaderMismatchError, ValueError) as exc:  # not UTF-8 too
         raise ConfigError(
             f"cannot read seed from log header; pass --seed ({exc})"
@@ -368,6 +374,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except HeaderMismatchError as exc:
         print(f"header mismatch: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        raise ConfigError(f"cannot read log file {log_path}: {exc}") from exc
     if report.ok:
         print(f"ok: {report.lines_checked} lines match")
         return 0

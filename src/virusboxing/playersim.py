@@ -728,9 +728,12 @@ class SyntheticPlayer:
     jab threshold.  ``horizon`` sizes ``hot`` up front; it grows past
     that when a mark reaches further.
 
-    Ticks may be sampled sparsely and in any order.  The head is read off
-    the weave plans held, found by their cross ticks, and the hands off
-    their knot chains; a held head or hand is one tuple from tick to tick.
+    Ticks may be sampled sparsely.  The head is read off the weave plans
+    held, found by their cross ticks, so it may be sampled in any order.
+    The hands are read off their current knot chains: a rebuild starts a
+    chain at the hand's place on the rebuild tick, so a tick before it,
+    sampled afterwards, reads that place, not where the hand was then.
+    A held head or hand is one tuple from tick to tick.
     ``tracks`` holds the left and the right hand's track, in the order of
     their bits.  On a tick its bit marks, a track's ``ends`` gives the
     hand's position there and at the start of its velocity window, the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 __all__ = [
     "ENERGY_CAPACITY",
@@ -104,7 +105,9 @@ class SummaryMetrics:
     """Aggregate outcomes for one session.
 
     Percentages are in percent units and absent (None) when the category
-    never spawned.  Heart-rate fields are attached by the session runner.
+    never spawned; the heart-rate fields are absent when no ``hr`` row
+    was written.  The session runner (through ``summary``) and
+    ``session.metrics_from_log`` both build them with ``of``.
     """
 
     viruses_spawned: int
@@ -125,10 +128,35 @@ class SummaryMetrics:
     def total_spawned(self) -> int:
         return self.viruses_spawned + self.cells_spawned
 
+    @classmethod
+    def of(cls, state: ProgressionState, viruses_spawned: int,
+           cells_spawned: int, hr: Sequence[float] = (),
+           kcal: float | None = None) -> SummaryMetrics:
+        """The metrics of ``state``'s counters, the spawned populations,
+        the ``hr`` row values in order and the last row's kcal.  Checks
+        no counter: ``summary`` does."""
+        missed, collided = state.viruses_missed, state.cells_collided
+        return cls(
+            viruses_spawned=viruses_spawned, cells_spawned=cells_spawned,
+            viruses_destroyed=state.viruses_destroyed, viruses_missed=missed,
+            cells_avoided=state.cells_avoided, cells_collided=collided,
+            wrong_hand_jabs=state.wrong_hand_jabs,
+            activations=state.activations,
+            miss_pct=(100.0 * missed / viruses_spawned if viruses_spawned
+                      else None),
+            cell_hit_pct=(100.0 * collided / cells_spawned if cells_spawned
+                          else None),
+            avg_hr=round(sum(hr) / len(hr), 6) if hr else None,
+            max_hr=max(hr) if hr else None,
+            kcal=kcal,
+        )
+
 
 def summary(state: ProgressionState, viruses_spawned: int,
-            cells_spawned: int) -> SummaryMetrics:
-    """Fold the final state into metrics; refuses inconsistent counters."""
+            cells_spawned: int, hr: Sequence[float] = (),
+            kcal: float | None = None) -> SummaryMetrics:
+    """Fold the final state, the ``hr`` row values and the last kcal into
+    metrics through ``SummaryMetrics.of``; refuses inconsistent counters."""
     if state.viruses_destroyed + state.viruses_missed != viruses_spawned:
         raise ValueError(
             "virus counters do not cover the spawned population: "
@@ -141,21 +169,4 @@ def summary(state: ProgressionState, viruses_spawned: int,
             f"{state.cells_avoided} avoided + {state.cells_collided} collided "
             f"!= {cells_spawned} spawned"
         )
-    miss_pct = (
-        100.0 * state.viruses_missed / viruses_spawned if viruses_spawned else None
-    )
-    cell_hit_pct = (
-        100.0 * state.cells_collided / cells_spawned if cells_spawned else None
-    )
-    return SummaryMetrics(
-        viruses_spawned=viruses_spawned,
-        cells_spawned=cells_spawned,
-        viruses_destroyed=state.viruses_destroyed,
-        viruses_missed=state.viruses_missed,
-        cells_avoided=state.cells_avoided,
-        cells_collided=state.cells_collided,
-        wrong_hand_jabs=state.wrong_hand_jabs,
-        activations=state.activations,
-        miss_pct=miss_pct,
-        cell_hit_pct=cell_hit_pct,
-    )
+    return SummaryMetrics.of(state, viruses_spawned, cells_spawned, hr, kcal)

@@ -105,8 +105,8 @@ import os
 import random
 import re
 from array import array
-from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -898,13 +898,8 @@ def run_session(config: SessionConfig,
             f"{len(world.in_flight)} entities still in flight after drain"
         )
 
-    base = summary(prog, viruses_spawned, cells_spawned)
-    metrics = replace(
-        base,
-        avg_hr=round(sum(hr_rows) / len(hr_rows), 6),
-        max_hr=max(hr_rows),
-        kcal=kcal_rows[-1],
-    )
+    metrics = summary(prog, viruses_spawned, cells_spawned, hr_rows,
+                      kcal_rows[-1])
     # t is the last tick run, or G * dt when nothing was left in flight.
     lines.append(_END_ROW % (
         t, viruses_spawned, cells_spawned, metrics.viruses_destroyed,
@@ -984,8 +979,9 @@ def _counted_fields(line: str, number: int) -> tuple[str | None, tuple]:
 def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
     """Rebuild the session metrics purely from a replay log.
 
-    Counts events and folds the heart-rate rows exactly the way the
-    runner does, so a faithful log reproduces the reported metrics.
+    Counts events into a ``ProgressionState`` and folds it, with the
+    ``hr`` rows, through ``SummaryMetrics.of``, as the runner's
+    ``summary`` does, so a faithful log reproduces the reported metrics.
 
     A line as one of the writer's templates writes it is read off
     ``_ROW_PATTERN``'s groups, with ``float`` for the numbers, as
@@ -998,10 +994,8 @@ def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
     """
     fullmatch = _ROW_PATTERN.fullmatch
     row_types = _ROW_TYPES
-    counts: Counter = Counter()  # rows by (row type, the string counted)
-    # Template rows by (the pattern's group, the string counted), folded
-    # into ``counts`` at the end.
-    tally: dict[tuple[int, str], int] = {}
+    # Rows by (row type, the string counted), from either read path.
+    counts: dict[tuple[str, str], int] = {}
     hr_values: list[float] = []
     kcal_last: float | None = None
     for number, raw in enumerate(lines, 1):
@@ -1028,7 +1022,8 @@ def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
                 hr_values.append(fields[0])
                 kcal_last = fields[1]
             elif row_type is not None:
-                counts[row_type, fields[0]] += 1
+                key = row_type, fields[0]
+                counts[key] = counts.get(key, 0) + 1
             continue
         group = match.lastindex
         row_type = row_types[group]
@@ -1036,35 +1031,24 @@ def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
             hr_values.append(float(match[group + 1]))
             kcal_last = float(match[group + 2])
         elif row_type is not None:
-            key = group, match[group + 1]
-            tally[key] = tally.get(key, 0) + 1
-    for (group, value), n in tally.items():
-        counts[row_types[group], value] += n
+            key = row_type, match[group + 1]
+            counts[key] = counts.get(key, 0) + 1
     spawned = {kind: n for (row_type, kind), n in counts.items()
                if row_type == "spawn"}
     viruses_spawned = sum(n for kind, n in spawned.items()
                           if kind.endswith("_virus"))
     cells_spawned = sum(spawned.values()) - viruses_spawned
-    missed = counts["cross", "missed"]
-    collided = counts["cross", "collided"]
-    miss_pct = 100.0 * missed / viruses_spawned if viruses_spawned else None
-    cell_hit_pct = 100.0 * collided / cells_spawned if cells_spawned else None
-    avg_hr = round(sum(hr_values) / len(hr_values), 6) if hr_values else None
-    return SummaryMetrics(
-        viruses_spawned=viruses_spawned,
-        cells_spawned=cells_spawned,
-        viruses_destroyed=counts["jab", "destroyed"],
-        viruses_missed=missed,
-        cells_avoided=counts["cross", "avoided"],
-        cells_collided=collided,
-        wrong_hand_jabs=counts["jab", "wrong_hand"],
-        activations=counts["empower", "start"],
-        miss_pct=miss_pct,
-        cell_hit_pct=cell_hit_pct,
-        avg_hr=avg_hr,
-        max_hr=max(hr_values) if hr_values else None,
-        kcal=kcal_last,
+    get = counts.get
+    state = ProgressionState(
+        viruses_destroyed=get(("jab", "destroyed"), 0),
+        viruses_missed=get(("cross", "missed"), 0),
+        cells_avoided=get(("cross", "avoided"), 0),
+        cells_collided=get(("cross", "collided"), 0),
+        wrong_hand_jabs=get(("jab", "wrong_hand"), 0),
+        activations=get(("empower", "start"), 0),
     )
+    return SummaryMetrics.of(state, viruses_spawned, cells_spawned,
+                             hr_values, kcal_last)
 
 
 class HeaderMismatchError(Exception):
