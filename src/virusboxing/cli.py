@@ -159,13 +159,6 @@ def _settings(args: argparse.Namespace) -> dict:
     return {**data, **given}
 
 
-def _seed(settings: dict) -> int:
-    seed = settings["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"config key 'seed' must be an integer, got {seed!r}")
-    return seed
-
-
 def _resolve_profile(ref: object) -> PlayerProfile:
     if isinstance(ref, dict):
         try:
@@ -217,7 +210,7 @@ def _parse_seeds(args: argparse.Namespace, settings: dict) -> list[int]:
         if hi < lo:
             raise ConfigError(f"--seeds range is empty: {text}")
         return list(range(lo, hi + 1))
-    return [_seed(settings)] if "seed" in settings else [0]
+    return [settings.get("seed", 0)]
 
 
 def _build_config(settings: dict, seed: int) -> SessionConfig:
@@ -249,10 +242,12 @@ def _build_config(settings: dict, seed: int) -> SessionConfig:
                                                 "config key 'setpoint'")
         if "pid_gains" in settings:
             gains = settings["pid_gains"]
-            if not (isinstance(gains, (list, tuple)) and len(gains) == 3):
-                raise ConfigError("pid_gains must be a list of three numbers")
-            chosen["pid_gains"] = tuple(
-                read_number(gain, "config key 'pid_gains'") for gain in gains)
+            # A list's numbers as floats, so that 0 and 0.0 make one
+            # digest; validate holds any value to the field's shape.
+            if isinstance(gains, list):
+                gains = tuple(read_number(gain, "config key 'pid_gains'")
+                              for gain in gains)
+            chosen["pid_gains"] = gains
         config = SessionConfig(seed=seed, profile=profile,
                                targeting=TargetingPolicy(**targeting),
                                **chosen)
@@ -367,7 +362,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     log_path = Path(args.log)
     if not log_path.is_file():
         raise ConfigError(f"no such log file: {log_path}")
-    seed = _seed(settings) if "seed" in settings else _header_seed(log_path)
+    seed = settings["seed"] if "seed" in settings else _header_seed(log_path)
     config = _build_config(settings, seed)
     try:
         report = replay_verify(log_path, config)

@@ -54,6 +54,8 @@ class HeartRateParams:
     # two rates in it, sorted, are a valid rest and max.
     hr_rest: float = field(metadata={"interval": "(0, 300]"})
     hr_max: float = field(metadata={"interval": "(0, 300]"})
+    # SessionConfig.validate also holds each time constant to at least the
+    # step, below which the Euler step overshoots.
     tau_rise: float = field(default=30.0, metadata={"interval": "(0, inf)"})
     tau_decay: float = field(default=60.0, metadata={"interval": "(0, inf)"})
 

@@ -23,7 +23,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .interaction import (
     Calibration,
@@ -177,10 +177,13 @@ def check_bounds(obj, what: str = "") -> None:
     that holds a dataclass to its own, the field's name as a prefix
     (``heart hr_rest``).  A dataclass-typed field must hold an instance
     of its class, a ``float`` field a number that ``read_number`` reads
-    (so an integer past the float range fails), and a field of any other
-    plain type a value of exactly that type, as ``read_json_object``
-    asks; a generic field, such as a tuple of gains, is left to its
-    owner.  NaN lies in no interval, and every end at ``inf`` is open.
+    (so an integer past the float range fails), a tuple-of-floats field
+    a tuple or a list of as many such numbers, each held to the field's
+    interval, and a field of any other plain type a value of exactly
+    that type, as ``read_json_object`` asks; an ``int`` field is
+    compared as it stands, so an integer past the float range may lie
+    in its interval.  NaN lies in no interval, and every end at ``inf``
+    is open.
 
     Raises ``ValueError`` naming the first field that does not hold,
     after ``what``.
@@ -192,21 +195,28 @@ def check_bounds(obj, what: str = "") -> None:
         value = getattr(obj, spec.name)
         nested = hasattr(kind, "__dataclass_fields__")
         if kind is float:
-            value = read_number(value, name)
-        elif get_origin(kind) is None and not (
-                isinstance(value, kind) if nested else type(value) is kind):
+            numbers = (read_number(value, name),)
+        elif get_origin(kind) is tuple:
+            size = len(get_args(kind))
+            if not (isinstance(value, (tuple, list)) and len(value) == size):
+                raise ValueError(
+                    f"{name} must be {size} numbers, got {value!r}")
+            numbers = [read_number(item, name) for item in value]
+        elif not (isinstance(value, kind) if nested else type(value) is kind):
             raise ValueError(
                 f"{name} must be of type {kind.__name__}, got {value!r}")
+        else:
+            numbers = (value,)
         if nested:
             check_bounds(value, name + " ")
         elif spec.name in intervals:
             interval, low, high = intervals[spec.name]
-            number = read_number(value, name)
-            if not ((low <= number if interval[0] == "[" else low < number)
-                    and (number <= high if interval[-1] == "]"
-                         else number < high)):
-                raise ValueError(f"{name} must lie in {interval}, "
-                                 f"got {number}")
+            for number in numbers:
+                if not ((low <= number if interval[0] == "[" else low < number)
+                        and (number <= high if interval[-1] == "]"
+                             else number < high)):
+                    raise ValueError(f"{name} must lie in {interval}, "
+                                     f"got {number}")
 
 
 @dataclass(frozen=True)

@@ -276,10 +276,13 @@ def _wake_tick(fired: int, dt: float, gameplay_ticks: int) -> int:
 
 def _schedule_key(config: SessionConfig) -> tuple:
     """The arguments ``_plan`` takes for ``config``: what shapes its
-    controller and physiology, and so its spawn timeline."""
-    return (config.profile.effort, config.heart,
-            tuple(config.pid_gains) if config.pid_enabled else None,
-            config.hr_setpoint, config.dt, round(config.duration / config.dt))
+    controller and physiology, and so its spawn timeline.  With the PID
+    off the controller never runs, so neither its gains nor its setpoint
+    take part."""
+    controller = ((tuple(config.pid_gains), config.hr_setpoint)
+                  if config.pid_enabled else (None, None))
+    return (config.profile.effort, config.heart, *controller, config.dt,
+            round(config.duration / config.dt))
 
 
 # What one config fixes for every seed: see ``_plan``.
@@ -292,7 +295,7 @@ _Plan = namedtuple("_Plan", "boundaries hr kcal params dues clocks "
 @functools.lru_cache(maxsize=16)
 def _plan(effort: float, heart: HeartRateParams,
           pid_gains: tuple[float, float, float] | None,
-          setpoint: float, dt: float, gameplay_ticks: int) -> _Plan:
+          setpoint: float | None, dt: float, gameplay_ticks: int) -> _Plan:
     """The phase boundaries, physiology and spawn timeline of one config,
     for every seed, worked out in one pass over its ticks.
 
@@ -443,49 +446,46 @@ def _plan(effort: float, heart: HeartRateParams,
 
 @dataclass(frozen=True)
 class SessionConfig:
-    seed: int
+    # The header writes the seed with %d, so seed 1.5 would run on
+    # random.Random(1.5) under the header of seed 1, and random.Random
+    # seeds by absolute value, so seed -3 would replay seed 3 under
+    # another header.
+    seed: int = dataclasses.field(metadata={"interval": "[0, inf)"})
     profile: PlayerProfile
     targeting: TargetingPolicy = TargetingPolicy()
     heart: HeartRateParams = HEART_PRESETS["regular"]
     pid_enabled: bool = True
-    pid_gains: tuple[float, float, float] = DEFAULT_PID_GAINS
+    # Each gain: a bool would run as 1 or 0 under a digest that writes
+    # true or false, and a NaN output clamps to full slow-down without a
+    # word.
+    pid_gains: tuple[float, float, float] = dataclasses.field(
+        default=DEFAULT_PID_GAINS, metadata={"interval": "(-inf, inf)"})
     hr_setpoint: float = dataclasses.field(default=DEFAULT_SETPOINT,
                                            metadata={"interval": "(0, inf)"})
     calibration: Calibration = Calibration()
-    dt: float = 0.02
+    # Past the jab detector's velocity window, the window would never
+    # hold two samples, so no jab could fire.  The drain after the last
+    # spawn lasts up to the longest flight whatever the step, so a step
+    # far below a millisecond makes a session that runs for hours or
+    # never ends, and a small enough one overflows its tick count.
+    dt: float = dataclasses.field(default=0.02, metadata={
+        "interval": f"[0.001, {VELOCITY_WINDOW:g}]"})
     # The protocol has no phase after its end to spawn from.
     duration: float = dataclasses.field(default=SESSION_DURATION, metadata={
         "interval": f"(0, {SESSION_DURATION:g}]"})
 
     def validate(self) -> None:
-        """Hold every field to the interval it declares, the profile's,
-        heart's and calibration's included (``playersim.check_bounds``),
-        then check the rules that relate a field to another or to a
-        constant.  Raises ``ValueError`` naming the first field that
-        fails."""
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            # The header writes the seed with %d: seed 1.5 would run on
-            # random.Random(1.5) under the header of seed 1.
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            # random.Random seeds by absolute value: seed -3 would replay
-            # seed 3 under another header.
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        """Hold every field to its declared type and interval, the
+        profile's, heart's and calibration's included
+        (``playersim.check_bounds``), then check the rules that relate a
+        field to another or to a constant.  Raises ``ValueError`` naming
+        the first field that fails."""
         playersim.check_bounds(self)
         if self.profile.reaction_time >= _MAX_FLIGHT_SECONDS:
             # Every virus would cross before the player could strike it.
             raise ValueError(
                 f"reaction_time {self.profile.reaction_time} is not below "
                 f"the longest flight, {_MAX_FLIGHT_SECONDS:.6g} s"
-            )
-        if not self.dt > 0.0:  # NaN too
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.dt > VELOCITY_WINDOW + 1e-9:
-            # The jab detector's window would never hold two samples, so
-            # no jab could fire.
-            raise ValueError(
-                f"dt {self.dt} is longer than the {VELOCITY_WINDOW} s jab "
-                f"velocity window"
             )
         ticks = self.duration / self.dt
         if abs(ticks - round(ticks)) > 1e-9:
@@ -501,7 +501,7 @@ class SessionConfig:
             )
         heart = self.heart
         # The heart-rate range, hr_max - hr_rest, must be positive.
-        if not 0.0 < heart.hr_rest < heart.hr_max:
+        if not heart.hr_rest < heart.hr_max:
             raise ValueError(
                 f"hr_rest must lie in (0, hr_max), got {heart.hr_rest} "
                 f"with hr_max {heart.hr_max}"
@@ -510,34 +510,24 @@ class SessionConfig:
             raise ValueError(
                 f"hr_setpoint {self.hr_setpoint} is above hr_max {heart.hr_max}"
             )
-        gains = self.pid_gains
-        # A bool gain would run as 1 or 0 under a digest that writes true
-        # or false.
-        if not (isinstance(gains, (tuple, list)) and len(gains) == 3
-                and all(isinstance(gain, (int, float))
-                        and not isinstance(gain, bool) for gain in gains)):
-            raise ValueError(
-                f"pid_gains must be three numbers (kp, ki, kd), got "
-                f"{gains!r}")
-        try:
-            finite = all(math.isfinite(gain) for gain in gains)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
-            # A NaN output clamps to full slow-down without a word.
-            raise ValueError(f"pid_gains must be finite, got {gains}")
-        # So can finite gains: an output is NaN when two of its terms are
-        # infinite with opposite signs.  The integral term may be (a
+        for name, tau in (("tau_rise", heart.tau_rise),
+                          ("tau_decay", heart.tau_decay)):
+            # A shorter time constant makes the Euler step overshoot its
+            # target, and the clamp to [hr_rest, hr_max] hides it.
+            if tau < self.dt:
+                raise ValueError(f"heart {name} {tau} is below dt {self.dt}")
+        # A NaN output also comes from finite gains when two of its terms
+        # are infinite with opposite signs.  The integral term may be (a
         # negative ki has no anti-windup clamp), so the proportional and
         # derivative terms must stay finite.  The heart rate stays in
         # [hr_rest, hr_max] and the setpoint in (0, hr_max], both above 0,
         # so |error| is below hr_max and |Δerror| below twice that, which
         # also covers the rounding of the differences.
-        kp, _, kd = gains
+        kp, _, kd = self.pid_gains
         if not (math.isfinite(abs(kp) * heart.hr_max)
                 and math.isfinite(abs(kd) * 2.0 * heart.hr_max / self.dt)):
             raise ValueError(
-                f"pid_gains {gains} overflow the controller output "
+                f"pid_gains {self.pid_gains} overflow the controller output "
                 f"for heart rates up to {heart.hr_max} at dt {self.dt}"
             )
 

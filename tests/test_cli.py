@@ -196,6 +196,19 @@ class TestRunErrors:
         assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
         assert "heart tau_rise must lie in (0, inf)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["tau_rise", "tau_decay"])
+    def test_heart_time_constant_below_the_step(self, tmp_path, capsys,
+                                                 field) -> None:
+        # tau_rise 0.001 once ran: the Euler step overshot its target, and
+        # the second hr row read 188.48 bpm, clamped at hr_max, in a low
+        # phase aiming at about 96.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"heart": {
+            "hr_rest": 60, "hr_max": 190, field: 0.001}, "pid": False}))
+        assert main(["run", "--config", str(cfg), "--seed", "0"]) == 2
+        assert (f"heart {field} 0.001 is below dt 0.02"
+                in capsys.readouterr().err)
+
 
 class TestVerify:
     def test_fresh_log_passes(self, out_dir, capsys) -> None:
@@ -524,7 +537,10 @@ class TestConfigFileValues:
         cfg.write_text(json.dumps({key: value}))
         # No --seed flag, so the file's seed is read too.
         assert main(["run", "--config", str(cfg)]) == 2
-        assert repr(key) in capsys.readouterr().err
+        # Named as the config key, or, for the seed, as the field
+        # SessionConfig.validate holds to its type.
+        err = capsys.readouterr().err
+        assert repr(key) in err or err.startswith(f"error: {key} must")
 
     def test_nan_gain_is_a_config_error(self, tmp_path, capsys) -> None:
         cfg = tmp_path / "cfg.json"
@@ -683,7 +699,7 @@ class TestConfigFileValues:
         cfg.write_text(json.dumps({"seed": "0", "pid": False}))
         assert main(["verify", str(out_dir / "replay_0.jsonl"),
                      "--config", str(cfg)]) == 2
-        assert "'seed'" in capsys.readouterr().err
+        assert "seed must be of type int" in capsys.readouterr().err
 
 
 class TestFlagsOverFile:
@@ -778,12 +794,12 @@ class TestNegativeSeeds:
 
     def test_seed_flag(self, capsys) -> None:
         assert main(["run", "--seed", "-3", "--pid", "off"]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must lie in [0, inf)" in capsys.readouterr().err
 
     def test_seed_range_with_equals(self, tmp_path, capsys) -> None:
         assert main(["run", "--seeds=-2..2", "--pid", "off",
                      "--out", str(tmp_path)]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must lie in [0, inf)" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_seed_range_as_its_own_argument(self, capsys) -> None:
@@ -796,12 +812,12 @@ class TestNegativeSeeds:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -1, "pid": False}))
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must lie in [0, inf)" in capsys.readouterr().err
 
     def test_verify_seed_flag(self, out_dir, capsys) -> None:
         assert main(["verify", str(out_dir / "replay_0.jsonl"), "--seed", "-1",
                      "--pid", "off"]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must lie in [0, inf)" in capsys.readouterr().err
 
 
 class TestUnreadableFiles:

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
@@ -61,16 +62,26 @@ MAX_DURATION = 36.0
 # prefix ``validate`` names their fields with.
 PARTS = {"profile": PlayerProfile, "heart": HeartRateParams,
          "calibration": Calibration}
+# Each class's field types, its string annotations evaluated.
+TYPES = {cls: get_type_hints(cls) for cls in (SessionConfig, *PARTS.values())}
 
 # An integer past the float range, as a JSON file may hold.
 HUGE = 10**400
 
 
-def bounded(cls: type, name: str) -> st.SearchStrategy[float]:
-    """Any float in the interval the field declares."""
+def bounded(cls: type, name: str,
+            floor: float = -math.inf) -> st.SearchStrategy:
+    """Any number in the interval the field declares: an int for an
+    ``int`` field, a float otherwise, and then at least ``floor``."""
     interval, low, high = declared_intervals(cls)[name]
-    return st.floats(min_value=low, max_value=high,
-                     exclude_min=interval[0] == "(",
+    if TYPES[cls][name] is int:
+        return st.integers(
+            min_value=math.floor(low) + 1 if interval[0] == "(" else
+            math.ceil(low),
+            max_value=None if high == math.inf else
+            math.ceil(high) - 1 if interval[-1] == ")" else math.floor(high))
+    return st.floats(min_value=max(low, floor), max_value=high,
+                     exclude_min=interval[0] == "(" and floor <= low,
                      exclude_max=interval[-1] == ")",
                      allow_nan=False, allow_infinity=False)
 
@@ -83,22 +94,18 @@ def declared(cls: type, **fixed: st.SearchStrategy) -> st.SearchStrategy:
                              **fixed})
 
 
-# The shortest step a drawn config has.  validate takes any positive
-# step, but the drain after the last spawn lasts up to the longest
-# flight, about 5.3 s, whatever the step, so a much shorter one makes
-# the drain longer than a property can wait for.
-MIN_STEP = 0.001
+# The shortest and longest steps the config declares.
+_, MIN_STEP, MAX_STEP = declared_intervals(SessionConfig)["dt"]
 # Each session's gameplay ticks, capped so that the property stays
 # within seconds: MAX_DURATION at the shortest of STEPS.
 MAX_TICKS = round(MAX_DURATION / min(STEPS))
 
 
 def steps_and_ticks(draw) -> tuple[float, int]:
-    """A step, one of ``STEPS`` or any float in [MIN_STEP, 0.1], and a
-    whole number of gameplay ticks, at least one and at most MAX_TICKS.
+    """A step, one of ``STEPS`` or any float in [MIN_STEP, MAX_STEP], and
+    a whole number of gameplay ticks, at least one and at most MAX_TICKS.
     About half the sessions end inside the first sprint."""
-    dt = draw(st.one_of(st.sampled_from(STEPS),
-                        st.floats(min_value=MIN_STEP, max_value=0.1)))
+    dt = draw(st.one_of(st.sampled_from(STEPS), bounded(SessionConfig, "dt")))
     seconds = draw(st.one_of(st.floats(min_value=0.0, max_value=30.0),
                              st.floats(min_value=30.0, max_value=MAX_DURATION)))
     return dt, max(1, min(round(seconds / dt), MAX_TICKS))
@@ -145,11 +152,14 @@ def declared_configs(draw) -> SessionConfig:
     hr_rest, hr_max = sorted(draw(st.lists(
         bounded(HeartRateParams, "hr_rest"), min_size=2, max_size=2,
         unique=True)))
+    # No heart time constant below the step, as validate asks.
     heart = draw(declared(HeartRateParams, hr_rest=st.just(hr_rest),
-                          hr_max=st.just(hr_max)))
+                          hr_max=st.just(hr_max),
+                          tau_rise=bounded(HeartRateParams, "tau_rise", dt),
+                          tau_decay=bounded(HeartRateParams, "tau_decay", dt)))
     gain = st.floats(min_value=-0.5, max_value=0.5)
     config = SessionConfig(
-        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        seed=draw(bounded(SessionConfig, "seed")),
         profile=draw(declared(
             PlayerProfile, name=st.just("drawn"),
             empower_policy=st.sampled_from(EmpowerPolicy),
@@ -235,13 +245,33 @@ BOUNDED = [(part, cls, name)
 
 def edges(cls: type, name: str) -> list:
     """The values beside an interior one that the field is set to: each
-    end of its interval and the floats either side of it, both zeros,
-    NaN, the infinities and an integer past the float range."""
+    end of its interval and the numbers either side of it (the integers,
+    for an ``int`` field, the floats otherwise), both zeros, NaN, the
+    infinities and an integer past the float range."""
     _, low, high = declared_intervals(cls)[name]
-    return [value for end in (low, high)
-            for value in (math.nextafter(end, -math.inf), end,
-                          math.nextafter(end, math.inf))] + [
-        0.0, -0.0, math.nan, math.inf, -math.inf, HUGE]
+    if TYPES[cls][name] is int:
+        beside = [int(end) + step for end in (low, high)
+                  if math.isfinite(end) for step in (-1, 0, 1)]
+    else:
+        beside = [value for end in (low, high)
+                  for value in (math.nextafter(end, -math.inf), end,
+                                math.nextafter(end, math.inf))]
+    return beside + [0.0, -0.0, math.nan, math.inf, -math.inf, HUGE]
+
+
+def field_values(cls: type, name: str) -> st.SearchStrategy:
+    """An edge of the field's interval, or any value inside it; for a
+    tuple field, a tuple of as many items, each drawn so."""
+    item = st.one_of(bounded(cls, name), st.sampled_from(edges(cls, name)))
+    kind = TYPES[cls][name]
+    if get_origin(kind) is tuple:
+        return st.tuples(*[item] * len(get_args(kind)))
+    return item
+
+
+@given(gains=field_values(SessionConfig, "pid_gains"))
+def test_a_tuple_field_draws_each_item(gains: tuple) -> None:
+    assert isinstance(gains, tuple) and len(gains) == 3
 
 
 @st.composite
@@ -252,8 +282,7 @@ def edge_configs(draw) -> SessionConfig:
     config = BASE
     for part, cls, name in draw(st.lists(st.sampled_from(BOUNDED),
                                          max_size=3, unique=True)):
-        value = draw(st.one_of(bounded(cls, name),
-                               st.sampled_from(edges(cls, name))))
+        value = draw(field_values(cls, name))
         if part:
             parts[part] = dataclasses.replace(parts[part], **{name: value})
         else:
@@ -272,7 +301,8 @@ def _rejects(check, errors) -> bool:
 
 
 # The caps on the aim error and the heart rates: the reference took any
-# finite ones.
+# finite ones.  It also took any positive step, and steps up to 1e-9 s
+# past the velocity window: the live step lies in [MIN_STEP, MAX_STEP].
 AIM_CAP = declared_intervals(PlayerProfile)["aim_error_sd"][2]
 HEART_CAP = declared_intervals(HeartRateParams)["hr_max"][2]
 
@@ -283,10 +313,11 @@ def test_validate_rejects_what_the_frozen_reference_rejects(
         config: SessionConfig) -> None:
     # The reference's OverflowError, from an integer past the float
     # range, is a rejection too; the live checks raise ValueError alone.
-    # Beside the aim error's cap and the heart rates' cap, the live
-    # checks reject one more value the reference took: a calibration
-    # integer past the float range, with which run_session raised
-    # OverflowError.
+    # Beside the aim error's cap, the heart rates' cap and the step's
+    # interval, the live checks reject what the reference took: a heart
+    # time constant below the step, whose Euler step overshoots, and a
+    # calibration integer past the float range, with which run_session
+    # raised OverflowError.
     profile = config.profile
     reference = (ValueError, OverflowError)
     assert _rejects(profile.validate, ValueError) == (
@@ -297,6 +328,8 @@ def test_validate_rejects_what_the_frozen_reference_rejects(
         _rejects(lambda: reference_config_validate(config), reference)
         or profile.aim_error_sd > AIM_CAP
         or max(config.heart.hr_rest, config.heart.hr_max) > HEART_CAP
+        or not MIN_STEP <= config.dt <= MAX_STEP
+        or min(config.heart.tau_rise, config.heart.tau_decay) < config.dt
         or HUGE in (calibration.standing_head_height,
                     calibration.lean_threshold))
 

@@ -355,8 +355,11 @@ class TestConfigDigest:
 class TestValidation:
     def test_bad_dt(self, base_config) -> None:
         # NaN once failed later, in round(), with a message naming no field.
-        for dt in (0.0, float("nan")):
-            with pytest.raises(ValueError, match="dt must be positive"):
+        # 1e-300 once validated, and run_session then stepped through
+        # protocol.first_tick without end; 1e-310 made the tick count
+        # infinite, and round() raised OverflowError.
+        for dt in (0.0, float("nan"), 1e-300, 1e-310):
+            with pytest.raises(ValueError, match=r"^dt must lie in \["):
                 dataclasses.replace(base_config, dt=dt).validate()
 
     def test_duration_off_grid(self, base_config) -> None:
@@ -538,6 +541,8 @@ class TestConfigRejection:
         ("tau_rise", 0.0), ("tau_decay", 0.0), ("tau_rise", -5.0),
         ("tau_decay", float("nan")), ("hr_max", float("inf")),
         ("hr_rest", -50.0), ("hr_rest", 0.0),
+        # Below the 0.02 s step: the Euler step overshoots its target.
+        ("tau_rise", 0.019), ("tau_decay", 0.019),
         # Past the float range: math.isfinite once raised OverflowError.
         pytest.param("hr_rest", 10**400, id="hr_rest-10**400"),
         pytest.param("tau_rise", 10**400, id="tau_rise-10**400"),
@@ -546,6 +551,13 @@ class TestConfigRejection:
         heart = dataclasses.replace(base_config.heart, **{field: value})
         with pytest.raises(ValueError):
             dataclasses.replace(base_config, heart=heart).validate()
+
+    def test_time_constants_of_one_step_are_accepted(self,
+                                                       base_config) -> None:
+        # One step of exactly tau lands on the target, no further.
+        heart = dataclasses.replace(base_config.heart, tau_rise=0.02,
+                                    tau_decay=0.02)
+        dataclasses.replace(base_config, heart=heart).validate()
 
     def test_heart_range_that_overflows(self, base_config) -> None:
         heart = dataclasses.replace(base_config.heart, hr_rest=-1e308,
@@ -575,7 +587,7 @@ class TestConfigRejection:
         (10**400, 0.0, 0.0),
     ])
     def test_bad_pid_gains(self, base_config, gains) -> None:
-        with pytest.raises(ValueError, match="pid_gains must be"):
+        with pytest.raises(ValueError, match="^pid_gains "):
             dataclasses.replace(base_config, pid_gains=gains).validate()
 
     @pytest.mark.parametrize("gains", [[0.06, 0.005, 0.0], (1, 0, 0)])
@@ -747,6 +759,18 @@ class TestPlanCache:
                 assert _physiology(run_session(other)) == reference
         assert _plan.cache_info().misses == 1
 
+    def test_pid_off_plans_ignore_setpoint_and_gains(self, pid_config) -> None:
+        # The controller never runs, so the setpoint and the gains shape
+        # nothing; they once keyed a plan of their own each.
+        _plan.cache_clear()
+        off = dataclasses.replace(pid_config, pid_enabled=False)
+        logs = [run_session(dataclasses.replace(off, **changes)).lines[1:]
+                for changes in ({"hr_setpoint": 120.0}, {"hr_setpoint": 150.0},
+                                {"hr_setpoint": 180.0},
+                                {"pid_gains": (0.01, 0.0, 0.0)})]
+        assert _plan.cache_info().misses == 1
+        assert all(lines == logs[0] for lines in logs)
+
     @pytest.mark.parametrize("changes", [
         {"profile": dataclasses.replace(load_profile("mid_skill"), effort=0.5)},
         {"heart": HEART_PRESETS["sedentary"]},
@@ -793,13 +817,17 @@ class TestNegativeSeeds:
     @pytest.mark.parametrize("seed", [-1, -3])
     def test_a_negative_seed_is_rejected(self, base_config, seed) -> None:
         config = dataclasses.replace(base_config, seed=seed, duration=10.0)
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, inf\)"):
             config.validate()
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, inf\)"):
             run_session(config)
 
     def test_seed_zero_is_accepted(self, base_config) -> None:
         dataclasses.replace(base_config, seed=0).validate()
+
+    def test_a_seed_past_the_float_range_is_accepted(self, base_config) -> None:
+        # The seed's interval compares the int as it stands.
+        dataclasses.replace(base_config, seed=10**400).validate()
 
 
 class TestNonIntegerSeeds:
@@ -810,7 +838,7 @@ class TestNonIntegerSeeds:
     def test_a_seed_that_is_not_an_int_is_rejected(self, base_config,
                                                    seed) -> None:
         config = dataclasses.replace(base_config, seed=seed, duration=10.0)
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match="^seed must be of type int"):
             config.validate()
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match="^seed must be of type int"):
             run_session(config)
