@@ -33,8 +33,8 @@ from .playersim import (
     PlayerProfile,
     builtin_profiles,
     load_profile,
+    read_field,
     read_json_object,
-    read_number,
 )
 from .progression import SummaryMetrics
 from .session import (
@@ -67,6 +67,9 @@ SUMMARY_FIELDS = ("seed", *(field.name for field in fields(SummaryMetrics)))
 # Every key a --config file may hold.
 CONFIG_KEYS = ("seed", "profile", "targeting", "range", "heart", "pid",
                "setpoint", "pid_gains")
+# Each key that sets a SessionConfig field by the field's own type.
+_FIELD_KEYS = {"pid": "pid_enabled", "setpoint": "hr_setpoint",
+               "pid_gains": "pid_gains"}
 
 
 class ConfigError(Exception):
@@ -228,26 +231,15 @@ def _build_config(settings: dict, seed: int) -> SessionConfig:
     chosen = {}
     if "heart" in settings:
         chosen["heart"] = _resolve_heart(settings["heart"])
-    if "pid" in settings:
-        if not isinstance(settings["pid"], bool):
-            raise ConfigError(f"config key 'pid' must be true or false, "
-                              f"got {settings['pid']!r}")
-        chosen["pid_enabled"] = settings["pid"]
-
-    # A value that is no number, or a number outside its field's
-    # interval, is a configuration error naming it.
     try:
-        if "setpoint" in settings:
-            chosen["hr_setpoint"] = read_number(settings["setpoint"],
-                                                "config key 'setpoint'")
-        if "pid_gains" in settings:
-            gains = settings["pid_gains"]
-            # A list's numbers as floats, so that 0 and 0.0 make one
-            # digest; validate holds any value to the field's shape.
-            if isinstance(gains, list):
-                gains = tuple(read_number(gain, "config key 'pid_gains'")
-                              for gain in gains)
-            chosen["pid_gains"] = gains
+        for key, field in _FIELD_KEYS.items():
+            if key in settings:
+                value = settings[key]
+                # A config file's JSON array: the field holds a tuple.
+                if type(value) is list:
+                    value = tuple(value)
+                chosen[field] = read_field(SessionConfig, field, value,
+                                           f"config key {key!r}")
         config = SessionConfig(seed=seed, profile=profile,
                                targeting=TargetingPolicy(**targeting),
                                **chosen)

@@ -49,6 +49,7 @@ __all__ = [
     "plan_reaction",
     "load_profile",
     "builtin_profiles",
+    "read_field",
     "read_json_object",
     "read_number",
     "declared_intervals",
@@ -124,16 +125,40 @@ def read_number(value: object, name: str) -> float:
         raise ValueError(f"{name} is an integer too large for a float") from None
 
 
+def read_field(cls: type, name: str, value: object, what: str):
+    """``value`` read by the declared type of field ``name`` of the ``cls``
+    dataclass: the one rule for what a field's type accepts, and how its
+    numbers are written.  A ``float`` field takes a number that
+    ``read_number`` reads, as a float, so that ``60`` and ``60.0`` make
+    one config and one digest; a tuple-of-floats field a tuple of as many
+    such numbers, as a tuple of floats; and any other field a value of
+    exactly its type, as it stands.
+
+    Raises ``ValueError`` naming ``what`` for any other value.
+    """
+    kind = _field_types(cls)[name]
+    if type(value) is kind:
+        return value
+    if kind is float:
+        return read_number(value, what)
+    items = get_args(kind)
+    if get_origin(kind) is tuple and set(items) == {float}:
+        if type(value) is tuple and len(value) == len(items):
+            return tuple([read_number(item, what) for item in value])
+        raise ValueError(
+            f"{what} must be a tuple of {len(items)} numbers, got {value!r}")
+    raise ValueError(
+        f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
 def read_json_object(cls: type, data: object, what: str):
-    """The ``cls`` dataclass a JSON object holds, read by the declared
-    type of each field: ``float`` takes a JSON number (not a bool) within
-    the float range as a float, through ``read_number``, so that ``60``
-    and ``60.0`` make one config and one digest, ``str`` a string and an
-    enum one of its values.  A field with a default may be left out.
+    """The ``cls`` dataclass a JSON object holds: an enum field's value
+    names its member, and every field is read by ``read_field``.  A field
+    with a default may be left out.
 
     Raises ``ValueError`` naming the key for an unknown key, a missing
-    field with no default or a value of the wrong type, and for ``data``
-    that is not an object at all; ``what`` names the object.
+    field with no default or a value ``read_field`` does not take, and
+    for ``data`` that is not an object at all; ``what`` names the object.
     """
     if not isinstance(data, dict):
         raise ValueError(
@@ -150,14 +175,9 @@ def read_json_object(cls: type, data: object, what: str):
                 raise ValueError(f"{what} field {name!r} is missing")
             continue
         value = data[name]
-        if kind is float:
-            value = read_number(value, f"{what} field {name!r}")
-        elif issubclass(kind, Enum):
+        if issubclass(kind, Enum):
             value = next((m for m in kind if m.value == value), value)
-        if type(value) is not kind:
-            raise ValueError(f"{what} field {name!r} must be of type "
-                             f"{kind.__name__}, got {value!r}")
-        values[name] = value
+        values[name] = read_field(cls, name, value, f"{what} field {name!r}")
     return cls(**values)
 
 
@@ -172,46 +192,34 @@ def declared_intervals(cls: type) -> dict[str, tuple[str, float, float]]:
 
 
 def check_bounds(obj, what: str = "") -> None:
-    """Hold each field of the ``obj`` dataclass to its declared type and
-    to the interval it declares (``declared_intervals``), and each field
-    that holds a dataclass to its own, the field's name as a prefix
-    (``heart hr_rest``).  A dataclass-typed field must hold an instance
-    of its class, a ``float`` field a number that ``read_number`` reads
-    (so an integer past the float range fails), a tuple-of-floats field
-    a tuple or a list of as many such numbers, each held to the field's
-    interval, and a field of any other plain type a value of exactly
-    that type, as ``read_json_object`` asks; an ``int`` field is
-    compared as it stands, so an integer past the float range may lie
-    in its interval.  NaN lies in no interval, and every end at ``inf``
-    is open.
+    """Hold each field of the ``obj`` dataclass that holds a dataclass to
+    an instance of its class and to that class's own fields, the field's
+    name as a prefix (``heart hr_rest``), and each other field to
+    ``read_field`` and then to the interval it declares
+    (``declared_intervals``), each item of a tuple included.  An ``int``
+    field is compared as it stands, so an integer past the float range
+    may lie in its interval.  NaN lies in no interval, and every end at
+    ``inf`` is open.
 
     Raises ``ValueError`` naming the first field that does not hold,
     after ``what``.
     """
-    intervals = declared_intervals(type(obj))
-    types = _field_types(type(obj))
+    cls = type(obj)
+    intervals = declared_intervals(cls)
+    types = _field_types(cls)
     for spec in fields(obj):
         name, kind = what + spec.name, types[spec.name]
         value = getattr(obj, spec.name)
-        nested = hasattr(kind, "__dataclass_fields__")
-        if kind is float:
-            numbers = (read_number(value, name),)
-        elif get_origin(kind) is tuple:
-            size = len(get_args(kind))
-            if not (isinstance(value, (tuple, list)) and len(value) == size):
+        if hasattr(kind, "__dataclass_fields__"):
+            if not isinstance(value, kind):
                 raise ValueError(
-                    f"{name} must be {size} numbers, got {value!r}")
-            numbers = [read_number(item, name) for item in value]
-        elif not (isinstance(value, kind) if nested else type(value) is kind):
-            raise ValueError(
-                f"{name} must be of type {kind.__name__}, got {value!r}")
-        else:
-            numbers = (value,)
-        if nested:
+                    f"{name} must be of type {kind.__name__}, got {value!r}")
             check_bounds(value, name + " ")
-        elif spec.name in intervals:
+            continue
+        value = read_field(cls, spec.name, value, name)
+        if spec.name in intervals:
             interval, low, high = intervals[spec.name]
-            for number in numbers:
+            for number in value if type(value) is tuple else (value,):
                 if not ((low <= number if interval[0] == "[" else low < number)
                         and (number <= high if interval[-1] == "]"
                              else number < high)):

@@ -279,7 +279,7 @@ def _schedule_key(config: SessionConfig) -> tuple:
     controller and physiology, and so its spawn timeline.  With the PID
     off the controller never runs, so neither its gains nor its setpoint
     take part."""
-    controller = ((tuple(config.pid_gains), config.hr_setpoint)
+    controller = ((config.pid_gains, config.hr_setpoint)
                   if config.pid_enabled else (None, None))
     return (config.profile.effort, config.heart, *controller, config.dt,
             round(config.duration / config.dt))
@@ -535,8 +535,8 @@ class SessionConfig:
 def _fields_payload(obj) -> dict:
     """``dataclasses.asdict(obj)`` as ``json.dumps`` writes it, with no
     copies: each field's value by name, a dataclass as a dict of its own
-    fields, a ``float`` field's value as a float, so that ``150`` and
-    ``150.0`` write alike, and any other value as it stands."""
+    fields, and any other value as ``playersim.read_field`` reads it."""
+    cls = type(obj)
     payload = {}
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
@@ -544,20 +544,21 @@ def _fields_payload(obj) -> dict:
         # answer a missing class attribute slowly.
         if hasattr(value, "__dataclass_fields__"):
             value = _fields_payload(value)
-        elif field.type == "float":  # every module postpones annotations
-            value = float(value)
+        else:
+            value = playersim.read_field(cls, field.name, value, field.name)
         payload[field.name] = value
     return payload
 
 
 def config_digest(config: SessionConfig) -> str:
     """Hash of everything that shapes a run except the seed: every other
-    field of the config, the controller's three under ``"pid"`` with each
-    gain as a float, enums by value, and the log version."""
+    field of the config, each leaf as ``playersim.read_field`` reads it
+    (``_fields_payload``), the controller's three under ``"pid"``, enums
+    by value, and the log version."""
     payload = _fields_payload(config)
     del payload["seed"]
-    gains = [float(gain) for gain in payload.pop("pid_gains")]
-    payload["pid"] = {"enabled": payload.pop("pid_enabled"), "gains": gains,
+    payload["pid"] = {"enabled": payload.pop("pid_enabled"),
+                      "gains": payload.pop("pid_gains"),
                       "setpoint": payload.pop("hr_setpoint")}
     payload["version"] = LOG_VERSION
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),

@@ -554,6 +554,21 @@ class TestConfigFileValues:
         assert _run_with_file(tmp_path, {"pid_gains": [1e308, 0.0, -1e308]}) == 2
         assert "pid_gains" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [5, {"kp": 1}, [1, 2]])
+    def test_gains_not_three_numbers_name_the_key(self, tmp_path, capsys,
+                                                  value) -> None:
+        assert _run_with_file(tmp_path, {"pid_gains": value}) == 2
+        assert "config key 'pid_gains'" in capsys.readouterr().err
+
+    def test_file_gains_make_a_hashable_config(self, tmp_path) -> None:
+        # The file's JSON array is a list; the config holds a tuple.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pid_gains": [1, 0.005, 0]}))
+        args = build_parser().parse_args(["run", "--config", str(cfg)])
+        config = cli._build_config(cli._settings(args), 0)
+        assert config.pid_gains == (1.0, 0.005, 0.0)
+        assert config in {config}
+
     @pytest.mark.parametrize("key, value", [
         ("targeting", ["pt"]), ("range", {"long": 1}),
     ])

@@ -585,15 +585,15 @@ class TestConfigRejection:
         (True, 0.0, 0.0), (0.06, 0.005, False),
         # An int past the float range once raised OverflowError.
         (10**400, 0.0, 0.0),
+        # A frozen config holding a list cannot be hashed.
+        [0.06, 0.005, 0.0],
     ])
     def test_bad_pid_gains(self, base_config, gains) -> None:
         with pytest.raises(ValueError, match="^pid_gains "):
             dataclasses.replace(base_config, pid_gains=gains).validate()
 
-    @pytest.mark.parametrize("gains", [[0.06, 0.005, 0.0], (1, 0, 0)])
-    def test_int_and_list_gains_are_accepted(self, base_config,
-                                             gains) -> None:
-        dataclasses.replace(base_config, pid_gains=gains).validate()
+    def test_int_gains_are_accepted(self, base_config) -> None:
+        dataclasses.replace(base_config, pid_gains=(1, 0, 0)).validate()
 
     @pytest.mark.parametrize("gains", [
         (1e308, 0.0, -1e308), (-1e307, 0.0, 0.0), (0.06, 0.005, 1e306),
