@@ -11,9 +11,11 @@ the last seed.  A failure part-way leaves the finished seeds' files on
 disk and writes no ``sweep.csv``.
 
 Exit codes: run returns 0 on success, 2 for configuration problems, 3
-for runtime failures.  verify returns 0 on a byte-identical match, 1 on
-divergence, 2 when the log header does not match the configuration or
-the log cannot be read.
+for runtime failures.  verify returns 0 when every row of the log matches
+the re-run (blank lines and line ends are not compared), 1 on
+divergence, naming the row's line in the file, blank lines counted, 2
+when the log header does not match the configuration or the log cannot
+be read.
 Either command prints a runtime failure's traceback to standard error.
 """
 from __future__ import annotations

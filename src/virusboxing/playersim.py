@@ -191,15 +191,18 @@ def declared_intervals(cls: type) -> dict[str, tuple[str, float, float]]:
             if (text := spec.metadata.get("interval")) is not None}
 
 
-def check_bounds(obj, what: str = "") -> None:
-    """Hold each field of the ``obj`` dataclass that holds a dataclass to
-    an instance of its class and to that class's own fields, the field's
-    name as a prefix (``heart hr_rest``), and each other field to
-    ``read_field`` and then to the interval it declares
-    (``declared_intervals``), each item of a tuple included.  An ``int``
-    field is compared as it stands, so an integer past the float range
-    may lie in its interval.  NaN lies in no interval, and every end at
-    ``inf`` is open.
+def check_bounds(obj, what: str = "") -> dict:
+    """Check the declared fields of the ``obj`` dataclass and return them
+    as the payload the config digest hashes: one walk does both.
+
+    A field that holds a dataclass must hold an instance of its class,
+    whose fields are walked in turn, the field's name as a prefix
+    (``heart hr_rest``), and returned as a dict.  Any other field is read
+    by ``read_field``, held to the interval it declares
+    (``declared_intervals``), each item of a tuple included, and returned
+    as read.  An ``int`` field is compared as it stands, so an integer
+    past the float range may lie in its interval.  NaN lies in no
+    interval, and every end at ``inf`` is open.
 
     Raises ``ValueError`` naming the first field that does not hold,
     after ``what``.
@@ -207,6 +210,7 @@ def check_bounds(obj, what: str = "") -> None:
     cls = type(obj)
     intervals = declared_intervals(cls)
     types = _field_types(cls)
+    payload = {}
     for spec in fields(obj):
         name, kind = what + spec.name, types[spec.name]
         value = getattr(obj, spec.name)
@@ -214,9 +218,9 @@ def check_bounds(obj, what: str = "") -> None:
             if not isinstance(value, kind):
                 raise ValueError(
                     f"{name} must be of type {kind.__name__}, got {value!r}")
-            check_bounds(value, name + " ")
+            payload[spec.name] = check_bounds(value, name + " ")
             continue
-        value = read_field(cls, spec.name, value, name)
+        value = payload[spec.name] = read_field(cls, spec.name, value, name)
         if spec.name in intervals:
             interval, low, high = intervals[spec.name]
             for number in value if type(value) is tuple else (value,):
@@ -225,6 +229,7 @@ def check_bounds(obj, what: str = "") -> None:
                              else number < high)):
                     raise ValueError(f"{name} must lie in {interval}, "
                                      f"got {number}")
+    return payload
 
 
 @dataclass(frozen=True)

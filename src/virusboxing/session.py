@@ -474,13 +474,14 @@ class SessionConfig:
     duration: float = dataclasses.field(default=SESSION_DURATION, metadata={
         "interval": f"(0, {SESSION_DURATION:g}]"})
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
         """Hold every field to its declared type and interval, the
         profile's, heart's and calibration's included
         (``playersim.check_bounds``), then check the rules that relate a
-        field to another or to a constant.  Raises ``ValueError`` naming
-        the first field that fails."""
-        playersim.check_bounds(self)
+        field to another or to a constant.  Returns the fields' payload
+        that walk built, which ``config_digest`` hashes.  Raises
+        ``ValueError`` naming the first field that fails."""
+        payload = playersim.check_bounds(self)
         if self.profile.reaction_time >= _MAX_FLIGHT_SECONDS:
             # Every virus would cross before the player could strike it.
             raise ValueError(
@@ -530,32 +531,16 @@ class SessionConfig:
                 f"pid_gains {self.pid_gains} overflow the controller output "
                 f"for heart rates up to {heart.hr_max} at dt {self.dt}"
             )
-
-
-def _fields_payload(obj) -> dict:
-    """``dataclasses.asdict(obj)`` as ``json.dumps`` writes it, with no
-    copies: each field's value by name, a dataclass as a dict of its own
-    fields, and any other value as ``playersim.read_field`` reads it."""
-    cls = type(obj)
-    payload = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        # What ``is_dataclass`` tests, read off the value: enum classes
-        # answer a missing class attribute slowly.
-        if hasattr(value, "__dataclass_fields__"):
-            value = _fields_payload(value)
-        else:
-            value = playersim.read_field(cls, field.name, value, field.name)
-        payload[field.name] = value
-    return payload
+        return payload
 
 
 def config_digest(config: SessionConfig) -> str:
     """Hash of everything that shapes a run except the seed: every other
     field of the config, each leaf as ``playersim.read_field`` reads it
-    (``_fields_payload``), the controller's three under ``"pid"``, enums
-    by value, and the log version."""
-    payload = _fields_payload(config)
+    (the payload ``validate`` returns), the controller's three under
+    ``"pid"``, enums by value, and the log version.  Defined only for a
+    valid config: raises ``validate``'s ``ValueError`` for any other."""
+    payload = config.validate()
     del payload["seed"]
     payload["pid"] = {"enabled": payload.pop("pid_enabled"),
                       "gains": payload.pop("pid_gains"),
@@ -688,8 +673,9 @@ class SessionResult:
 
 def run_session(config: SessionConfig,
                 log_path: str | Path | None = None) -> SessionResult:
-    """Run one full session and return its metrics, log, and trace."""
-    config.validate()
+    """Run one full session and return its metrics, log, and trace.
+    Raises ``ValueError`` for a config that ``validate`` rejects."""
+    digest = config_digest(config)
     dt = config.dt
     gameplay_ticks = round(config.duration / dt)
     ticks_per_second = max(1, round(1.0 / dt))
@@ -712,7 +698,6 @@ def run_session(config: SessionConfig,
     detector = JabDetector()
     judge = detector.judge
 
-    digest = config_digest(config)
     lines: list[str] = [_HEADER_ROW % (config.seed, digest)]
     trace: list[TraceRow] = []
     # Spawn i is entity i.  Its position holds the world's first
@@ -1048,6 +1033,10 @@ class HeaderMismatchError(Exception):
 
 @dataclass(frozen=True)
 class ReplayReport:
+    """``lines_checked`` counts the log rows compared, and
+    ``divergence_line`` numbers the first row that differs by its line in
+    the source, blank lines counted."""
+
     ok: bool
     lines_checked: int
     divergence_line: int | None = None
@@ -1076,12 +1065,15 @@ def read_header(line: str) -> dict:
     return header
 
 
-def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
+def _load_lines(source: str | Path | Iterable[str]) -> list[tuple[int, str]]:
+    """Each line of ``source`` that is not blank, its end stripped, with
+    its number in the source, blank lines counted: a file's lines as
+    Python reads them, or an iterable's items."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-        return [ln for ln in text.splitlines() if ln.strip()]
+        source = Path(source).read_text(encoding="utf-8").split("\n")
     # An iterable's lines keep their ends, "\r\n" included.
-    return [ln.rstrip("\r\n") for ln in source if ln.strip()]
+    return [(number, line.rstrip("\r\n"))
+            for number, line in enumerate(source, 1) if line.strip()]
 
 
 def replay_verify(source: str | Path | Iterable[str],
@@ -1091,7 +1083,8 @@ def replay_verify(source: str | Path | Iterable[str],
     Raises HeaderMismatchError when the log does not even claim to come
     from this seed and configuration, and ValueError for a config that
     ``validate`` rejects; otherwise reports the first diverging line, if
-    any.
+    any.  Blank lines are skipped, and line ends are not compared, so a
+    log with CRLF ends or blank lines between its rows still matches.
     """
     try:
         recorded = _load_lines(source)
@@ -1099,11 +1092,10 @@ def replay_verify(source: str | Path | Iterable[str],
         raise HeaderMismatchError(f"log is not UTF-8 text: {exc}") from exc
     if not recorded:
         raise HeaderMismatchError("log is empty")
-    header = read_header(recorded[0])
+    header = read_header(recorded[0][1])
     if header["seed"] != config.seed:
         raise HeaderMismatchError(
             f"log seed {header['seed']!r}, expected {config.seed}")
-    config.validate()  # before its digest reads each number as a float
     expected_digest = config_digest(config)
     if header.get("config") != expected_digest:
         raise HeaderMismatchError(
@@ -1111,15 +1103,19 @@ def replay_verify(source: str | Path | Iterable[str],
             f"{expected_digest!r}"
         )
     fresh = run_session(config).lines
-    for i, (want, got) in enumerate(zip(fresh, recorded)):
+    for i, (want, (number, got)) in enumerate(zip(fresh, recorded)):
         if want != got:
-            return ReplayReport(False, i + 1, divergence_line=i + 1,
+            return ReplayReport(False, i + 1, divergence_line=number,
                                 expected=want, actual=got)
     if len(fresh) != len(recorded):
         short = min(len(fresh), len(recorded))
+        if short < len(recorded):
+            number, actual = recorded[short]
+        else:
+            number, actual = recorded[-1][0] + 1, "<end of log>"
         return ReplayReport(
-            False, short, divergence_line=short + 1,
+            False, short, divergence_line=number,
             expected=fresh[short] if short < len(fresh) else "<end of log>",
-            actual=recorded[short] if short < len(recorded) else "<end of log>",
+            actual=actual,
         )
     return ReplayReport(True, len(fresh))

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import virusboxing
-from virusboxing import cli, session
+from virusboxing import cli, playersim, session
 from virusboxing.cli import build_parser, main
 
 
@@ -232,6 +232,20 @@ class TestVerify:
         assert main(["verify", str(bad), "--pid", "off"]) == 1
         assert "divergence at line" in capsys.readouterr().err
 
+    def test_a_divergence_names_the_files_own_line(self, out_dir, tmp_path,
+                                                   capsys) -> None:
+        # A blank line after line 5 moves the later rows down a line: the
+        # tampered row is file line 21, the log's row 20.
+        lines = (out_dir / "replay_0.jsonl").read_text().splitlines()
+        lines.insert(5, "")
+        lines[20] = lines[20].replace('"t":', '"t":9', 1)
+        bad = tmp_path / "padded.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad), "--pid", "off"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("divergence at line 21:\n")
+        assert f"  actual:   {lines[20]}\n" in err
+
     def test_truncated_log_fails(self, out_dir, tmp_path, capsys) -> None:
         lines = (out_dir / "replay_0.jsonl").read_text().splitlines()
         short = tmp_path / "short.jsonl"
@@ -265,6 +279,48 @@ class TestVerify:
         assert main(["verify", str(bad), "--pid", "off", *seed]) == 2
         err = capsys.readouterr().err
         assert ("header mismatch" if seed else "cannot read seed") in err
+
+
+class TestConfigWalks:
+    """``playersim.check_bounds`` walks a config's declared fields both to
+    check them and to build the digest's payload, so each command walks
+    a config once in ``_build_config`` and once per digest."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch) -> list:
+        # A walk over the config's fields reads its dt once, through
+        # playersim.read_field; no CLI key sets dt.
+        walked = []
+        read_field = playersim.read_field
+
+        def counted(cls, name, value, what):
+            if cls is session.SessionConfig and name == "dt":
+                walked.append(what)
+            return read_field(cls, name, value, what)
+
+        monkeypatch.setattr(playersim, "read_field", counted)
+        return walked
+
+    def test_run_session_walks_its_config_once(self, walks) -> None:
+        profile = playersim.load_profile("mid_skill")
+        session.run_session(session.SessionConfig(seed=0, profile=profile,
+                                                  duration=10.0))
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("seeds, count", [
+        (["--seed", "4"], 2), (["--seeds", "0..1"], 4)])
+    def test_run_walks_each_config_twice(self, walks, capsys, seeds,
+                                         count) -> None:
+        # _build_config, then the session's digest.
+        assert main(["run", *seeds, "--pid", "off"]) == 0
+        assert len(walks) == count
+
+    def test_verify_walks_its_config_three_times(self, walks, out_dir,
+                                                 capsys) -> None:
+        # _build_config, the log's digest and the re-run's digest.
+        assert main(["verify", str(out_dir / "replay_0.jsonl"),
+                     "--pid", "off"]) == 0
+        assert len(walks) == 3
 
 
 class TestVerifyHeaderSeed:

@@ -1,6 +1,7 @@
 """``playersim.read_field``: the one rule for what a config field's
-declared type accepts, which the JSON readers, the CLI's keys,
-``check_bounds`` and the digest's payload all read through."""
+declared type accepts, which the JSON readers, the CLI's keys and
+``check_bounds``, the walk that checks a config and builds its digest's
+payload, all read through."""
 from __future__ import annotations
 
 import json
@@ -14,10 +15,11 @@ from virusboxing.physiology import HeartRateParams
 from virusboxing.playersim import (
     EmpowerPolicy,
     PlayerProfile,
+    check_bounds,
     read_field,
     read_json_object,
 )
-from virusboxing.session import SessionConfig, _fields_payload
+from virusboxing.session import SessionConfig
 
 # Each part of the config that a JSON object may hold, by its field.
 PARTS = {"profile": PlayerProfile, "heart": HeartRateParams,
@@ -65,12 +67,12 @@ def test_any_other_value_is_rejected_by_its_name(cls, name, value) -> None:
 def test_the_payload_reads_back(config: SessionConfig) -> None:
     # Each part, written as the digest writes it and read back as a JSON
     # file is, is the part it was.
-    payload = _fields_payload(config)
+    payload = check_bounds(config)
     for name, cls in PARTS.items():
         text = json.dumps(payload[name], default=lambda member: member.value)
         assert read_json_object(cls, json.loads(text), name) == getattr(
             config, name)
-    # read_field takes what _fields_payload wrote, unchanged.
+    # read_field takes what check_bounds wrote, unchanged.
     for cls, values in ((SessionConfig, payload),
                         *((cls, payload[name]) for name, cls in PARTS.items())):
         for name, value in values.items():

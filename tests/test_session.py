@@ -340,6 +340,11 @@ class TestConfigDigest:
         assert (config_digest(dataclasses.replace(base_config, **ints))
                 == config_digest(dataclasses.replace(base_config, **floats)))
 
+    def test_an_invalid_config_has_no_digest(self, base_config) -> None:
+        # The payload comes from the walk that checks the config.
+        with pytest.raises(ValueError, match="^dt must lie in"):
+            config_digest(dataclasses.replace(base_config, dt=0.0))
+
     @pytest.mark.parametrize("field", [
         field.name for field in dataclasses.fields(SessionConfig)
         if field.name != "seed"])
@@ -415,6 +420,33 @@ class TestReplayVerify:
         report = replay_verify(list(result.lines[:-5]), base_config)
         assert not report.ok
         assert report.actual == "<end of log>"
+
+    @pytest.mark.parametrize("as_path", [True, False], ids=["path", "lines"])
+    def test_a_divergence_is_numbered_by_the_sources_own_lines(
+            self, base_config, result, tmp_path, as_path) -> None:
+        # Blank and whitespace-only lines are skipped but counted, so the
+        # tampered row is named by its line in the file: line 21, the
+        # log's row 18.
+        lines = ["", *result.lines[:5], "  ", "\t", *result.lines[5:]]
+        lines[20] = lines[20].replace('"t":', '"t":9', 1)
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with open(path, encoding="utf-8") as handle:
+            report = replay_verify(path if as_path else handle, base_config)
+        assert (report.divergence_line, report.lines_checked) == (21, 18)
+        assert report.actual == lines[20]
+
+    @pytest.mark.parametrize("cut, extra, past", [
+        (5, [], 3), (0, ["", "{}"], 4)], ids=["short", "long"])
+    def test_the_end_of_a_log_is_numbered_by_its_own_lines(
+            self, base_config, result, cut, extra, past) -> None:
+        # The log's rows fill lines 3 to rows + 2.  A short log diverges
+        # on the line after its last row, a long one on its extra row.
+        rows = len(result.lines) - cut
+        lines = ["", "", *result.lines[:rows], *extra, "", ""]
+        report = replay_verify(lines, base_config)
+        assert report.lines_checked == rows
+        assert report.divergence_line == rows + past
 
     def test_wrong_seed_rejected_up_front(self, base_config, result) -> None:
         other = dataclasses.replace(base_config, seed=99)
