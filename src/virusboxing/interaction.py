@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .world import Entity, EntityKind, FLIGHT_HEIGHT, VIRUS_KINDS, WorldState
+from .world import (Entity, EntityKind, FLIGHT_HEIGHT, IdentityEnum,
+                    VIRUS_KINDS, WorldState)
 
 __all__ = [
     "JAB_SPEED_THRESHOLD",
@@ -54,11 +54,9 @@ PRECISE_RAY_TOLERANCE = 0.25
 Vec3 = tuple[float, float, float]
 
 
-class Hand(Enum):
+class Hand(IdentityEnum):
     LEFT = "left"
     RIGHT = "right"
-
-    __hash__ = object.__hash__  # see world.EntityKind
 
 
 # Slot order of per-hand state: left first, as jabs are reported.
@@ -104,28 +102,22 @@ class Calibration:
                                   metadata={"interval": "[0, inf)"})
 
 
-class PoseClass(Enum):
+class PoseClass(IdentityEnum):
     STANDING = "standing"
     SQUAT = "squat"
     SQUAT_LEAN_LEFT = "squat_lean_left"
     SQUAT_LEAN_RIGHT = "squat_lean_right"
 
-    __hash__ = object.__hash__  # see world.EntityKind
 
-
-class TargetingMode(Enum):
+class TargetingMode(IdentityEnum):
     PRECISE = "precise"
     ROUGH = "rough"
 
-    __hash__ = object.__hash__  # see world.EntityKind
 
-
-class TargetingRange(Enum):
+class TargetingRange(IdentityEnum):
     SHORT = "short"
     MEDIUM = "medium"
     LONG = "long"
-
-    __hash__ = object.__hash__  # see world.EntityKind
 
 
 RANGE_METRES = {
@@ -159,12 +151,10 @@ class JabEvent(NamedTuple):
     direction: Vec3
 
 
-class HitKind(Enum):
+class HitKind(IdentityEnum):
     DESTROYED = "destroyed"
     WRONG_HAND = "wrong_hand"
     NO_TARGET = "no_target"
-
-    __hash__ = object.__hash__  # see world.EntityKind
 
 
 class HitResult(NamedTuple):
@@ -189,11 +179,9 @@ _DESTROYED = HitKind.DESTROYED
 _new = tuple.__new__
 
 
-class CellOutcome(Enum):
+class CellOutcome(IdentityEnum):
     AVOIDED = "avoided"
     COLLIDED = "collided"
-
-    __hash__ = object.__hash__  # see world.EntityKind
 
 
 def hand_velocity(samples: Sequence[tuple[float, Vec3]]) -> tuple[float, Vec3]:

@@ -38,7 +38,7 @@ from .interaction import (
 )
 from .protocol import PhaseKind, first_tick
 from .world import (CREATOR_DISTANCE, Entity, EntityKind, FLIGHT_HEIGHT,
-                    VIRUS_KINDS, arrival_time)
+                    IdentityEnum, VIRUS_KINDS, arrival_time)
 
 __all__ = [
     "EmpowerPolicy",
@@ -104,7 +104,7 @@ def _mark(hot: bytearray, start: int, stop: int, mark: int) -> None:
     hot[start:stop] = hot[start:stop].translate(_WITH_MARK[mark])
 
 
-class EmpowerPolicy(Enum):
+class EmpowerPolicy(IdentityEnum):
     ACTIVATE_IMMEDIATELY = "activate_immediately"
     NEVER = "never"
     DURING_SPRINT_ONLY = "during_sprint_only"

@@ -8,8 +8,9 @@ start + 10 s the player is ordinary again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
+
+from .world import IdentityEnum
 
 __all__ = [
     "ENERGY_CAPACITY",
@@ -32,7 +33,7 @@ ENERGY_CAPACITY = 10
 EMPOWERMENT_DURATION = 10.0
 
 
-class RefusalReason(Enum):
+class RefusalReason(IdentityEnum):
     NOT_FULL = "not_full"
     NO_PRESS = "no_press"
     ALREADY_EMPOWERED = "already_empowered"

@@ -14,11 +14,10 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple
 
-from .world import EntityKind
+from .world import EntityKind, IdentityEnum
 
 __all__ = [
     "SESSION_DURATION",
@@ -49,13 +48,11 @@ MODULATION_MAX = 2.0
 LANE_HALF_WIDTH = 0.5
 
 
-class PhaseKind(Enum):
+class PhaseKind(IdentityEnum):
     LOW = "low"
     SPRINT = "sprint"
     COOLDOWN = "cooldown"
     ENDED = "ended"
-
-    __hash__ = object.__hash__  # see world.EntityKind
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,9 @@ Every spawned object travels from the creator plane (z = 15 m) straight at
 the player plane (z = 0) at a constant speed.  Positions are advanced
 incrementally each step, while :func:`position_of` gives the closed-form
 position so the two routes can be checked against each other.
+
+The module imports nothing else from the package, so it also holds
+:class:`IdentityEnum`, the base every enum in the package derives from.
 """
 from __future__ import annotations
 
@@ -31,17 +34,23 @@ CREATOR_DISTANCE = 15.0
 FLIGHT_HEIGHT = 1.4
 
 
-class EntityKind(Enum):
+class IdentityEnum(Enum):
+    """The base of every enum in the package.
+
+    Members are singletons and compare by identity, so hashing by
+    identity gives every dict and set lookup the same answer as Enum's
+    hash of the name, in a C slot instead of a Python call.
+    """
+
+    __hash__ = object.__hash__
+
+
+class EntityKind(IdentityEnum):
     RED_VIRUS = "red_virus"
     BLUE_VIRUS = "blue_virus"
     FLAT_CELL = "flat_cell"
     RIGHT_TILT_CELL = "right_tilt_cell"
     LEFT_TILT_CELL = "left_tilt_cell"
-
-    # Members are singletons and compare by identity, so hashing by
-    # identity gives every dict and set lookup the same answer as Enum's
-    # hash of the name, in a C slot instead of a Python call.
-    __hash__ = object.__hash__
 
 
 VIRUS_KINDS = frozenset({EntityKind.RED_VIRUS, EntityKind.BLUE_VIRUS})
@@ -50,14 +59,12 @@ CELL_KINDS = frozenset(
 )
 
 
-class EntityStatus(Enum):
+class EntityStatus(IdentityEnum):
     IN_FLIGHT = "in_flight"
     DESTROYED = "destroyed"
     MISSED = "missed"
     PASSED = "passed"
     COLLIDED = "collided"
-
-    __hash__ = object.__hash__  # as EntityKind's
 
 
 @dataclass(slots=True, eq=False)

@@ -1,17 +1,24 @@
-"""The per-event records and the enums the tick loop reads.
+"""The per-event records and the package's enums.
 
 The records built once per spawn, jab, plan or ``hr`` row are named
-tuples: fields by name and in a fixed order, immutable and hashable.  The
-enums read on those paths hash by identity, which gives every dict and
-set lookup the answer ``Enum``'s own hash gives.
+tuples: fields by name and in a fixed order, immutable and hashable.
+Every enum the package defines derives from ``world.IdentityEnum`` and
+so hashes by identity, which gives every dict and set lookup the answer
+``Enum``'s own hash gives.
 """
 from __future__ import annotations
 
+import importlib
+import inspect
+import pickle
+import pkgutil
+from enum import Enum
+
 import pytest
 
-from virusboxing import playersim, session
+import virusboxing
+from virusboxing import playersim, session, world
 from virusboxing.interaction import (
-    CellOutcome,
     Hand,
     HitKind,
     HitResult,
@@ -19,9 +26,7 @@ from virusboxing.interaction import (
     JabEvent,
     PoseClass,
     PoseSample,
-    TargetingMode,
     TargetingPolicy,
-    TargetingRange,
     resolve_jab,
 )
 from virusboxing.playersim import (
@@ -31,9 +36,9 @@ from virusboxing.playersim import (
     builtin_profiles,
     load_profile,
 )
-from virusboxing.protocol import PhaseKind, SpawnEvent
+from virusboxing.protocol import SpawnEvent
 from virusboxing.session import SessionConfig, TraceRow, run_session
-from virusboxing.world import EntityKind, EntityStatus, WorldState
+from virusboxing.world import EntityKind, WorldState
 
 # Each record with its fields in order, its defaults and one instance.
 RECORDS = [
@@ -125,14 +130,30 @@ def test_the_session_builds_each_record_as_its_class_does(monkeypatch,
         assert record == cls(**dict(zip(cls._fields, record)))
 
 
-@pytest.mark.parametrize("enum", [
-    EntityKind, EntityStatus, Hand, PoseClass, HitKind, CellOutcome,
-    TargetingMode, TargetingRange, PhaseKind,
-], ids=lambda enum: enum.__name__)
-def test_an_enum_on_the_event_paths_hashes_by_identity(enum) -> None:
+# Every enum with members that a module of the package defines, found by
+# walking the package, so an enum added to any module is checked without
+# being listed here.
+ENUMS = [cls
+         for info in pkgutil.iter_modules(virusboxing.__path__)
+         for module in [importlib.import_module(f"virusboxing.{info.name}")]
+         for _, cls in inspect.getmembers(module, inspect.isclass)
+         if issubclass(cls, Enum) and cls.__module__ == module.__name__
+         and len(cls)]
+
+
+def test_the_walk_finds_every_enum() -> None:
+    assert {"EntityKind", "EntityStatus", "PhaseKind", "Hand", "PoseClass",
+            "TargetingMode", "TargetingRange", "HitKind", "CellOutcome",
+            "EmpowerPolicy", "RefusalReason"} <= {e.__name__ for e in ENUMS}
+
+
+@pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
+def test_every_enum_hashes_by_identity(enum) -> None:
     for member in enum:
         assert hash(member) == object.__hash__(member)
         assert member._value_ == member.value
         assert enum(member.value) is member
+        assert pickle.loads(pickle.dumps(member)) is member
         assert {member: True}[enum[member.name]]
         assert enum[member.name] in frozenset(enum)
+    assert issubclass(enum, world.IdentityEnum)
