@@ -337,8 +337,6 @@ def _other_hand(hand: Hand) -> Hand:
 # Builds a record as its class's own ``__new__`` does, without that call's
 # Python frame: ``_new(JabPlan, fields)`` is ``JabPlan(*fields)``.
 _new = tuple.__new__
-_log = math.log
-_NV_MAGICCONST = random.NV_MAGICCONST
 
 
 def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
@@ -350,37 +348,18 @@ def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
 
     Draw order per virus is fixed (hand, speed, three aim axes) and per
     cell is one reliability draw, so replay streams stay aligned whatever
-    the plan turns into.  A virus's draws are made in place on
-    ``rng.random``: the hand is one ``random()``, and the speed and the
-    x, y and z aim errors are four normals drawn, in that order, by the
-    loop ``rng.normalvariate`` runs (Kinderman and Monahan's ratio of
-    uniforms, ACM TOMS 3, 1977), each ``mu + z * sigma``.  So they are
-    the floats ``rng.normalvariate(profile.punch_speed_mean,
-    profile.punch_speed_sd)`` and three ``rng.normalvariate(0.0,
-    profile.aim_error_sd)`` give, from the same ``random()`` calls.
+    the plan turns into.  A virus draws its hand with ``rng.random()``,
+    then its speed and its x, y and z aim errors with four
+    ``rng.normalvariate`` calls in that order.
     """
     now_t = now_tick * dt
     if entity.kind in VIRUS_KINDS:
-        draw = rng.random
-        u_hand = draw()
-        normals = []
-        for _ in range(4):
-            while True:
-                u1 = draw()
-                u2 = 1.0 - draw()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            normals.append(z)
-        z_speed, z_x, z_y, z_z = normals
-        speed = max(0.0, profile.punch_speed_mean
-                    + z_speed * profile.punch_speed_sd)
-        sd = profile.aim_error_sd
-        # The mean 0.0 is added as normalvariate adds it: it turns a -0.0
-        # error into 0.0.
-        err_x = 0.0 + z_x * sd
-        err_y = 0.0 + z_y * sd
-        err_z = 0.0 + z_z * sd
+        u_hand = rng.random()
+        speed = max(0.0, rng.normalvariate(profile.punch_speed_mean,
+                                           profile.punch_speed_sd))
+        err_x = rng.normalvariate(0.0, profile.aim_error_sd)
+        err_y = rng.normalvariate(0.0, profile.aim_error_sd)
+        err_z = rng.normalvariate(0.0, profile.aim_error_sd)
         correct = HAND_FOR_VIRUS[entity.kind]
         hand = correct if u_hand < profile.correct_hand_prob else _other_hand(correct)
 

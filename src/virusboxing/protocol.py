@@ -186,21 +186,16 @@ class SpawnEvent(NamedTuple):
 # Python frame: ``_new(SpawnEvent, fields)`` is ``SpawnEvent(*fields)``.
 _new = tuple.__new__
 
-# ``rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)`` is ``a + (b - a) *
-# rng.random()`` with these.
-_LANE_LOW = -LANE_HALF_WIDTH
-_LANE_SPAN = LANE_HALF_WIDTH - -LANE_HALF_WIDTH
-
 
 def next_spawn(rng: random.Random, now: float, params: SpawnParams) -> SpawnEvent:
     """Schedule the spawn that follows ``now`` under ``params``.
 
     Consumes exactly two draws, kind then lane, so the stream layout is
-    stable for replay: the lane as ``rng.uniform(-LANE_HALF_WIDTH,
-    LANE_HALF_WIDTH)`` would draw it, from ``rng.random()`` in place.
+    stable for replay: ``sample_kind(rng)``, then
+    ``rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)``.
     The first spawn of a session comes from calling this with now = 0.0:
     nothing spawns at t = 0 itself.
     """
     kind = sample_kind(rng)
     return _new(SpawnEvent, (now + params.interval, kind, params.speed,
-                             _LANE_LOW + _LANE_SPAN * rng.random()))
+                             rng.uniform(-LANE_HALF_WIDTH, LANE_HALF_WIDTH)))

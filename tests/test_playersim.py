@@ -423,12 +423,13 @@ class TestButtons:
 
 
 
-# --- Each virus's draws, made in place.
+# --- Each virus's draws, through ``random.Random``'s own methods.
 
 def _reference_plan(profile, entity, rng, *, now_tick, dt, policy,
                     empowered_until, seq):
-    """``plan_reaction`` as it drew through ``rng.normalvariate``, kept as
-    the reference the in-place draws must match bit for bit."""
+    """``plan_reaction`` written out once and frozen: per virus one
+    ``rng.random()`` and four ``rng.normalvariate`` calls, per cell one
+    ``rng.random()``.  ``plan_reaction`` must match it bit for bit."""
     now_t = now_tick * dt
     if entity.kind in VIRUS_KINDS:
         u_hand = rng.random()
