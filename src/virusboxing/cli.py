@@ -310,6 +310,8 @@ def _write_sweep(summaries: list[dict], path: Path) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.format == "csv" and not args.out:
+        raise ConfigError("--format csv needs --out DIR to write its files to")
     settings = _settings(args)
     configs = [_build_config(settings, seed)
                for seed in _parse_seeds(args, settings)]

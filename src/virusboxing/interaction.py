@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .world import (Entity, EntityKind, FLIGHT_HEIGHT, IdentityEnum,
                     VIRUS_KINDS, WorldState)
@@ -33,7 +33,6 @@ __all__ = [
     "HitKind",
     "HitResult",
     "CellOutcome",
-    "hand_velocity",
     "JabDetector",
     "resolve_jab",
     "classify_weave_pose",
@@ -83,9 +82,6 @@ class PoseSample(NamedTuple):
     left_hand: Vec3
     right_hand: Vec3
     buttons: frozenset[str] = frozenset()
-
-    def hand(self, which: Hand) -> Vec3:
-        return self.left_hand if which is Hand.LEFT else self.right_hand
 
 
 @dataclass(frozen=True)
@@ -184,28 +180,6 @@ class CellOutcome(IdentityEnum):
     COLLIDED = "collided"
 
 
-def hand_velocity(samples: Sequence[tuple[float, Vec3]]) -> tuple[float, Vec3]:
-    """Backward finite difference across a sample window.
-
-    Returns (speed, unit direction); an under-filled window or zero
-    displacement yields speed 0 and a null direction.
-    """
-    if len(samples) < 2:
-        return 0.0, (0.0, 0.0, 0.0)
-    t0, p0 = samples[0]
-    t1, p1 = samples[-1]
-    elapsed = t1 - t0
-    if elapsed <= 0.0:
-        return 0.0, (0.0, 0.0, 0.0)
-    dx = p1[0] - p0[0]
-    dy = p1[1] - p0[1]
-    dz = p1[2] - p0[2]
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if dist == 0.0:
-        return 0.0, (0.0, 0.0, 0.0)
-    return dist / elapsed, (dx / dist, dy / dist, dz / dist)
-
-
 class JabDetector:
     """Streaming threshold-crossing detector over both hands.
 
@@ -215,11 +189,10 @@ class JabDetector:
     Both hands share one window of ``(time, left, right)`` samples, and
     per-hand state sits in ``[left, right]`` slots.  Speed is the
     backward difference between the oldest and newest sample in the
-    window, as in :func:`hand_velocity`.  A hand whose newest position is
-    the very object it held at the start of the window has not moved, so
-    its speed is 0 without any arithmetic: the synthetic player hands
-    back the same tuple every tick while a hand rests or holds still
-    before a strike.
+    window.  A hand whose newest position is the very object it held at
+    the start of the window has not moved, so its speed is 0 without any
+    arithmetic: the synthetic player hands back the same tuple every tick
+    while a hand rests or holds still before a strike.
 
     ``judge`` is the fire rule for one hand on one frame, given the two
     ends of its window.  ``update`` calls it for both hands; a caller that

@@ -19,7 +19,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -251,9 +251,6 @@ class PlayerProfile:
     empower_policy: EmpowerPolicy
     effort: float = field(metadata={"interval": "(0, 1]"})
 
-    def to_dict(self) -> dict:
-        return dict(asdict(self), empower_policy=self.empower_policy.value)
-
     @classmethod
     def from_dict(cls, data: object) -> "PlayerProfile":
         """The profile a JSON object holds, read by ``read_json_object``."""
@@ -393,14 +390,6 @@ def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
     return _new(WeavePlan, (entity.id, _AVOIDANCE_POSE[entity.kind], cross_tick))
 
 
-def _lerp(a: Vec3, b: Vec3, f: float) -> Vec3:
-    return (
-        a[0] + f * (b[0] - a[0]),
-        a[1] + f * (b[1] - a[1]),
-        a[2] + f * (b[2] - a[2]),
-    )
-
-
 def _strike_ticks(speed: float, dt: float) -> int:
     """Ticks from strike start until the windowed speed reaches the strike
     speed's detection point, assuming a still hand beforehand."""
@@ -432,7 +421,8 @@ def _point(knots: list[tuple[float, Vec3]], times: list[float],
     t1, p1 = knots[i]
     if t <= t0 or p1 is p0:
         return p0
-    # _lerp(p0, p1, f), term for term, without the call.
+    # _lerp(p0, p1, f) of tests/per_tick_primitives.py, term for term,
+    # without the call.
     f = (t - t0) / (t1 - t0)
     return (
         p0[0] + f * (p1[0] - p0[0]),
@@ -647,8 +637,9 @@ class _HandTrack:
                 lx, ly, lz = launch
                 gap = sqrt((lx - ax) ** 2 + (ly - ay) ** 2 + (lz - az) ** 2)
                 if gap > 1e-12:
-                    # _lerp((0, 0, 0), aim - launch, 1 / gap): the zero
-                    # terms keep the sign of a zero component as it was.
+                    # _lerp((0, 0, 0), aim - launch, 1 / gap) of
+                    # tests/per_tick_primitives.py: the zero terms keep
+                    # the sign of a zero component as it was.
                     f = 1.0 / gap
                     ux = 0.0 + f * ((ax - lx) - 0.0)
                     uy = 0.0 + f * ((ay - ly) - 0.0)

@@ -125,10 +125,6 @@ class SummaryMetrics:
     max_hr: float | None = None
     kcal: float | None = None
 
-    @property
-    def total_spawned(self) -> int:
-        return self.viruses_spawned + self.cells_spawned
-
     @classmethod
     def of(cls, state: ProgressionState, viruses_spawned: int,
            cells_spawned: int, hr: Sequence[float] = (),

@@ -19,7 +19,6 @@ __all__ = [
     "EntityKind",
     "EntityStatus",
     "VIRUS_KINDS",
-    "CELL_KINDS",
     "Entity",
     "WorldState",
     "position_of",
@@ -54,9 +53,6 @@ class EntityKind(IdentityEnum):
 
 
 VIRUS_KINDS = frozenset({EntityKind.RED_VIRUS, EntityKind.BLUE_VIRUS})
-CELL_KINDS = frozenset(
-    {EntityKind.FLAT_CELL, EntityKind.RIGHT_TILT_CELL, EntityKind.LEFT_TILT_CELL}
-)
 
 
 class EntityStatus(IdentityEnum):
@@ -87,10 +83,6 @@ class Entity:
     @property
     def is_virus(self) -> bool:
         return self.kind in VIRUS_KINDS
-
-    @property
-    def is_cell(self) -> bool:
-        return self.kind in CELL_KINDS
 
     def centre(self) -> tuple[float, float, float]:
         """3-D centre (lateral, height, distance-from-player)."""

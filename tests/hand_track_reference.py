@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+from per_tick_primitives import _lerp
 from virusboxing.interaction import JAB_REFRACTORY, VELOCITY_WINDOW
 from virusboxing.playersim import (
     REPOSITION_SPEED,
@@ -27,7 +28,6 @@ from virusboxing.playersim import (
     JabPlan,
     Vec3,
     _HandTrack,
-    _lerp,
     _point,
     _strike_ticks,
 )

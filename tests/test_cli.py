@@ -844,6 +844,20 @@ class TestJobs:
         assert "--jobs" in capsys.readouterr().err
 
 
+class TestFormat:
+    def test_csv_without_out_is_a_config_error(self, monkeypatch,
+                                               capsys) -> None:
+        # It once printed the JSON summary and exited 0, the flag unread.
+        def build_config(settings, seed):
+            raise AssertionError("no config may be built")
+
+        monkeypatch.setattr(cli, "_build_config", build_config)
+        assert main(RUN_OFF + ["--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert captured.out == ""
+
+
 class TestRuntimeFailure:
     def test_exit_3_prints_the_failure_and_its_traceback(self, monkeypatch,
                                                          capsys) -> None:

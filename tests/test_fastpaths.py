@@ -14,6 +14,7 @@ import random
 import pytest
 
 from per_tick_oracle import run_session_per_tick
+from per_tick_primitives import hand_velocity
 from virusboxing import interaction
 from virusboxing.interaction import (
     VELOCITY_WINDOW,
@@ -21,7 +22,6 @@ from virusboxing.interaction import (
     Hand,
     JabDetector,
     PoseSample,
-    hand_velocity,
 )
 from virusboxing.playersim import JabPlan, SyntheticPlayer, load_profile
 from virusboxing.protocol import PhaseKind, phase_at, phase_boundary_ticks
@@ -32,6 +32,10 @@ DTS = (0.01, 0.02, 0.035, 0.07, 0.1)
 
 def _ticks(dt: float) -> int:
     return round(420.0 / dt)
+
+
+def _hand(sample: PoseSample, hand: Hand):
+    return sample.left_hand if hand is Hand.LEFT else sample.right_hand
 
 
 class TestPhaseBoundaries:
@@ -179,7 +183,7 @@ class TestDetectorIdentityFastPath:
         # Each fired speed is the reference finite difference over the window.
         window = kwargs.get("window", VELOCITY_WINDOW)
         for event in fast:
-            history = [(s.time, s.hand(event.hand)) for s in samples
+            history = [(s.time, _hand(s, event.hand)) for s in samples
                        if event.time - window - 1e-9 <= s.time <= event.time]
             assert hand_velocity(history) == (event.hand_speed, event.direction)
 
@@ -197,7 +201,7 @@ class TestDetectorIdentityFastPath:
             j = next(j for j in range(k + 1) if samples[j].time >= horizon)
             got = []
             for i, hand in enumerate((Hand.LEFT, Hand.RIGHT)):
-                start, end = samples[j].hand(hand), s.hand(hand)
+                start, end = _hand(samples[j], hand), _hand(s, hand)
                 if start is end:
                     continue
                 before = samples[k - 1].time if k else None

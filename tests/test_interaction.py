@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from per_tick_primitives import hand_velocity
 from virusboxing.interaction import (
     Calibration,
     CellOutcome,
@@ -18,7 +19,6 @@ from virusboxing.interaction import (
     TargetingPolicy,
     TargetingRange,
     classify_weave_pose,
-    hand_velocity,
     resolve_cell_pass,
     resolve_jab,
 )

@@ -101,7 +101,6 @@ class TestSummary:
         assert metrics.miss_pct == pytest.approx(25.0)
         assert metrics.cell_hit_pct == pytest.approx(50.0)
         assert metrics.wrong_hand_jabs == 1
-        assert metrics.total_spawned == 6
 
     def test_empty_categories_have_no_percentage(self) -> None:
         metrics = summary(ProgressionState(), 0, 0)

@@ -20,6 +20,7 @@ import random
 import pytest
 
 from per_tick_oracle import run_session_per_tick
+from per_tick_primitives import _lerp
 from virusboxing import session
 from virusboxing.interaction import (
     Calibration,
@@ -39,7 +40,6 @@ from virusboxing.playersim import (
     SyntheticPlayer,
     WeavePlan,
     _HandTrack,
-    _lerp,
     _point,
     load_profile,
 )
@@ -230,11 +230,6 @@ class TestPoseSample:
                 setattr(sample, field, None)
         with pytest.raises(AttributeError):
             sample.extra = 1
-
-    def test_hand(self) -> None:
-        sample = PoseSample(0.0, HEAD, LEFT, RIGHT)
-        assert sample.hand(Hand.LEFT) is LEFT
-        assert sample.hand(Hand.RIGHT) is RIGHT
 
 
 def _reference_position(knots, t: float):

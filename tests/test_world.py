@@ -33,8 +33,8 @@ def test_spawn_assigns_ascending_ids_and_tracks_flight() -> None:
     b = _spawn_one(world, EntityKind.FLAT_CELL)
     assert (a.id, b.id) == (0, 1)
     assert world.in_flight == [a, b]
-    assert a.is_virus and not a.is_cell
-    assert b.is_cell and not b.is_virus
+    assert a.is_virus
+    assert not b.is_virus
 
 
 def test_centre_uses_lane_and_flight_height() -> None:
