@@ -201,7 +201,7 @@ def _resolve_heart(ref: object) -> HeartRateParams:
 
 
 def _parse_seeds(args: argparse.Namespace, settings: dict) -> list[int]:
-    if args.seeds:
+    if args.seeds is not None:
         if "seed" in args:
             raise ConfigError("--seed and --seeds cannot be combined")
         text = args.seeds
@@ -310,6 +310,8 @@ def _write_sweep(summaries: list[dict], path: Path) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.out == "":  # Path("") is the working directory
+        raise ConfigError("--out must name a directory, got ''")
     if args.format == "csv" and not args.out:
         raise ConfigError("--format csv needs --out DIR to write its files to")
     settings = _settings(args)

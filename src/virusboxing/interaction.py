@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .world import (Entity, EntityKind, FLIGHT_HEIGHT, IdentityEnum,
-                    VIRUS_KINDS, WorldState)
+                    VIRUS_KINDS, WorldState, _new)
 
 __all__ = [
     "JAB_SPEED_THRESHOLD",
@@ -170,9 +170,6 @@ _NO_TARGET = HitResult(HitKind.NO_TARGET)
 # Bound once: reading a member off its class is slow in Python 3.11.
 _PRECISE = TargetingMode.PRECISE
 _DESTROYED = HitKind.DESTROYED
-# Builds a record as its class's own ``__new__`` does, without that call's
-# Python frame: ``_new(JabEvent, fields)`` is ``JabEvent(*fields)``.
-_new = tuple.__new__
 
 
 class CellOutcome(IdentityEnum):

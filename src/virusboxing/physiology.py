@@ -27,7 +27,6 @@ __all__ = [
     "PhysioState",
     "PidController",
     "DEFAULT_PID_GAINS",
-    "intensity_of",
     "modulated_intensity",
     "hr_step",
     "kcal_step",
@@ -72,8 +71,13 @@ class PhysioState:
     kcal: float = 0.0
 
 
-def intensity_of(phase_kind: PhaseKind, effort: float) -> float:
-    """Relative exercise intensity in [0, 1] for a phase at given effort."""
+def modulated_intensity(phase_kind: PhaseKind, effort: float) -> float:
+    """Relative exercise intensity in [0, 1] for a phase at given effort.
+
+    On a controlled tick ``session._plan`` multiplies it by the difficulty
+    scale, capped at full effort: a faster game works harder, which is
+    what lets the PID loop move heart rate.
+    """
     if not 0.0 <= effort <= 1.0:
         raise ValueError(f"effort must lie in [0, 1], got {effort}")
     if phase_kind is PhaseKind.SPRINT:
@@ -81,16 +85,6 @@ def intensity_of(phase_kind: PhaseKind, effort: float) -> float:
     if phase_kind is PhaseKind.ENDED:
         return 0.0
     return LOW_INTENSITY_FACTOR * effort
-
-
-def modulated_intensity(phase_kind: PhaseKind, effort: float,
-                        scale: float = 1.0) -> float:
-    """Intensity after difficulty scaling; a faster game works harder.
-
-    The scale is the demand knob: it multiplies intensity, capped at full
-    effort, which is what lets the PID loop actually move heart rate.
-    """
-    return min(1.0, intensity_of(phase_kind, effort) * scale)
 
 
 def hr_step(state: PhysioState, intensity: float, params: HeartRateParams,

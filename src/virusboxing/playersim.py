@@ -38,7 +38,7 @@ from .interaction import (
 )
 from .protocol import PhaseKind, first_tick
 from .world import (CREATOR_DISTANCE, Entity, EntityKind, FLIGHT_HEIGHT,
-                    IdentityEnum, VIRUS_KINDS, arrival_time)
+                    IdentityEnum, VIRUS_KINDS, arrival_time, _new)
 
 __all__ = [
     "EmpowerPolicy",
@@ -329,11 +329,6 @@ _SQUAT = PoseClass.SQUAT
 
 def _other_hand(hand: Hand) -> Hand:
     return _LEFT if hand is _RIGHT else _RIGHT
-
-
-# Builds a record as its class's own ``__new__`` does, without that call's
-# Python frame: ``_new(JabPlan, fields)`` is ``JabPlan(*fields)``.
-_new = tuple.__new__
 
 
 def plan_reaction(profile: PlayerProfile, entity: Entity, rng: random.Random, *,
@@ -740,7 +735,6 @@ class SyntheticPlayer:
                  horizon: int = 0) -> None:
         profile.validate()
         self.profile = profile
-        self.calibration = calibration
         self.rng = rng
         self.dt = dt
         self.policy = policy

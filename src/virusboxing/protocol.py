@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .world import EntityKind, IdentityEnum
+from .world import EntityKind, IdentityEnum, _new
 
 __all__ = [
     "SESSION_DURATION",
@@ -59,7 +59,6 @@ class PhaseKind(IdentityEnum):
 class ProtocolPhase:
     kind: PhaseKind
     index: int
-    elapsed: float
 
 
 # (start, end, kind, index) with [start, end) windows.
@@ -87,8 +86,8 @@ def phase_at(t: float) -> ProtocolPhase:
         raise ValueError(f"session time must be non-negative, got {t}")
     for start, end, kind, index in _TIMELINE:
         if start <= t < end:
-            return ProtocolPhase(kind, index, t - start)
-    return ProtocolPhase(PhaseKind.ENDED, 0, t - SESSION_DURATION)
+            return ProtocolPhase(kind, index)
+    return ProtocolPhase(PhaseKind.ENDED, 0)
 
 
 def first_tick(x: float, dt: float, slack: float = 0.0) -> int:
@@ -180,11 +179,6 @@ class SpawnEvent(NamedTuple):
     kind: EntityKind
     speed: float
     lane_offset: float
-
-
-# Builds a record as its class's own ``__new__`` does, without that call's
-# Python frame: ``_new(SpawnEvent, fields)`` is ``SpawnEvent(*fields)``.
-_new = tuple.__new__
 
 
 def next_spawn(rng: random.Random, now: float, params: SpawnParams) -> SpawnEvent:

@@ -169,6 +169,7 @@ from .world import (
     VIRUS_KINDS,
     EntityStatus,
     WorldState,
+    _new,
     advance,
 )
 
@@ -384,8 +385,8 @@ def _plan(effort: float, heart: HeartRateParams,
     for start, end in zip(boundaries, boundaries[1:]):
         phase = phase_at(start * dt)
         controlled = pid_gains is not None and phase.kind is PhaseKind.SPRINT
-        # At most 1.0 already, so hr_step's min(1.0, intensity * 1.0) is
-        # intensity itself.
+        # At most 1.0 already, so an uncontrolled tick's capped intensity,
+        # min(1.0, intensity * 1.0), is intensity itself.
         intensity = modulated_intensity(phase.kind, effort)
         aim = hr_rest + intensity * hr_range
         made: dict[float, SpawnParams] = {}  # this phase's, by scale
@@ -639,9 +640,6 @@ _DESTROYED = EntityStatus.DESTROYED
 _MISSED = EntityStatus.MISSED
 _PASSED = EntityStatus.PASSED
 _COLLIDED = EntityStatus.COLLIDED
-# Builds a record as its class's own ``__new__`` does, without that call's
-# Python frame: ``_new(TraceRow, fields)`` is ``TraceRow(*fields)``.
-_new = tuple.__new__
 
 
 class TraceRow(NamedTuple):
@@ -784,14 +782,15 @@ def run_session(config: SessionConfig,
         if marks:
             # The first tick of the detector's window, as its history holds
             # it when fed every tick but G, and the tick fed before this.
-            # The window's start is protocol.first_tick(horizon, dt),
-            # searched inline from the tick ``lead`` back: a call per
-            # judged tick costs more than the search.
+            # The window's start is protocol.first_tick(horizon, dt): the
+            # tick ``lead`` back or the one after it, as ``(lead - 1) * dt``
+            # falls short of the window and ``(lead + 1) * dt`` passes it
+            # by dt >= 0.001, far past the 1e-9 slack (the property
+            # test_window_start_is_lead_back_or_one_after holds this).  It
+            # is stepped inline: a call per judged tick costs more.
             horizon = t - VELOCITY_WINDOW - 1e-9
             j = k - lead if k > lead else 0
-            while j > 0 and (j - 1) * dt >= horizon:
-                j -= 1
-            while j * dt < horizon:
+            if j * dt < horizon:
                 j += 1
             if j == gameplay_ticks:
                 j += 1
@@ -975,14 +974,12 @@ def metrics_from_log(lines: Iterable[str]) -> SummaryMetrics:
     hr_values: list[float] = []
     kcal_last: float | None = None
     for number, raw in enumerate(lines, 1):
-        # A template row has no blanks around it, so the line is stripped
-        # only when the raw line is not one.
-        match = fullmatch(raw)
-        if match is None:
-            line = raw.strip()
-            if not line:
-                continue
-            match = fullmatch(line)
+        # A template row has no blanks around it, so stripping leaves it
+        # as it is: ``str.strip`` hands back the same string.
+        line = raw.strip()
+        if not line:
+            continue
+        match = fullmatch(line)
         if match is None:
             try:
                 row_type, fields = _counted_fields(line, number)

@@ -6,7 +6,9 @@ incrementally each step, while :func:`position_of` gives the closed-form
 position so the two routes can be checked against each other.
 
 The module imports nothing else from the package, so it also holds
-:class:`IdentityEnum`, the base every enum in the package derives from.
+:class:`IdentityEnum`, the base every enum in the package derives from,
+and ``_new``, the record constructor the package's hot paths build named
+tuples with.
 """
 from __future__ import annotations
 
@@ -42,6 +44,13 @@ class IdentityEnum(Enum):
     """
 
     __hash__ = object.__hash__
+
+
+# Builds a record as its class's own ``__new__`` does, without that call's
+# Python frame: ``_new(Record, fields)`` is ``Record(*fields)``.  Each
+# module imports it as a global of its own, so a build there costs what
+# it would if that module defined it.
+_new = tuple.__new__
 
 
 class EntityKind(IdentityEnum):

@@ -794,6 +794,20 @@ class TestFlagsOverFile:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--pid", "off", "--seeds", ""], "--seeds"),
+        (RUN_OFF + ["--seeds", ""], "--seeds"),
+        (RUN_OFF + ["--out", ""], "--out"),
+    ])
+    def test_an_empty_run_flag_is_a_config_error(self, tmp_path, monkeypatch,
+                                                 capsys, argv, flag) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert flag in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["yes", "true", ""])
     def test_pid_flag_takes_only_on_or_off(self, capsys, value) -> None:
         with pytest.raises(SystemExit) as exc:

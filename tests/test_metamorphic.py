@@ -66,9 +66,15 @@ def _longer(config: SessionConfig) -> SessionConfig:
     return dataclasses.replace(config, duration=ticks * config.dt)
 
 
-# Each draws a session of up to 420 s, so a tenth of the profile's
-# examples, and a failure is reported as found: each shrink step would
-# run such a session again, and shrinking took minutes.
+# Every property here runs two sessions per example, and an explicit
+# example runs whole 420 s ones, so each sets deadline=None: on a busy
+# host an example can outlast Hypothesis's 200 ms default, which is
+# timing, not a wrong row.
+
+
+# Each example draws a session of up to 420 s, so a tenth of the
+# profile's examples, and a failure is reported as found: each shrink
+# step would run such a session again, and shrinking took minutes.
 @settings(max_examples=settings.default.max_examples // 10, deadline=None,
           phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(config=session_configs())
@@ -94,6 +100,7 @@ def test_a_shorter_session_writes_the_longer_ones_rows(
     assert [row for row in _rows(config, "end") if kept(row)] == want
 
 
+@settings(deadline=None)
 @given(config=session_configs())
 def test_without_the_pid_the_heart_moves_only_the_hr_rows(
         config: SessionConfig) -> None:
@@ -114,6 +121,7 @@ def _before_empowerment(config: SessionConfig) -> list[dict]:
                           _rows(config)))
 
 
+@settings(deadline=None)
 @given(config=session_configs(),
        targeting=st.builds(TargetingPolicy, st.sampled_from(TargetingMode),
                            st.sampled_from(TargetingRange)))
@@ -128,6 +136,7 @@ def test_targeting_moves_no_row_before_the_first_empowerment(
         dataclasses.replace(config, targeting=targeting)))
 
 
+@settings(deadline=None)
 @given(config=session_configs(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_the_seeds_of_a_config_share_its_spawn_timeline(
@@ -140,6 +149,7 @@ def test_the_seeds_of_a_config_share_its_spawn_timeline(
     assert timeline(config.seed) == timeline(seed)
 
 
+@settings(deadline=None)
 @given(config=session_configs(), data=st.data())
 def test_without_the_pid_its_setpoint_and_gains_move_nothing(
         config: SessionConfig, data: st.DataObject) -> None:

@@ -20,7 +20,6 @@ from virusboxing.physiology import (
     PidController,
     apply_modulation,
     hr_step,
-    intensity_of,
     kcal_step,
     modulated_intensity,
 )
@@ -32,27 +31,23 @@ REGULAR = HEART_PRESETS["regular"]
 
 class TestIntensity:
     def test_low_and_cooldown_are_scaled(self) -> None:
-        assert intensity_of(PhaseKind.LOW, 0.615) == \
+        assert modulated_intensity(PhaseKind.LOW, 0.615) == \
             pytest.approx(LOW_INTENSITY_FACTOR * 0.615)
-        assert intensity_of(PhaseKind.COOLDOWN, 0.615) == \
-            intensity_of(PhaseKind.LOW, 0.615)
+        assert modulated_intensity(PhaseKind.COOLDOWN, 0.615) == \
+            modulated_intensity(PhaseKind.LOW, 0.615)
 
     def test_sprint_passes_effort_through(self) -> None:
-        assert intensity_of(PhaseKind.SPRINT, 0.615) == 0.615
+        assert modulated_intensity(PhaseKind.SPRINT, 0.615) == 0.615
 
     def test_ended_is_zero(self) -> None:
-        assert intensity_of(PhaseKind.ENDED, 0.615) == 0.0
+        assert modulated_intensity(PhaseKind.ENDED, 0.615) == 0.0
 
     @pytest.mark.parametrize("effort", [-0.01, 1.01])
     def test_effort_out_of_range_rejected(self, effort: float) -> None:
         with pytest.raises(ValueError):
-            intensity_of(PhaseKind.SPRINT, effort)
+            modulated_intensity(PhaseKind.SPRINT, effort)
 
-    def test_modulation_scales_and_caps(self) -> None:
-        fast = apply_modulation(1.0)  # doubles at u=+1
-        assert modulated_intensity(PhaseKind.SPRINT, 0.4, fast) == \
-            pytest.approx(0.8)
-        assert modulated_intensity(PhaseKind.SPRINT, 0.6, fast) == 1.0
+    def test_unscaled_intensity_is_uncapped_below_full_effort(self) -> None:
         assert modulated_intensity(PhaseKind.SPRINT, 0.6) == 0.6
 
 
@@ -82,7 +77,7 @@ class TestHeartRateStep:
         assert state.hr == pytest.approx(139.97333333333333, abs=1e-12)
 
     def test_low_phase_target(self) -> None:
-        intensity = intensity_of(PhaseKind.LOW, 0.615)
+        intensity = modulated_intensity(PhaseKind.LOW, 0.615)
         target = REGULAR.hr_rest + intensity * (REGULAR.hr_max - REGULAR.hr_rest)
         assert target == pytest.approx(95.9775, abs=1e-12)
 

@@ -5,9 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from virusboxing.interaction import VELOCITY_WINDOW
 from virusboxing.physiology import apply_modulation
 from virusboxing.protocol import (
     KIND_MIX,
@@ -61,12 +62,6 @@ def test_phase_boundaries(t: float, kind: PhaseKind, index: int) -> None:
     assert phase.index == index
 
 
-def test_phase_elapsed_measures_from_segment_start() -> None:
-    assert phase_at(45.0).elapsed == pytest.approx(15.0)
-    assert phase_at(360.0).elapsed == 0.0
-    assert phase_at(500.0).elapsed == pytest.approx(80.0)
-
-
 def test_negative_time_rejected() -> None:
     with pytest.raises(ValueError):
         phase_at(-0.02)
@@ -79,10 +74,8 @@ def test_sprint_windows_cover_270_seconds() -> None:
 
 
 @given(st.floats(min_value=0.0, max_value=SESSION_DURATION - 1e-9))
-def test_phase_total_and_elapsed_consistent(t: float) -> None:
-    phase = phase_at(t)
-    assert phase.kind is not PhaseKind.ENDED
-    assert 0.0 <= phase.elapsed <= t + 1e-12
+def test_phase_at_is_total_before_the_end(t: float) -> None:
+    assert phase_at(t).kind is not PhaseKind.ENDED
 
 
 class TestSpawnParams:
@@ -275,3 +268,17 @@ def test_first_tick_past_the_next_float_is_the_first_tick_past(
     first = first_tick(math.nextafter(t0, math.inf), dt)
     assert first * dt > t0
     assert first == 0 or (first - 1) * dt <= t0
+
+
+# A step that divides the window, where the start is the tick ``lead``
+# back, and one that does not, where it is the tick after.
+@example(dt=0.02, k=1000)
+@example(dt=0.035, k=1000)
+@given(dt=STEP_RANGE, k=TICKS)
+def test_window_start_is_lead_back_or_one_after(dt, k) -> None:
+    # The bound run_session's hot-tick stage rests on, when it steps the
+    # start of tick k's velocity window at most once from ``lead`` back.
+    lead = math.ceil(VELOCITY_WINDOW / dt)
+    base = k - lead if k > lead else 0
+    start = first_tick(k * dt - VELOCITY_WINDOW - 1e-9, dt)
+    assert start in (base, base + 1)
